@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .prop_logic import (
-    Formula, FormulaError, Token, TokenStream, atoms_of, consistent, entails,
-    parse_prop, render, tokenize,
+    And, Formula, FormulaError, Iff, Imp, Not, Or, Token, TokenStream,
+    atoms_of, consistent, entails, parse_prop, render, tokenize,
 )
 from .mental_state import (
     Bel, Enabled, Goal, MentalState, MentalStateError, msf_leaves,
@@ -152,20 +152,21 @@ def _parse_formula_span(tokens: list[Token], msf: bool) -> Formula:
 
 
 def _formula_atoms(phi: Formula) -> frozenset[str]:
+    """Atoms of a propositional or mental-state formula, inside B/G leaves."""
     names: set[str] = set()
     stack = [phi]
     while stack:
-        f = stack.pop()
-        if isinstance(f, (Bel, Goal)):
-            names |= atoms_of(f.arg)
-        elif isinstance(f, Enabled):
-            continue
-        elif hasattr(f, "left"):
-            stack.extend((f.left, f.right))  # type: ignore[attr-defined]
-        elif hasattr(f, "operand"):
-            stack.append(f.operand)  # type: ignore[attr-defined]
-        else:
-            names |= atoms_of(f)
+        match stack.pop():
+            case Bel(arg) | Goal(arg):
+                names |= atoms_of(arg)
+            case Enabled():
+                pass
+            case Not(operand):
+                stack.append(operand)
+            case And(a, b) | Or(a, b) | Imp(a, b) | Iff(a, b):
+                stack.extend((a, b))
+            case leaf:
+                names |= atoms_of(leaf)
     return frozenset(names)
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .prop_logic import (
-    Formula, Not, atoms_of, consistent, entails, formula_for_table, render,
-    tautology, truth_table,
+    TRUE, Formula, Not, atoms_of, consistent, entails, formula_for_table,
+    render, tautology, truth_table,
 )
 from .mental_state import MentalState, eval_msf, make_state
 
@@ -56,9 +56,6 @@ class ConditionalAction:
 
     def __str__(self) -> str:
         return f"{render(self.condition)} -> do({self.action})"
-
-
-from .prop_logic import TRUE  # noqa: E402  (import placed near first use)
 
 
 def insert(phi: Formula) -> CapabilitySpec:

@@ -19,7 +19,7 @@ from .agent_program import (
     Agent, AgentParseError, SHOPPING_SOURCE, parse_agent,
 )
 from .executor import (
-    BudgetExceeded, default_budget, fairness_check, make_scheduler, reachable,
+    BudgetExceeded, InvalidBudget, fairness_check, make_scheduler, reachable,
     run,
 )
 from .verifier import (
@@ -31,6 +31,18 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+
+def _count(text: str) -> int:
+    """argparse type for counts and limits: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_agent_source(p_run)
     p_run.add_argument("--sched", choices=["rr", "random"], default="rr")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--steps", type=int, default=64)
+    p_run.add_argument("--steps", type=_count, default=64)
     p_run.add_argument("--unfair", action="store_true",
                        help="didactic mode: drop the fairness forcing "
                             "(random scheduling only)")
@@ -57,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="check the agent's declared properties")
     add_agent_source(p_verify)
     p_verify.add_argument("--jobs", type=int, default=1)
-    p_verify.add_argument("--budget", type=int, default=None,
+    p_verify.add_argument("--budget", type=_count, default=None,
                           help="reachable-state node budget")
     p_verify.add_argument("--format", choices=["text", "records"],
                           default="text")
@@ -67,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_agent_source(p_graph)
     p_graph.add_argument("--out", default="-",
                          help="output path, '-' for stdout")
-    p_graph.add_argument("--budget", type=int, default=None)
+    p_graph.add_argument("--budget", type=_count, default=None)
     p_graph.add_argument("--jobs", type=int, default=1)
 
     p_triple = sub.add_parser(
@@ -80,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_triple.add_argument("post", help="postcondition (mental-state formula)")
     p_triple.add_argument("--mode", choices=["semantic", "wlp"],
                           default="semantic")
-    p_triple.add_argument("--max-generators", type=int, default=2)
+    p_triple.add_argument("--max-generators", type=_count, default=2)
     return parser
 
 
@@ -192,7 +204,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "check-triple":
             return _cmd_check_triple(args)
         raise AssertionError(args.command)
-    except (AgentParseError, FormulaError, MissingAxiom, OSError) as exc:
+    except (AgentParseError, FormulaError, MissingAxiom, InvalidBudget,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BudgetExceeded, BoundsExceeded) as exc:

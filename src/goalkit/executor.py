@@ -28,14 +28,26 @@ class BudgetExceeded(Exception):
     """Raised when reachable-graph construction outgrows its node budget."""
 
 
+class InvalidBudget(BudgetExceeded):
+    """Raised for a budget that is not a non-negative integer: a usage error.
+
+    It subclasses :class:`BudgetExceeded` so that callers which catch that
+    around :func:`default_budget` keep working.
+    """
+
+
 def default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
-        raise BudgetExceeded(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}")
+        budget = -1
+    if budget < 0:
+        raise InvalidBudget(
+            f"{BUDGET_ENV_VAR} must be a non-negative integer, got {raw!r}")
+    return budget
 
 
 # ---------------------------------------------------------------------------

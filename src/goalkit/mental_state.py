@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence
 from .prop_logic import (
     And, Atom, Const, FALSE, Formula, FormulaError, Iff, Imp, Not, Or, TRUE,
     TokenStream, atoms_of, consistent, entails, formula_for_table, parse_prop,
-    render, tautology, tokenize, truth_table, _parse_iff,
+    render, tautology, tokenize, truth_table,
 )
 
 
@@ -33,21 +33,39 @@ class BoundsExceeded(Exception):
 # Mental-state formula leaves.  Connectives are shared with prop_logic.
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Bel(Formula):
     arg: Formula
 
+    def __post_init__(self) -> None:
+        self._seal(None, self.arg.depth + 1)
 
-@dataclass(frozen=True, slots=True)
+    def render_leaf(self) -> str:
+        return f"B({render(self.arg)})"
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Goal(Formula):
     arg: Formula
 
+    def __post_init__(self) -> None:
+        self._seal(None, self.arg.depth + 1)
 
-@dataclass(frozen=True, slots=True)
+    def render_leaf(self) -> str:
+        return f"G({render(self.arg)})"
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Enabled(Formula):
     """Enabledness atom: the target is a capability name or a goal action."""
 
     target: object
+
+    def __post_init__(self) -> None:
+        self._seal(None, 1)
+
+    def render_leaf(self) -> str:
+        return f"enabled({self.target})"
 
 
 class CapabilityResolver(Protocol):
@@ -233,7 +251,7 @@ def _msf_leaf_hook(stream: TokenStream):
 
 
 def parse_msf_stream(stream: TokenStream) -> Formula:
-    return _parse_iff(stream, _msf_leaf_hook)
+    return parse_prop(stream, _msf_leaf_hook)
 
 
 def _bare_atoms(phi: Formula) -> Iterator[str]:

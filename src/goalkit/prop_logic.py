@@ -16,54 +16,127 @@ class FormulaError(Exception):
     """Raised for malformed formula text or out-of-vocabulary atoms."""
 
 
-class Formula:
-    """Base class of all formula AST nodes (propositional and modal)."""
+# Formulas nested deeper than this are rejected by the parser.  Every walker
+# over formulas recurses once per level, and the limit keeps that well inside
+# Python's default recursion limit.
+MAX_DEPTH = 200
 
-    __slots__ = ()
+# The intern table: (class, *fields) -> the one node with that structure.
+_nodes: dict[tuple, "Formula"] = {}
+
+
+class _HashConsed(type):
+    """Metaclass that hash-conses formula nodes.
+
+    Constructing a node returns the one existing instance with the same
+    class and fields, so structural equality is identity and the hash is the
+    identity hash (Filliâtre & Conchon, "Type-safe modular hash-consing",
+    2006).  Children are interned already, so a lookup key hashes in time
+    proportional to the number of fields, not to the size of the tree.
+    """
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs:
+            node = super().__call__(*args, **kwargs)
+            key = (cls, *(getattr(node, name) for name in cls.__match_args__))
+            return _nodes.setdefault(key, node)
+        key = (cls, *args)
+        node = _nodes.get(key)
+        if node is None:
+            # setdefault keeps a single instance even if two threads race here
+            node = _nodes.setdefault(key, super().__call__(*args))
+        return node
+
+
+class Formula(metaclass=_HashConsed):
+    """Base class of all formula AST nodes (propositional and modal).
+
+    Nodes are hash-consed, so equality is identity.  Each node carries its
+    nesting ``depth`` and its atom set (``None`` on a node that is not purely
+    propositional), both computed once at construction.
+    """
+
+    __slots__ = ("_atoms", "depth")
+
+    def _seal(self, atoms: Optional[frozenset[str]], depth: int) -> None:
+        object.__setattr__(self, "_atoms", atoms)
+        object.__setattr__(self, "depth", depth)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, so they intern too
+        return type(self), tuple(getattr(self, name)
+                                 for name in self.__match_args__)
+
+    def render_leaf(self) -> str:
+        """The text of a leaf that :func:`render` does not know itself."""
+        raise FormulaError(f"cannot render {self!r}")
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Atom(Formula):
     name: str
 
+    def __post_init__(self) -> None:
+        self._seal(frozenset((self.name,)), 1)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Const(Formula):
     value: bool
+
+    def __post_init__(self) -> None:
+        self._seal(frozenset(), 1)
 
 
 TRUE = Const(True)
 FALSE = Const(False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Not(Formula):
     operand: Formula
 
+    def __post_init__(self) -> None:
+        self._seal(self.operand._atoms, self.operand.depth + 1)
 
-@dataclass(frozen=True, slots=True)
-class And(Formula):
+
+class _Binary(Formula):
+    __slots__ = ()
+    left: Formula
+    right: Formula
+
+    def __post_init__(self) -> None:
+        a, b = self.left._atoms, self.right._atoms
+        if a is None or b is None:
+            atoms = None
+        else:
+            atoms = a if b <= a else b if a <= b else a | b
+        self._seal(atoms, max(self.left.depth, self.right.depth) + 1)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class And(_Binary):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
+@dataclass(frozen=True, slots=True, eq=False)
+class Or(_Binary):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
-class Imp(Formula):
+@dataclass(frozen=True, slots=True, eq=False)
+class Imp(_Binary):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
-class Iff(Formula):
+@dataclass(frozen=True, slots=True, eq=False)
+class Iff(_Binary):
     left: Formula
     right: Formula
 
@@ -87,27 +160,12 @@ def disj(parts: Sequence[Formula]) -> Formula:
     return out
 
 
-_atom_sets: dict[Formula, frozenset[str]] = {}
-
-
 def atoms_of(phi: Formula) -> frozenset[str]:
     """Atom names occurring in a purely propositional formula."""
-    cached = _atom_sets.get(phi)
-    if cached is not None:
-        return cached
-    match phi:
-        case Atom(name):
-            out = frozenset((name,))
-        case Const():
-            out = frozenset()
-        case Not(operand):
-            out = atoms_of(operand)
-        case And(a, b) | Or(a, b) | Imp(a, b) | Iff(a, b):
-            out = atoms_of(a) | atoms_of(b)
-        case _:
-            raise FormulaError(f"not a propositional formula: {phi!r}")
-    _atom_sets[phi] = out
-    return out
+    atoms = phi._atoms
+    if atoms is None:
+        raise FormulaError(f"not a propositional formula: {phi!r}")
+    return atoms
 
 
 # ---------------------------------------------------------------------------
@@ -277,26 +335,10 @@ def render(phi: Formula) -> str:
                 text = f"{go(a, _PREC[Iff] + 1)} <-> {go(b, _PREC[Iff])}"
                 prec = _PREC[Iff]
             case _:
-                return _render_extension(f, go)
+                return f.render_leaf()
         return f"({text})" if prec < parent else text
 
     return go(phi, 0)
-
-
-def _render_extension(f: Formula, go) -> str:
-    # Mental-state leaves live in another module; render them here by duck
-    # typing so one renderer serves both languages.
-    kind = type(f).__name__
-    if kind == "Bel":
-        return f"B({render(f.arg)})"
-    if kind == "Goal":
-        return f"G({render(f.arg)})"
-    if kind == "Enabled":
-        target = f.target
-        if isinstance(target, str):
-            return f"enabled({target})"
-        return f"enabled({target})"
-    raise FormulaError(f"cannot render {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -364,53 +406,73 @@ class TokenStream:
         return tok
 
 
-def parse_prop(stream: TokenStream) -> Formula:
-    """Parse a propositional formula from ``stream`` (lowest precedence: <->)."""
-    return _parse_iff(stream, None)
+# Connectives by token; precedences are _PREC's, and -> and <-> associate
+# to the right.
+_CONNECTIVES = {"!": Not, "&": And, "|": Or, "->": Imp, "<->": Iff}
 
 
-def _parse_iff(stream: TokenStream, leaf_hook) -> Formula:
-    left = _parse_imp(stream, leaf_hook)
-    if stream.peek().text == "<->":
-        stream.next()
-        return Iff(left, _parse_iff(stream, leaf_hook))
-    return left
+def _checked(phi: Formula) -> Formula:
+    if phi.depth > MAX_DEPTH:
+        raise FormulaError(f"formula nested more than {MAX_DEPTH} levels deep")
+    return phi
 
 
-def _parse_imp(stream: TokenStream, leaf_hook) -> Formula:
-    left = _parse_or(stream, leaf_hook)
-    if stream.peek().text == "->":
-        stream.next()
-        return Imp(left, _parse_imp(stream, leaf_hook))
-    return left
+def parse_prop(stream: TokenStream, leaf_hook=None) -> Formula:
+    """Parse a formula from ``stream`` by operator precedence.
+
+    ``!`` binds tightest, then ``&``, ``|``, ``->`` and ``<->``.  The parse
+    keeps explicit operand and operator stacks, so deep input costs no
+    Python stack, and it rejects any node nested more than
+    :data:`MAX_DEPTH` levels deep.  ``leaf_hook`` may claim a name token
+    and parse a special leaf from the stream (mental-state formulas use it
+    for ``B(...)``, ``G(...)`` and ``enabled(...)``).
+    """
+    operands: list[Formula] = []
+    operators: list[str] = []       # "(" or a key of _CONNECTIVES
+    open_groups = 0
+
+    def reduce() -> None:
+        cls = _CONNECTIVES[operators.pop()]
+        if cls is Not:
+            node = Not(operands.pop())
+        else:
+            right = operands.pop()
+            node = cls(operands.pop(), right)
+        operands.append(_checked(node))
+
+    while True:
+        while stream.peek().text in ("!", "("):
+            tok = stream.next()
+            operators.append(tok.text)
+            open_groups += tok.text == "("
+        operands.append(_checked(_parse_leaf(stream, leaf_hook)))
+        tok = stream.peek()
+        while tok.text == ")" and open_groups:
+            while operators[-1] != "(":
+                reduce()
+            operators.pop()
+            open_groups -= 1
+            stream.next()
+            tok = stream.peek()
+        cls = _CONNECTIVES.get(tok.text)
+        if cls is None or cls is Not:
+            break
+        prec = _PREC[cls]
+        while operators and operators[-1] != "(":
+            top = _PREC[_CONNECTIVES[operators[-1]]]
+            if top < prec or (top == prec and cls in (Imp, Iff)):
+                break
+            reduce()
+        operators.append(stream.next().text)
+    while operators:
+        if operators[-1] == "(":
+            stream.expect(")")  # raises: the group is unclosed
+        reduce()
+    return operands[0]
 
 
-def _parse_or(stream: TokenStream, leaf_hook) -> Formula:
-    left = _parse_and(stream, leaf_hook)
-    while stream.peek().text == "|":
-        stream.next()
-        left = Or(left, _parse_and(stream, leaf_hook))
-    return left
-
-
-def _parse_and(stream: TokenStream, leaf_hook) -> Formula:
-    left = _parse_unary(stream, leaf_hook)
-    while stream.peek().text == "&":
-        stream.next()
-        left = And(left, _parse_unary(stream, leaf_hook))
-    return left
-
-
-def _parse_unary(stream: TokenStream, leaf_hook) -> Formula:
+def _parse_leaf(stream: TokenStream, leaf_hook) -> Formula:
     tok = stream.peek()
-    if tok.text == "!":
-        stream.next()
-        return Not(_parse_unary(stream, leaf_hook))
-    if tok.text == "(":
-        stream.next()
-        inner = _parse_iff(stream, leaf_hook)
-        stream.expect(")")
-        return inner
     if tok.kind == "name":
         if leaf_hook is not None:
             special = leaf_hook(stream)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -182,3 +183,60 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == EXIT_OK
     assert proc.stdout.strip().count("\n") >= 10
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("source", ["fixture", "failing"])
+def test_verify_output_is_identical_across_hash_seeds(tmp_path, source, fmt):
+    # set iteration order changes with the hash seed (and with addresses,
+    # which formula hashes use); the output must not depend on it
+    if source == "fixture":
+        agent = ["--fixture", "shopping"]
+    else:
+        path = tmp_path / "broken.agent"
+        path.write_text(BROKEN_AGENT)
+        agent = [str(path)]
+    outputs = set()
+    for seed in ("0", "1", "4242"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "goalkit.cli", "verify", *agent,
+             "--format", fmt],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed))
+        expected = EXIT_OK if source == "fixture" else EXIT_PROPERTY_FAILED
+        assert proc.returncode == expected
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    if source == "failing":
+        assert "witness" in outputs.pop()
+
+
+def test_deeply_nested_goal_exits_2(capsys, tmp_path):
+    goal = " & ".join(["p"] * 2999 + ["q"])
+    path = tmp_path / "deep.agent"
+    path.write_text(GOOD_AGENT.replace("goals { q; }", f"goals {{ {goal}; }}"))
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert code == EXIT_USAGE and not out
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "nested" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+def test_bad_goal_budget_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("GOAL_BUDGET", value)
+    code, out, err = invoke(capsys, "verify", "--fixture", "shopping")
+    assert code == EXIT_USAGE and not out
+    assert err.startswith("error: GOAL_BUDGET")
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--fixture", "shopping", "--steps", "-5"),
+    ("verify", "--fixture", "shopping", "--budget", "-1"),
+    ("graph", "--fixture", "shopping", "--budget", "-1"),
+    ("check-triple", "--fixture", "shopping", "B(true)", "goto_Am_com",
+     "B(true)", "--max-generators", "-1"),
+])
+def test_negative_counts_exit_2(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_USAGE and not out
+    assert "non-negative integer" in err

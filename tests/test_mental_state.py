@@ -3,12 +3,12 @@ from hypothesis import given, settings, strategies as st
 
 from goalkit.prop_logic import (
     And, Atom, FALSE, Iff, Imp, Not, Or, TRUE, equivalent, formula_for_table,
-    truth_table,
+    render, truth_table,
 )
 from goalkit.mental_state import (
     Bel, BoundsExceeded, Enabled, Goal, MentalState, MentalStateError,
     canonical_formulas, enumerate_states, eval_msf, goal_holds, make_state,
-    parse_msformula, validity_oracle,
+    msf_leaves, parse_msformula, validity_oracle,
 )
 from goalkit.capabilities import GoalAction
 
@@ -164,3 +164,46 @@ def test_goal_respects_equivalence_on_random_states(phi, psi):
 def test_canonical_formula_tables(table):
     phi = formula_for_table(table, ("p", "q"))
     assert truth_table(phi, ("p", "q")) == table
+
+
+# -- hash-consing -----------------------------------------------------------
+
+
+def test_modal_leaves_are_interned():
+    assert Bel(P) is Bel(arg=Atom("p"))
+    assert Goal(Imp(P, Q)) is Goal(Imp(P, Q))
+    assert Enabled("pay") is Enabled(target="pay")
+    assert Enabled(GoalAction("adopt", P)) is Enabled(GoalAction("adopt", P))
+    assert Bel(P) is not Goal(P)
+
+
+def test_modal_leaves_render_through_their_hooks():
+    assert render(Bel(And(P, Q))) == "B(p & q)"
+    assert render(Not(Goal(Or(P, Q)))) == "!G(p | q)"
+    assert render(Enabled("pay")) == "enabled(pay)"
+    assert render(Enabled(GoalAction("drop", P))) == "enabled(drop(p))"
+
+
+_props = st.recursive(
+    st.sampled_from([P, Q, TRUE, FALSE]),
+    lambda children: st.one_of(
+        children.map(Not),
+        st.tuples(st.sampled_from([And, Or, Imp, Iff]), children, children)
+        .map(lambda t: t[0](t[1], t[2]))),
+    max_leaves=4)
+
+msformulas = st.recursive(
+    st.one_of(_props.map(Bel), _props.map(Goal)),
+    lambda children: st.one_of(
+        children.map(Not),
+        st.tuples(st.sampled_from([And, Or, Imp, Iff]), children, children)
+        .map(lambda t: t[0](t[1], t[2]))),
+    max_leaves=6)
+
+
+@given(msformulas)
+@settings(max_examples=200, deadline=None)
+def test_parse_msformula_roundtrip_returns_identical_leaves(phi):
+    assert parse_msformula(render(phi)) is phi
+    for leaf in msf_leaves(phi):
+        assert parse_msformula(render(leaf)) is leaf

@@ -1,11 +1,17 @@
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from goalkit import prop_logic
 from goalkit.prop_logic import (
-    And, Atom, Const, FALSE, Formula, FormulaError, Iff, Imp, Not, Or, TRUE,
-    atoms_of, conj, consistent, disj, entails, equivalent, formula_for_table,
-    minterm, parse_formula, render, satisfies, tautology, truth_table,
-    valuations,
+    MAX_DEPTH, And, Atom, Const, FALSE, Formula, FormulaError, Iff, Imp, Not,
+    Or, TRUE, atoms_of, conj, consistent, disj, entails, equivalent,
+    formula_for_table, minterm, parse_formula, render, satisfies, tautology,
+    truth_table, valuations,
 )
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
@@ -150,3 +156,123 @@ def test_table_against_valuation_semantics(phi):
 def test_canonicalization_is_equivalent(phi):
     vocab = tuple(sorted(atoms_of(phi))) or ("p",)
     assert equivalent(formula_for_table(truth_table(phi, vocab), vocab), phi)
+
+
+# -- hash-consing -----------------------------------------------------------
+
+
+def test_nodes_are_interned():
+    assert Atom("p") is P
+    assert Atom(name="p") is P
+    assert And(left=P, right=Not(Q)) is And(P, Not(Q))
+    assert Const(True) is TRUE
+
+
+def test_interning_is_one_instance_under_thread_races():
+    # every thread builds the same fresh formulas; a lost race in the
+    # intern table would hand two threads different instances
+    names = [f"race_{i}" for i in range(2000)]
+    results: list[list[Formula]] = []
+
+    def build() -> None:
+        out = []
+        for a, b in zip(names, names[1:]):
+            out.append(Imp(Not(Atom(a)), And(Atom(a), Atom(b))))
+        results.append(out)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    for out in results[1:]:
+        assert all(x is y for x, y in zip(out, results[0], strict=True))
+
+
+def test_copies_and_pickles_are_the_interned_node():
+    phi = parse_formula("p & !(q -> r)")
+    assert copy.copy(phi) is phi
+    assert copy.deepcopy(phi) is phi
+    assert pickle.loads(pickle.dumps(phi)) is phi
+
+
+def test_atom_sets_live_on_the_nodes():
+    assert not hasattr(prop_logic, "_atom_sets")
+    phi = parse_formula("p & (q | p)")
+    assert atoms_of(phi) is atoms_of(And(P, Or(Q, P)))
+    assert atoms_of(phi) == frozenset({"p", "q"})
+
+
+def _build(shape):
+    """A formula from a nested-tuple description, built afresh each call."""
+    kind = shape[0]
+    if kind == "atom":
+        return Atom(shape[1])
+    if kind == "const":
+        return Const(shape[1])
+    if kind == "not":
+        return Not(_build(shape[1]))
+    cls = {"and": And, "or": Or, "imp": Imp, "iff": Iff}[kind]
+    return cls(_build(shape[1]), _build(shape[2]))
+
+
+shapes = st.recursive(
+    st.one_of(st.tuples(st.just("atom"), st.sampled_from(_atom_names)),
+              st.tuples(st.just("const"), st.booleans())),
+    lambda children: st.one_of(
+        st.tuples(st.just("not"), children),
+        st.tuples(st.sampled_from(["and", "or", "imp", "iff"]),
+                  children, children)),
+    max_leaves=10)
+
+
+@given(shapes)
+@settings(max_examples=200, deadline=None)
+def test_equal_trees_built_independently_are_one_object(shape):
+    assert _build(shape) is _build(shape)
+
+
+@given(formulas())
+@settings(max_examples=200, deadline=None)
+def test_render_parse_returns_the_same_node(phi):
+    assert parse_formula(render(phi)) is phi
+
+
+@given(st.lists(formulas(), max_size=4), formulas())
+@settings(max_examples=300, deadline=None)
+def test_entails_and_consistent_match_valuation_reference(premises, phi):
+    vocab = sorted(frozenset().union(*map(atoms_of, premises + [phi])))
+    models = [w for w in valuations(vocab)
+              if all(satisfies(w, f) for f in premises)]
+    assert consistent(premises) == bool(models)
+    assert entails(premises, phi) == all(satisfies(w, phi) for w in models)
+
+
+# -- nesting depth ----------------------------------------------------------
+
+
+def test_parse_accepts_nesting_up_to_the_limit():
+    chain = parse_formula(" & ".join(["p"] * MAX_DEPTH))
+    assert chain.depth == MAX_DEPTH
+    # redundant parentheses add no depth, however many there are
+    assert parse_formula("(" * 5000 + "p" + ")" * 5000) is P
+
+
+@pytest.mark.parametrize("text", [
+    " & ".join(["p"] * 3000),
+    " | ".join(["p"] * (MAX_DEPTH + 1)),
+    " -> ".join(["p"] * 3000),
+    " <-> ".join(["p"] * 3000),
+    "!" * 3000 + "p",
+    "(" * 3000 + "!" * 3000 + "p" + ")" * 3000,
+])
+def test_parse_rejects_nesting_beyond_the_limit(text):
+    with pytest.raises(FormulaError, match="nested more than"):
+        parse_formula(text)
