@@ -12,11 +12,11 @@ import argparse
 import sys
 from typing import Optional
 
-from .prop_logic import FormulaError, render
+from .prop_logic import FormulaError, atoms_of, parse_formula
 from .mental_state import BoundsExceeded, parse_msformula
 from .capabilities import GoalAction
 from .agent_program import (
-    Agent, AgentParseError, SHOPPING_SOURCE, parse_agent,
+    Agent, AgentParseError, SHOPPING_SOURCE, _formula_atoms, parse_agent,
 )
 from .executor import (
     BudgetExceeded, InvalidBudget, fairness_check, make_scheduler, reachable,
@@ -144,7 +144,6 @@ def _parse_action(agent: Agent, text: str):
     text = text.strip()
     for prefix in ("adopt", "drop"):
         if text.startswith(prefix + "(") and text.endswith(")"):
-            from .prop_logic import parse_formula
             arg = parse_formula(text[len(prefix) + 1:-1], agent.vocab)
             return GoalAction(prefix, arg)
     if text in agent.table:
@@ -174,14 +173,11 @@ def _cmd_check_triple(args) -> int:
 
 
 def _triple_atoms(agent: Agent, triple: HoareTriple) -> tuple[str, ...]:
-    from .agent_program import _formula_atoms
     names = set(_formula_atoms(triple.pre)) | set(_formula_atoms(triple.post))
     if isinstance(triple.statement, GoalAction):
-        from .prop_logic import atoms_of
         names |= atoms_of(triple.statement.argument)
     else:
         for clause in triple.statement.clauses:
-            from .prop_logic import atoms_of
             names |= atoms_of(clause.guard)
             for f in clause.add + clause.delete:
                 names |= atoms_of(f)

@@ -184,6 +184,86 @@ def _enabled_leaf(state: MentalState, target: object,
     return tctx.is_enabled(getattr(target, "name"), state)
 
 
+class StateSet:
+    """A fixed sequence of states over which formulas evaluate as bit masks.
+
+    Bit i of ``mask(phi, tctx)`` is the truth of ``phi`` at ``states[i]``.
+    Connectives are integer bit operations; each leaf is evaluated with
+    :func:`eval_msf`, and only at the states where :func:`eval_msf` itself
+    would reach it: the right side of ``&``, ``|`` and ``->`` is evaluated
+    only where the left side leaves the result open.  Without a capability
+    context a truth value depends only on the formula and the state, so
+    the set keeps those between calls; with one, each call starts afresh.
+    """
+
+    __slots__ = ("states", "full", "_known")
+
+    def __init__(self, states: Iterable[MentalState]):
+        self.states: tuple[MentalState, ...] = tuple(states)
+        self.full = (1 << len(self.states)) - 1
+        # per subformula: (states evaluated so far, where it holds among them)
+        self._known: dict[Formula, tuple[int, int]] = {}
+
+    def mask(self, phi: Formula,
+             tctx: Optional[CapabilityResolver] = None) -> int:
+        """The states where ``phi`` holds, as a bit mask."""
+        states = self.states
+        seen = self._known if tctx is None else {}
+
+        def go(f: Formula, care: int) -> int:
+            """Where ``f`` holds among the states in ``care``."""
+            if not care:
+                return 0
+            done, holds = seen.get(f, (0, 0))
+            todo = care & ~done
+            if todo:
+                holds |= at(f, todo)
+                done |= todo
+                seen[f] = (done, holds)
+            return holds & care
+
+        def at(f: Formula, care: int) -> int:
+            match f:
+                case Const(value):
+                    return care if value else 0
+                case Not(operand):
+                    return care & ~go(operand, care)
+                case And(a, b):
+                    return go(b, go(a, care))
+                case Or(a, b):
+                    left = go(a, care)
+                    return left | go(b, care & ~left)
+                case Imp(a, b):
+                    left = go(a, care)
+                    return (care & ~left) | go(b, left)
+                case Iff(a, b):
+                    return care & ~(go(a, care) ^ go(b, care))
+            out = 0
+            for i in set_bits(care):
+                if eval_msf(states[i], f, tctx):
+                    out |= 1 << i
+            return out
+
+        return go(phi, self.full)
+
+    def select(self, mask: int) -> list[MentalState]:
+        """The states whose bits are set in ``mask``, in order."""
+        return [self.states[i] for i in set_bits(mask)]
+
+
+def set_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def lowest_bit(mask: int) -> int:
+    """Index of the lowest set bit of a non-zero ``mask``."""
+    return next(set_bits(mask))
+
+
 def msf_leaves(phi: Formula) -> Iterator[Formula]:
     """All Bel/Goal/Enabled leaves of ``phi`` (with repetition collapsed)."""
     seen: set[Formula] = set()
@@ -373,7 +453,9 @@ def validity_oracle(phi: Formula, atoms: Sequence[str],
     order); the positive verdict claims validity only within the bounds.
     """
     voc = tuple(sorted(atoms))
-    for state in enumerate_states(voc, max_generators):
-        if not eval_msf(state, phi, tctx):
-            return OracleVerdict(False, state, voc, max_generators)
+    space = StateSet(enumerate_states(voc, max_generators))
+    refuted = space.full & ~space.mask(phi, tctx)
+    if refuted:
+        return OracleVerdict(False, space.states[lowest_bit(refuted)], voc,
+                             max_generators)
     return OracleVerdict(True, None, voc, max_generators)

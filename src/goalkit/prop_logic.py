@@ -9,6 +9,7 @@ a Python integer, with bit ``i`` giving the formula's value under the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -175,51 +176,45 @@ def atoms_of(phi: Formula) -> frozenset[str]:
 # iff bit k of i is set.  A formula's table is the integer whose bit i is the
 # formula's value under valuation i.
 
-_atom_patterns: dict[tuple[tuple[str, ...], str], int] = {}
-_tables: dict[tuple[Formula, tuple[str, ...]], int] = {}
+# Entries kept by each of the formula caches below: truth tables, atom
+# patterns and the entailment and consistency memos.  It covers the working
+# set of the bounded-universe oracle (about 2,700 distinct entailment
+# questions) while keeping memory flat when every query brings fresh atoms.
+CACHE_SIZE = 1 << 13
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _atom_pattern(vocab: tuple[str, ...], name: str) -> int:
-    key = (vocab, name)
-    cached = _atom_patterns.get(key)
-    if cached is None:
-        k = vocab.index(name)
-        cached = 0
-        for i in range(1 << len(vocab)):
-            if (i >> k) & 1:
-                cached |= 1 << i
-        _atom_patterns[key] = cached
-    return cached
+    k = vocab.index(name)
+    pattern = 0
+    for i in range(1 << len(vocab)):
+        if (i >> k) & 1:
+            pattern |= 1 << i
+    return pattern
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def truth_table(phi: Formula, vocab: tuple[str, ...]) -> int:
     """The truth table of ``phi`` as a bit mask over valuations of ``vocab``."""
-    key = (phi, vocab)
-    cached = _tables.get(key)
-    if cached is not None:
-        return cached
     full = (1 << (1 << len(vocab))) - 1
     match phi:
         case Atom(name):
             if name not in vocab:
                 raise FormulaError(f"atom {name!r} not in vocabulary")
-            table = _atom_pattern(vocab, name)
+            return _atom_pattern(vocab, name)
         case Const(value):
-            table = full if value else 0
+            return full if value else 0
         case Not(operand):
-            table = full & ~truth_table(operand, vocab)
+            return full & ~truth_table(operand, vocab)
         case And(a, b):
-            table = truth_table(a, vocab) & truth_table(b, vocab)
+            return truth_table(a, vocab) & truth_table(b, vocab)
         case Or(a, b):
-            table = truth_table(a, vocab) | truth_table(b, vocab)
+            return truth_table(a, vocab) | truth_table(b, vocab)
         case Imp(a, b):
-            table = (full & ~truth_table(a, vocab)) | truth_table(b, vocab)
+            return (full & ~truth_table(a, vocab)) | truth_table(b, vocab)
         case Iff(a, b):
-            table = full & ~(truth_table(a, vocab) ^ truth_table(b, vocab))
-        case _:
-            raise FormulaError(f"not a propositional formula: {phi!r}")
-    _tables[key] = table
-    return table
+            return full & ~(truth_table(a, vocab) ^ truth_table(b, vocab))
+    raise FormulaError(f"not a propositional formula: {phi!r}")
 
 
 def shared_vocab(formulas: Iterable[Formula]) -> tuple[str, ...]:
@@ -238,18 +233,36 @@ def _conj_table(premises: Iterable[Formula], vocab: tuple[str, ...]) -> int:
 
 def entails(premises: Iterable[Formula], phi: Formula,
             vocab: Optional[Sequence[str]] = None) -> bool:
-    """Classical consequence: every model of all premises satisfies ``phi``."""
-    premises = tuple(premises)
-    voc = tuple(vocab) if vocab is not None else shared_vocab(premises + (phi,))
+    """Classical consequence: every model of all premises satisfies ``phi``.
+
+    Without ``vocab`` the answer comes from a bounded memo keyed by the
+    premise set; a miss builds truth tables over the shared vocabulary.
+    """
+    if vocab is None:
+        return _entails_memo(frozenset(premises), phi)
+    voc = tuple(vocab)
     return _conj_table(premises, voc) & ~truth_table(phi, voc) == 0
 
 
 def consistent(formulas: Iterable[Formula],
                vocab: Optional[Sequence[str]] = None) -> bool:
     """True iff some valuation satisfies every member."""
-    formulas = tuple(formulas)
-    voc = tuple(vocab) if vocab is not None else shared_vocab(formulas)
-    return _conj_table(formulas, voc) != 0
+    if vocab is None:
+        return _consistent_memo(frozenset(formulas))
+    return _conj_table(formulas, tuple(vocab)) != 0
+
+
+# Conjunction is commutative and idempotent, so a premise set answers for
+# every sequence of its members.  Errors propagate and are never memoized.
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _entails_memo(premises: frozenset[Formula], phi: Formula) -> bool:
+    return entails(premises, phi, shared_vocab((*premises, phi)))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _consistent_memo(formulas: frozenset[Formula]) -> bool:
+    return consistent(formulas, shared_vocab(formulas))
 
 
 def tautology(phi: Formula) -> bool:

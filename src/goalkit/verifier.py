@@ -19,7 +19,8 @@ from .prop_logic import (
 )
 from .mental_state import (
     Bel, CapabilityResolver, Enabled, Goal, MentalState, OracleVerdict,
-    enumerate_states, eval_msf, map_goal_leaves, validity_oracle,
+    StateSet, enumerate_states, eval_msf, lowest_bit, map_goal_leaves,
+    validity_oracle,
 )
 from .capabilities import (
     CapabilitySpec, ConditionalAction, GoalAction, apply_M, enabled_cap,
@@ -89,16 +90,18 @@ def check_hoare_basic(triple: HoareTriple, states: Iterable[MentalState],
     """
     action = triple.statement
     assert not isinstance(action, ConditionalAction)
-    for s in states:
-        if not eval_msf(s, triple.pre, tctx):
-            continue
-        if enabled_cap(action, s):
-            nxt = apply_M(action, s)
-            assert nxt is not None
-            if not eval_msf(nxt, triple.post, tctx):
-                return Verdict(False, s, detail="post fails after execution")
-        elif not eval_msf(s, triple.post, tctx):
-            return Verdict(False, s, detail="post fails in place (not enabled)")
+    scope = StateSet(states)
+    pre_states = scope.select(scope.mask(triple.pre, tctx))
+    executed = [enabled_cap(action, s) for s in pre_states]
+    images = [apply_M(action, s) if ran else s
+              for s, ran in zip(pre_states, executed)]
+    assert None not in images
+    at_images = StateSet(images)
+    failed = at_images.full & ~at_images.mask(triple.post, tctx)
+    if failed:
+        i = lowest_bit(failed)
+        how = "after execution" if executed[i] else "in place (not enabled)"
+        return Verdict(False, pre_states[i], detail=f"post fails {how}")
     return Verdict(True, scope="statewise")
 
 

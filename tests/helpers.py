@@ -1,5 +1,5 @@
-"""Shared test utilities: vectorized evaluation over state enumerations,
-semantic formula pools, and a seeded micro-agent generator."""
+"""Shared test utilities: canonical states, semantic formula pools, and a
+seeded micro-agent generator."""
 
 from __future__ import annotations
 
@@ -7,13 +7,10 @@ import random
 from typing import Callable, Iterable, Optional, Sequence
 
 from goalkit.prop_logic import (
-    And, Atom, Const, FALSE, Formula, Iff, Imp, Not, Or, TRUE,
-    formula_for_table, truth_table,
+    And, Atom, FALSE, Formula, Iff, Imp, Not, Or, TRUE, formula_for_table,
+    truth_table,
 )
-from goalkit.mental_state import (
-    Bel, Enabled, Goal, MentalState, canonical_formulas, enumerate_states,
-    eval_msf,
-)
+from goalkit.mental_state import Bel, Goal, MentalState, canonical_formulas
 from goalkit.capabilities import (
     CapabilitySpec, ConditionalAction, EffectClause, GoalAction,
 )
@@ -32,56 +29,6 @@ def canonical_state(state: MentalState, vocab: tuple[str, ...]) -> MentalState:
     gens = frozenset(formula_for_table(truth_table(g, vocab), vocab)
                      for g in state.goals)
     return MentalState(beliefs, gens)
-
-
-class VecEval:
-    """Evaluate mental-state formulas over a fixed state list as bitmasks.
-
-    Bit i of ``vector(phi)`` is the truth of phi at ``states[i]``.  Leaf
-    values are computed with eval_msf and cached; connectives are integer
-    bit operations, so large formula families stay cheap.
-    """
-
-    def __init__(self, states: Sequence[MentalState], tctx=None):
-        self.states = list(states)
-        self.tctx = tctx
-        self.full = (1 << len(self.states)) - 1
-        self._leaves: dict[Formula, int] = {}
-        self._cache: dict[Formula, int] = {}
-
-    def _leaf(self, phi: Formula) -> int:
-        got = self._leaves.get(phi)
-        if got is None:
-            got = 0
-            for i, s in enumerate(self.states):
-                if eval_msf(s, phi, self.tctx):
-                    got |= 1 << i
-            self._leaves[phi] = got
-        return got
-
-    def vector(self, phi: Formula) -> int:
-        got = self._cache.get(phi)
-        if got is not None:
-            return got
-        match phi:
-            case Const(value):
-                out = self.full if value else 0
-            case Bel() | Goal() | Enabled():
-                out = self._leaf(phi)
-            case Not(operand):
-                out = self.full & ~self.vector(operand)
-            case And(a, b):
-                out = self.vector(a) & self.vector(b)
-            case Or(a, b):
-                out = self.vector(a) | self.vector(b)
-            case Imp(a, b):
-                out = (self.full & ~self.vector(a)) | self.vector(b)
-            case Iff(a, b):
-                out = self.full & ~(self.vector(a) ^ self.vector(b))
-            case _:
-                raise TypeError(f"cannot vectorize {phi!r}")
-        self._cache[phi] = out
-        return out
 
 
 def semantic_pool(leaves: Sequence[Formula], depth: int,

@@ -19,8 +19,8 @@ from goalkit.prop_logic import (
     And, Atom, FALSE, Iff, Imp, Not, Or, TRUE, consistent, tautology,
 )
 from goalkit.mental_state import (
-    Bel, Enabled, Goal, MentalState, canonical_formulas, enumerate_states,
-    eval_msf, goal_holds, validity_oracle,
+    Bel, Enabled, Goal, MentalState, StateSet, canonical_formulas,
+    enumerate_states, eval_msf, goal_holds, validity_oracle,
 )
 from goalkit.capabilities import (
     CapabilitySpec, ConditionalAction, EffectClause, GoalAction, apply_M,
@@ -39,7 +39,7 @@ from goalkit.verifier import (
     verify_agent, wlp,
 )
 
-from helpers import VecEval, micro_agent, random_formula, \
+from helpers import micro_agent, random_formula, \
     random_formula_for_table
 
 P, Q = Atom("p"), Atom("q")
@@ -58,7 +58,7 @@ def shopping():
 def universe():
     """The bounded 2-atom universe with up to two goal generators."""
     states = list(enumerate_states(PQ, max_generators=2))
-    return states, VecEval(states)
+    return states, StateSet(states)
 
 
 def attempt(action, state):
@@ -228,7 +228,7 @@ def test_criterion_04_axiom_suites(universe):
     args = canonical_formulas(PQ, include_false=True)
 
     def valid(phi):
-        return vec.vector(phi) == full
+        return vec.mask(phi) == full
 
     for phi in args:
         assert valid(Imp(Bel(phi), Not(Goal(phi)))), phi        # no achieved goals
@@ -277,13 +277,13 @@ def test_criterion_05_substitution_lemma(universe):
 
     def check(statement, subst, formulas):
         images = [attempt(statement, s) for s in states]
-        at_image = VecEval(images)
+        at_image = StateSet(images)
         mask = base.full
         if statement.kind == "adopt":
-            mask = base.vector(Enabled(statement))  # item (i) assumes enabledness
+            mask = base.mask(Enabled(statement))  # item (i) assumes enabledness
         for sigma in formulas:
-            lhs = base.vector(subst(sigma, statement.argument))
-            assert (lhs ^ at_image.vector(sigma)) & mask == 0, \
+            lhs = base.mask(subst(sigma, statement.argument))
+            assert (lhs ^ at_image.mask(sigma)) & mask == 0, \
                 (statement, sigma)
 
     statements = ([(GoalAction("adopt", phi), _subst_adopt)
@@ -319,10 +319,10 @@ def test_criterion_06_wlp_matches_semantic_checking(universe):
     rng = random.Random(0xC6)
     posts = MSF_LEAVES + [random_msf(rng, 3) for _ in range(120)]
     for statement in statements:
-        at_image = VecEval([attempt(statement, s) for s in states])
+        at_image = StateSet([attempt(statement, s) for s in states])
         for post in posts:
-            success = at_image.vector(post)
-            weakest = base.vector(wlp(statement, post))
+            success = at_image.mask(post)
+            weakest = base.mask(wlp(statement, post))
             assert success == weakest, (statement, post)
 
     # spot-check the public APIs end to end on randomized triples

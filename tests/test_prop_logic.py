@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from goalkit import prop_logic
 from goalkit.prop_logic import (
-    MAX_DEPTH, And, Atom, Const, FALSE, Formula, FormulaError, Iff, Imp, Not,
+    CACHE_SIZE, MAX_DEPTH, And, Atom, Const, FALSE, Formula, FormulaError, Iff, Imp, Not,
     Or, TRUE, atoms_of, conj, consistent, disj, entails, equivalent,
     formula_for_table, minterm, parse_formula, render, satisfies, tautology,
     truth_table, valuations,
@@ -253,6 +253,45 @@ def test_entails_and_consistent_match_valuation_reference(premises, phi):
               if all(satisfies(w, f) for f in premises)]
     assert consistent(premises) == bool(models)
     assert entails(premises, phi) == all(satisfies(w, phi) for w in models)
+
+
+# -- the entailment memo ----------------------------------------------------
+
+
+@given(st.lists(formulas(), max_size=4), formulas())
+@settings(max_examples=200, deadline=None)
+def test_memo_answers_alike_for_every_shape_of_premises(premises, phi):
+    vocab = sorted(frozenset().union(*map(atoms_of, premises + [phi])))
+    models = [w for w in valuations(vocab)
+              if all(satisfies(w, f) for f in premises)]
+    holds = all(satisfies(w, phi) for w in models)
+    shapes = (lambda: (f for f in premises), lambda: premises + premises,
+              lambda: tuple(reversed(premises)), lambda: frozenset(premises))
+    for shape in shapes:
+        assert entails(shape(), phi) == holds
+        assert consistent(shape()) == bool(models)
+
+
+def test_formula_caches_stay_within_their_bound():
+    for i in range(CACHE_SIZE + 100):
+        fresh = Atom(f"memo_bound_{i}")
+        assert entails((fresh,), Or(fresh, P))
+        assert consistent((fresh, Not(P)))
+    for cache in (prop_logic._entails_memo, prop_logic._consistent_memo,
+                  prop_logic.truth_table, prop_logic._atom_pattern):
+        info = cache.cache_info()
+        assert info.maxsize == CACHE_SIZE
+        assert info.currsize <= CACHE_SIZE
+    assert prop_logic._entails_memo.cache_info().currsize == CACHE_SIZE
+
+
+def test_errors_are_raised_on_every_call():
+    for _ in range(3):
+        with pytest.raises(FormulaError, match="not in vocabulary"):
+            entails((P,), R, vocab=("p", "q"))
+        with pytest.raises(FormulaError, match="not in vocabulary"):
+            consistent((R,), vocab=("p",))
+    assert entails((P,), Or(P, R), vocab=("p", "q", "r"))
 
 
 # -- nesting depth ----------------------------------------------------------
