@@ -17,8 +17,8 @@ from .prop_logic import (
     atoms_of, consistent, entails, parse_prop, render, tokenize,
 )
 from .mental_state import (
-    Bel, Enabled, Goal, MentalState, MentalStateError, msf_leaves,
-    parse_msf_stream,
+    Bel, Enabled, Goal, MentalState, MentalStateError, enabled_names,
+    msf_leaves, parse_msf_stream,
 )
 from .capabilities import (
     CapabilitySpec, CapabilityTable, ConditionalAction, EffectClause,
@@ -203,12 +203,18 @@ def parse_agent(text: str) -> Agent:
                 raise AgentParseError(f"duplicate atom {target!r}")
             vocab.append(target)
     vocab_set = set(vocab)
+    cap_names: set[str] = set()
 
-    def check_atoms(phi: Formula, where: str) -> None:
+    def check_names(phi: Formula, where: str) -> None:
+        """Atoms must be in the vocab; enabled(name) must name a capability
+        (capabilities precede every section that may use enabled(...))."""
         unknown = _formula_atoms(phi) - vocab_set
         if unknown:
             raise AgentParseError(
                 f"{where}: undeclared atoms {', '.join(sorted(unknown))}")
+        for name in enabled_names(phi):
+            if name not in cap_names:
+                raise AgentParseError(f"{where}: unknown capability {name!r}")
 
     def expansions(span: list[Token]) -> list[list[Token]]:
         if _span_has_schema(span):
@@ -224,7 +230,7 @@ def parse_agent(text: str) -> Agent:
     for span in reader.split(reader.take_block(), ";"):
         for bound in expansions(span):
             phi = _parse_formula_span(bound, msf=False)
-            check_atoms(phi, "beliefs")
+            check_names(phi, "beliefs")
             beliefs.append(phi)
 
     # goals
@@ -233,12 +239,11 @@ def parse_agent(text: str) -> Agent:
     for span in reader.split(reader.take_block(), ";"):
         for bound in expansions(span):
             phi = _parse_formula_span(bound, msf=False)
-            check_atoms(phi, "goals")
+            check_names(phi, "goals")
             goals.append(phi)
 
     # capabilities
     capabilities: list[CapabilitySpec] = []
-    cap_names: set[str] = set()
     while stream.peek().text == "capability":
         stream.next()
         name_tok = stream.next()
@@ -258,7 +263,7 @@ def parse_agent(text: str) -> Agent:
             clauses = []
             for span in spans:
                 bound = span if book is None else _bind(span, book)
-                clauses.append(_parse_clause(bound, reader, check_atoms))
+                clauses.append(_parse_clause(bound, reader, check_names))
             capabilities.append(CapabilitySpec(cap_name, tuple(clauses)))
             cap_names.add(cap_name)
 
@@ -268,7 +273,7 @@ def parse_agent(text: str) -> Agent:
     program: list[ConditionalAction] = []
     for span in reader.split(reader.take_block(), ";"):
         for bound in expansions(span):
-            program.append(_parse_rule(bound, reader, caps_by_name, check_atoms))
+            program.append(_parse_rule(bound, reader, caps_by_name, check_names))
     if not program:
         raise AgentParseError("the program section must declare at least one action")
 
@@ -278,7 +283,7 @@ def parse_agent(text: str) -> Agent:
         stream.next()
         for span in reader.split(reader.take_block(), ";"):
             for bound in expansions(span):
-                properties.append(_parse_property(bound, reader, check_atoms))
+                properties.append(_parse_property(bound, reader, check_names))
 
     tail = stream.peek()
     if tail.kind != "eof":
@@ -304,11 +309,11 @@ def parse_agent(text: str) -> Agent:
 
 
 def _parse_clause(tokens: list[Token], reader: _FileReader,
-                  check_atoms) -> EffectClause:
+                  check_names) -> EffectClause:
     stream = _stream(tokens)
     stream.expect("when")
     guard = parse_prop(stream)
-    check_atoms(guard, "capability guard")
+    check_names(guard, "capability guard")
     add: list[Formula] = []
     delete: list[Formula] = []
     while stream.peek().kind != "eof":
@@ -327,7 +332,7 @@ def _parse_clause(tokens: list[Token], reader: _FileReader,
         formulas = []
         for span in reader.split(inner, ","):
             phi = _parse_formula_span(span, msf=False)
-            check_atoms(phi, f"capability {word.text} list")
+            check_names(phi, f"capability {word.text} list")
             formulas.append(phi)
         (add if word.text == "add" else delete).extend(formulas)
     return EffectClause(guard, tuple(add), tuple(delete))
@@ -335,7 +340,7 @@ def _parse_clause(tokens: list[Token], reader: _FileReader,
 
 def _parse_rule(tokens: list[Token], reader: _FileReader,
                 caps_by_name: dict[str, CapabilitySpec],
-                check_atoms) -> ConditionalAction:
+                check_names) -> ConditionalAction:
     # The rule shape is "<msformula> -> do(<action>)"; the "->" before
     # "do(" is the separator (the condition itself may contain "->").
     split_at = None
@@ -346,11 +351,11 @@ def _parse_rule(tokens: list[Token], reader: _FileReader,
     if split_at is None:
         raise AgentParseError("program rules have the form '<condition> -> do(<action>)'")
     condition = _parse_formula_span(tokens[:split_at], msf=True)
-    check_atoms(condition, "program condition")
     for leaf in msf_leaves(condition):
         if isinstance(leaf, Enabled):
             raise AgentParseError(
                 "program conditions range over B and G only (no enabled(...))")
+    check_names(condition, "program condition")
     action_tokens = tokens[split_at + 1:]
     stream = _stream(action_tokens)
     stream.expect("do")
@@ -372,7 +377,7 @@ def _parse_rule(tokens: list[Token], reader: _FileReader,
                     break
             arg_tokens.append(tok)
         arg = _parse_formula_span(arg_tokens, msf=False)
-        check_atoms(arg, f"{head.text} argument")
+        check_names(arg, f"{head.text} argument")
         action = GoalAction(head.text, arg)
     elif head.kind == "name":
         if head.text not in caps_by_name:
@@ -387,22 +392,22 @@ def _parse_rule(tokens: list[Token], reader: _FileReader,
 
 
 def _parse_property(tokens: list[Token], reader: _FileReader,
-                    check_atoms) -> PropertyDecl:
+                    check_names) -> PropertyDecl:
     head = tokens[0]
     if head.text not in ("unless", "ensures", "leadsto", "invariant"):
         raise AgentParseError(f"unknown property kind {head.text!r}")
     rest = tokens[1:]
     if head.text == "invariant":
         left = _parse_formula_span(rest, msf=True)
-        check_atoms(left, "property")
+        check_names(left, "property")
         return PropertyDecl("invariant", left)
     parts = reader.split(rest, ",")
     if len(parts) != 2:
         raise AgentParseError(f"{head.text} takes two formulas separated by ','")
     left = _parse_formula_span(parts[0], msf=True)
     right = _parse_formula_span(parts[1], msf=True)
-    check_atoms(left, "property")
-    check_atoms(right, "property")
+    check_names(left, "property")
+    check_names(right, "property")
     return PropertyDecl(head.text, left, right)
 
 

@@ -68,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify",
                               help="check the agent's declared properties")
     add_agent_source(p_verify)
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--budget", type=_count, default=None,
                           help="reachable-state node budget")
     p_verify.add_argument("--format", choices=["text", "records"],
@@ -80,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("--out", default="-",
                          help="output path, '-' for stdout")
     p_graph.add_argument("--budget", type=_count, default=None)
-    p_graph.add_argument("--jobs", type=int, default=1)
 
     p_triple = sub.add_parser(
         "check-triple",
@@ -120,7 +118,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     agent = _load_agent(args)
-    obligations = verify_agent(agent, budget=args.budget, jobs=max(1, args.jobs))
+    obligations = verify_agent(agent, budget=args.budget)
     sys.stdout.write(render_report(obligations, args.format))
     ok = all(ob.verdict.holds for ob in obligations)
     return EXIT_OK if ok else EXIT_PROPERTY_FAILED
@@ -128,7 +126,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_graph(args) -> int:
     agent = _load_agent(args)
-    graph = reachable(agent, budget=args.budget, jobs=max(1, args.jobs))
+    graph = reachable(agent, budget=args.budget)
     dot = graph.to_dot()
     if args.out == "-":
         sys.stdout.write(dot)
@@ -153,8 +151,8 @@ def _parse_action(agent: Agent, text: str):
 
 def _cmd_check_triple(args) -> int:
     agent = _load_agent(args)
-    pre = parse_msformula(args.pre, agent.vocab)
-    post = parse_msformula(args.post, agent.vocab)
+    pre = parse_msformula(args.pre, agent.vocab, agent.table)
+    post = parse_msformula(args.post, agent.vocab, agent.table)
     action = _parse_action(agent, args.action)
     triple = HoareTriple(pre, action, post)
     if args.mode == "wlp":

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .agent_program import Agent
 from .capabilities import ConditionalAction, apply_M, enabled_cond
-from .mental_state import MentalState
+from .mental_state import MentalState, StateSet
 from .prop_logic import render
 
 DEFAULT_BUDGET = 10_000
@@ -255,38 +254,52 @@ class Edge:
 
 @dataclass
 class StateGraph:
-    agent: Agent
-    nodes: list[MentalState] = field(default_factory=list)
-    edges: list[Edge] = field(default_factory=list)
-    successors: dict[MentalState, tuple[Edge, ...]] = field(default_factory=dict)
+    """The reachable states of an agent and every attempted step between them.
 
-    def edge_for(self, state: MentalState, action_index: int) -> Edge:
-        return self.successors[state][action_index]
+    ``successors[s]`` holds the edges out of ``s`` in program order, idle
+    self-loops included.  The graph is also indexed by position, once, when
+    it is built: ``position[s]`` is the index of ``s`` in ``nodes``,
+    ``targets[a][i]`` is the position of the state that action ``a`` leads
+    to from node ``i``, and bit ``i`` of ``executed[a]`` is set where ``a``
+    executes rather than idles.  ``states`` evaluates formulas over the
+    nodes as bit masks and keeps its values for the agent's capability
+    table.
+    """
+
+    agent: Agent
+    nodes: list[MentalState]
+    edges: list[Edge]
+    successors: dict[MentalState, tuple[Edge, ...]]
+    position: dict[MentalState, int]
+    targets: tuple[tuple[int, ...], ...] = field(init=False)
+    executed: tuple[int, ...] = field(init=False)
+    states: StateSet = field(init=False)
+
+    def __post_init__(self) -> None:
+        rows = [self.successors[node] for node in self.nodes]
+        actions = range(len(self.agent.program))
+        self.targets = tuple(
+            tuple(self.position[row[a].target] for row in rows)
+            for a in actions)
+        self.executed = tuple(
+            sum(1 << i for i, row in enumerate(rows) if row[a].executed)
+            for a in actions)
+        self.states = StateSet(self.nodes, self.agent.table)
 
     def to_dot(self) -> str:
-        index = {node: i for i, node in enumerate(self.nodes)}
         lines = ["digraph reachable {"]
-        for node in self.nodes:
-            lines.append(f'  n{index[node]} [label="{node.digest()}"];')
+        for i, node in enumerate(self.nodes):
+            lines.append(f'  n{i} [label="{node.digest()}"];')
         for edge in self.edges:
             style = "" if edge.executed else ", style=dashed"
             lines.append(
-                f'  n{index[edge.source]} -> n{index[edge.target]} '
+                f'  n{self.position[edge.source]} -> n{self.position[edge.target]} '
                 f'[label="{self.agent.action_label(edge.action_index)}"{style}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
 
-def _expand(agent: Agent, state: MentalState) -> tuple[Edge, ...]:
-    out = []
-    for i, b in enumerate(agent.program):
-        st = step(state, b)
-        out.append(Edge(state, i, st.target, st.executed))
-    return tuple(out)
-
-
-def reachable(agent: Agent, budget: Optional[int] = None,
-              jobs: int = 1) -> StateGraph:
+def reachable(agent: Agent, budget: Optional[int] = None) -> StateGraph:
     """BFS over the step relation from the initial state.
 
     Every action is expanded at every node; idle attempts are recorded as
@@ -294,31 +307,21 @@ def reachable(agent: Agent, budget: Optional[int] = None,
     """
     if budget is None:
         budget = default_budget()
-    graph = StateGraph(agent)
-    seen: dict[MentalState, None] = {agent.initial_state: None}
-    frontier = [agent.initial_state]
-    graph.nodes.append(agent.initial_state)
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        while frontier:
-            if pool is not None:
-                expansions = list(pool.map(lambda s: _expand(agent, s), frontier))
-            else:
-                expansions = [_expand(agent, s) for s in frontier]
-            next_frontier: list[MentalState] = []
-            for edges in expansions:
-                for edge in edges:
-                    graph.edges.append(edge)
-                    if edge.target not in seen:
-                        if len(seen) >= budget:
-                            raise BudgetExceeded(
-                                f"reachable-state budget of {budget} nodes exceeded")
-                        seen[edge.target] = None
-                        graph.nodes.append(edge.target)
-                        next_frontier.append(edge.target)
-                graph.successors[edges[0].source] = edges
-            frontier = next_frontier
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-    return graph
+    nodes = [agent.initial_state]
+    position = {agent.initial_state: 0}
+    edges: list[Edge] = []
+    successors: dict[MentalState, tuple[Edge, ...]] = {}
+    for state in nodes:     # nodes grows as the BFS finds new states
+        out = []
+        for i, b in enumerate(agent.program):
+            st = step(state, b)
+            out.append(Edge(state, i, st.target, st.executed))
+            if st.target not in position:
+                if len(position) >= budget:
+                    raise BudgetExceeded(
+                        f"reachable-state budget of {budget} nodes exceeded")
+                position[st.target] = len(nodes)
+                nodes.append(st.target)
+        successors[state] = tuple(out)
+        edges.extend(out)
+    return StateGraph(agent, nodes, edges, successors, position)

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence
+from typing import (
+    Callable, Container, Iterable, Iterator, Optional, Protocol, Sequence,
+)
 
 from .prop_logic import (
     And, Atom, Const, FALSE, Formula, FormulaError, Iff, Imp, Not, Or, TRUE,
@@ -191,24 +193,32 @@ class StateSet:
     Connectives are integer bit operations; each leaf is evaluated with
     :func:`eval_msf`, and only at the states where :func:`eval_msf` itself
     would reach it: the right side of ``&``, ``|`` and ``->`` is evaluated
-    only where the left side leaves the result open.  Without a capability
-    context a truth value depends only on the formula and the state, so
-    the set keeps those between calls; with one, each call starts afresh.
+    only where the left side leaves the result open.  A set is built for
+    one capability context (``None`` by default).  Truth values computed
+    under that context are kept on the set between calls; a call made with
+    any other context starts afresh, since ``enabled(...)`` leaves may
+    answer differently under it.
     """
 
-    __slots__ = ("states", "full", "_known")
+    __slots__ = ("states", "full", "tctx", "_known")
 
-    def __init__(self, states: Iterable[MentalState]):
+    def __init__(self, states: Iterable[MentalState],
+                 tctx: Optional[CapabilityResolver] = None):
         self.states: tuple[MentalState, ...] = tuple(states)
         self.full = (1 << len(self.states)) - 1
+        self.tctx = tctx
         # per subformula: (states evaluated so far, where it holds among them)
         self._known: dict[Formula, tuple[int, int]] = {}
 
-    def mask(self, phi: Formula,
-             tctx: Optional[CapabilityResolver] = None) -> int:
-        """The states where ``phi`` holds, as a bit mask."""
+    def mask(self, phi: Formula, tctx: Optional[CapabilityResolver] = None,
+             within: Optional[int] = None) -> int:
+        """The states where ``phi`` holds, as a bit mask.
+
+        With ``within``, only the states whose bits are set in it are
+        evaluated, and the result is a subset of it.
+        """
         states = self.states
-        seen = self._known if tctx is None else {}
+        seen = self._known if tctx is self.tctx else {}
 
         def go(f: Formula, care: int) -> int:
             """Where ``f`` holds among the states in ``care``."""
@@ -244,7 +254,7 @@ class StateSet:
                     out |= 1 << i
             return out
 
-        return go(phi, self.full)
+        return go(phi, self.full if within is None else within)
 
     def select(self, mask: int) -> list[MentalState]:
         """The states whose bits are set in ``mask``, in order."""
@@ -347,8 +357,20 @@ def _bare_atoms(phi: Formula) -> Iterator[str]:
             yield from _bare_atoms(b)
 
 
-def parse_msformula(text: str, vocab: Optional[Iterable[str]] = None) -> Formula:
-    """Parse a mental-state formula (B/G/enabled leaves plus connectives)."""
+def enabled_names(phi: Formula) -> Iterator[str]:
+    """The capability names of the ``enabled(name)`` leaves of ``phi``."""
+    for leaf in msf_leaves(phi):
+        if isinstance(leaf, Enabled) and isinstance(leaf.target, str):
+            yield leaf.target
+
+
+def parse_msformula(text: str, vocab: Optional[Iterable[str]] = None,
+                    capabilities: Optional[Container[str]] = None) -> Formula:
+    """Parse a mental-state formula (B/G/enabled leaves plus connectives).
+
+    With ``vocab``, atoms outside it are rejected; with ``capabilities``,
+    so are ``enabled(name)`` leaves naming a capability outside it.
+    """
     stream = TokenStream(tokenize(text))
     phi = parse_msf_stream(stream)
     tail = stream.peek()
@@ -364,6 +386,10 @@ def parse_msformula(text: str, vocab: Optional[Iterable[str]] = None) -> Formula
                 unknown = atoms_of(leaf.arg) - vocab
                 if unknown:
                     raise FormulaError(f"unknown atoms: {', '.join(sorted(unknown))}")
+    if capabilities is not None:
+        for name in enabled_names(phi):
+            if name not in capabilities:
+                raise FormulaError(f"unknown capability {name!r}")
     return phi
 
 

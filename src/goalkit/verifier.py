@@ -20,11 +20,10 @@ from .prop_logic import (
 from .mental_state import (
     Bel, CapabilityResolver, Enabled, Goal, MentalState, OracleVerdict,
     StateSet, enumerate_states, eval_msf, lowest_bit, map_goal_leaves,
-    validity_oracle,
+    set_bits, validity_oracle,
 )
 from .capabilities import (
     CapabilitySpec, ConditionalAction, GoalAction, apply_M, enabled_cap,
-    enabled_cond,
 )
 from .agent_program import Agent, PropertyDecl
 from .executor import Edge, StateGraph, reachable, step
@@ -110,18 +109,38 @@ def check_hoare_conditional(triple: HoareTriple, graph: StateGraph,
     """Conditional-action triple over the agent's reachable states.
 
     Where the precondition holds: an executing step must reach the
-    postcondition, an idle step must leave it true in place.
+    postcondition, an idle step must leave it true in place.  For an action
+    of the agent's program the steps are read from the graph's index and
+    the postcondition is evaluated at their targets on the graph's state
+    set; any other conditional action is stepped at each pre-state.
     """
     b = triple.statement
     assert isinstance(b, ConditionalAction)
-    for s in graph.nodes:
-        if not eval_msf(s, triple.pre, tctx):
-            continue
-        st = step(s, b)
-        if not eval_msf(st.target, triple.post, tctx):
-            how = "after execution" if st.executed else "in place (idle)"
-            return Verdict(False, s, detail=f"post fails {how}")
-    return Verdict(True, scope="reachable")
+    space = graph.states
+    pre = space.mask(triple.pre, tctx)
+    program = graph.agent.program
+    if b in program:
+        a = program.index(b)
+        targets = graph.targets[a]
+        sources = list(set_bits(pre))
+        reached = 0
+        for i in sources:
+            reached |= 1 << targets[i]
+        post = space.mask(triple.post, tctx, within=reached)
+        bad = next((i for i in sources if not post >> targets[i] & 1), None)
+        if bad is None:
+            return Verdict(True, scope="reachable")
+        witness, executed = graph.nodes[bad], graph.executed[a] >> bad & 1
+    else:
+        steps = [step(s, b) for s in space.select(pre)]
+        images = StateSet(st.target for st in steps)
+        failed = images.full & ~images.mask(triple.post, tctx)
+        if not failed:
+            return Verdict(True, scope="reachable")
+        first = steps[lowest_bit(failed)]
+        witness, executed = first.source, first.executed
+    how = "after execution" if executed else "in place (idle)"
+    return Verdict(False, witness, detail=f"post fails {how}")
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +291,7 @@ def check_ensures(phi: Formula, psi: Formula, agent: Agent,
         return Verdict(False, safety.witness,
                        detail=f"unless part: {safety.detail}")
     pre = And(phi, Not(psi))
-    pending = [s for s in graph.nodes if eval_msf(s, pre, agent.table)]
+    pending = graph.states.mask(pre, agent.table)
     reasons = []
     for i, b in enumerate(agent.program):
         verdict = check_hoare_conditional(HoareTriple(pre, b, psi), graph,
@@ -280,14 +299,13 @@ def check_ensures(phi: Formula, psi: Formula, agent: Agent,
         if not verdict.holds:
             reasons.append(f"{agent.action_label(i)}: progress triple fails")
             continue
-        disabled = next((s for s in pending if not enabled_cond(b, s)), None)
-        if disabled is not None:
+        if pending & ~graph.executed[i]:
             reasons.append(f"{agent.action_label(i)}: not continuously enabled")
             continue
         return Verdict(True,
                        scope=f"reachable, witness {agent.action_label(i)}")
     return Verdict(False,
-                   witness=pending[0] if pending else None,
+                   witness=graph.nodes[lowest_bit(pending)] if pending else None,
                    detail="no witness action ("
                           + ("; ".join(reasons) if reasons else "empty program")
                           + ")")
@@ -383,8 +401,9 @@ def _or_disjuncts(phi: Formula) -> list[Formula]:
 
 def _scope_entails(graph: StateGraph, tctx, alpha: Formula,
                    beta: Formula) -> bool:
-    return all(eval_msf(s, beta, tctx)
-               for s in graph.nodes if eval_msf(s, alpha, tctx))
+    """Whether every reachable state satisfying alpha satisfies beta."""
+    where = graph.states.mask(alpha, tctx)
+    return graph.states.mask(beta, tctx, within=where) == where
 
 
 def prove_leadsto(alpha: Formula, omega: Formula, agent: Agent,
@@ -860,15 +879,14 @@ class Obligation:
         return f"{self.name} | {self.rule} | {self.verdict.describe()}"
 
 
-def verify_agent(agent: Agent, budget: Optional[int] = None,
-                 jobs: int = 1) -> list[Obligation]:
+def verify_agent(agent: Agent, budget: Optional[int] = None) -> list[Obligation]:
     """Check every property declared by the agent, in declaration order.
 
-    Ensures properties double as stepping stones for leads-to proofs.
-    Each obligation is evaluated independently; results are aggregated in
-    a fixed order so reports are deterministic for any job count.
+    Ensures properties double as stepping stones for leads-to proofs.  All
+    obligations are checked over one reachable graph, whose state set
+    evaluates each formula once.
     """
-    graph = reachable(agent, budget=budget, jobs=jobs)
+    graph = reachable(agent, budget=budget)
     ensures_steps = [(p.left, p.right) for p in agent.properties
                      if p.kind == "ensures"]
 
@@ -906,13 +924,7 @@ def verify_agent(agent: Agent, budget: Optional[int] = None,
             return [Obligation(label, "leadsto-composition", verdict)]
         raise VerifierError(f"unknown property kind {prop.kind!r}")
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            grouped = list(pool.map(check, agent.properties))
-    else:
-        grouped = [check(p) for p in agent.properties]
-    return [ob for group in grouped for ob in group]
+    return [ob for prop in agent.properties for ob in check(prop)]
 
 
 def render_report(obligations: Sequence[Obligation],

@@ -72,8 +72,7 @@ def test_verify_fixture_text(capsys):
 def test_verify_output_is_byte_identical(capsys):
     _, out1, _ = invoke(capsys, "verify", "--fixture", "shopping")
     _, out2, _ = invoke(capsys, "verify", "--fixture", "shopping")
-    _, out4, _ = invoke(capsys, "verify", "--fixture", "shopping",
-                        "--jobs", "4")
+    _, out4, _ = invoke(capsys, "verify", "--fixture", "shopping")
     assert out1 == out2 == out4
 
 
@@ -139,7 +138,7 @@ def test_graph_to_stdout(capsys):
 def test_graph_to_file(capsys, tmp_path):
     out_path = tmp_path / "g.dot"
     code, out, _ = invoke(capsys, "graph", "--fixture", "shopping",
-                          "--out", str(out_path), "--jobs", "2")
+                          "--out", str(out_path))
     assert code == EXIT_OK
     assert "wrote 13 nodes" in out
     assert out_path.read_text().startswith("digraph reachable {")
@@ -174,6 +173,32 @@ def test_check_triple_unknown_action(capsys):
     code, _, err = invoke(capsys, "check-triple", "--fixture", "shopping",
                           "B(true)", "warp_drive", "B(true)")
     assert code == EXIT_USAGE and "warp_drive" in err
+
+
+@pytest.mark.parametrize("pre, post", [
+    ("enabled(nosuch)", "true"),
+    ("B(hpage_user)", "B(Am_com) | enabled(nosuch)"),
+])
+def test_check_triple_unknown_capability_exits_2(capsys, pre, post):
+    for mode in ("semantic", "wlp"):
+        code, out, err = invoke(capsys, "check-triple", "--fixture",
+                                "shopping", pre, "pay_cart", post,
+                                "--mode", mode)
+        assert code == EXIT_USAGE and not out
+        assert err == "error: unknown capability 'nosuch'\n"
+
+
+def test_verify_property_with_unknown_capability_exits_2(capsys, tmp_path):
+    path = tmp_path / "unknown.agent"
+    path.write_text(GOOD_AGENT.replace("invariant B(p) | B(q);",
+                                       "invariant B(p) | enabled(nosuch);"))
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert code == EXIT_USAGE and not out
+    assert err == "error: property: unknown capability 'nosuch'\n"
+    path.write_text(GOOD_AGENT.replace("invariant B(p) | B(q);",
+                                       "invariant B(p) | enabled(flip);"))
+    code, out, _ = invoke(capsys, "verify", str(path))
+    assert code == EXIT_OK and "0 failing" in out
 
 
 def test_console_entry_point():

@@ -156,14 +156,6 @@ def test_budget_env_default(monkeypatch):
     assert executor.default_budget() == executor.DEFAULT_BUDGET
 
 
-def test_parallel_reachable_same_graph():
-    agent = ground_shopping_fixture()
-    g1 = reachable(agent, jobs=1)
-    g4 = reachable(agent, jobs=4)
-    assert set(g1.nodes) == set(g4.nodes)
-    assert set(g1.edges) == set(g4.edges)
-
-
 def test_dot_export():
     agent = ground_shopping_fixture()
     dot = reachable(agent).to_dot()

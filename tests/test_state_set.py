@@ -1,16 +1,19 @@
 """Mask evaluation over state sets against the state-by-state reference.
 
 ``validity_oracle`` and ``check_hoare_basic`` evaluate formulas as bit masks
-over a :class:`StateSet`.  The reference loops below are their former
-bodies, one ``eval_msf`` call per state; on seeded random formulas and
-triples both must return the same verdict, the same countermodel or witness
-object, and the same detail text.
+over a :class:`StateSet`; ``check_hoare_conditional``, the enabledness part
+of ``check_ensures`` and ``_scope_entails`` do so over a reachable graph's
+state set and read successors from the graph's index.  The reference loops
+below are their former bodies, one ``eval_msf`` call per state; on seeded
+random formulas, triples and properties both must return the same verdict,
+the same countermodel or witness object, and the same detail text.
 """
 
 import random
 
 import pytest
 
+from goalkit import executor, verifier
 from goalkit.prop_logic import (
     And, Atom, FALSE, Iff, Imp, Not, Or, TRUE,
 )
@@ -20,11 +23,15 @@ from goalkit.mental_state import (
     enumerate_states, eval_msf, validity_oracle,
 )
 from goalkit.capabilities import (
-    CapabilitySpec, CapabilityTable, EffectClause, GoalAction, apply_M,
-    enabled_cap, insert, remove,
+    CapabilitySpec, CapabilityTable, ConditionalAction, EffectClause,
+    GoalAction, apply_M, enabled_cap, enabled_cond, insert, remove,
 )
-from goalkit.executor import reachable
-from goalkit.verifier import HoareTriple, Verdict, check_hoare_basic
+from goalkit.agent_program import ground_shopping_fixture
+from goalkit.executor import reachable, step
+from goalkit.verifier import (
+    HoareTriple, Verdict, check_ensures, check_hoare_basic,
+    check_hoare_conditional, check_leadsto, check_unless, prove_leadsto,
+)
 
 from helpers import micro_agent, random_formula
 
@@ -60,6 +67,66 @@ def hoare_by_state(triple, states, tctx=None):
         elif not eval_msf(s, triple.post, tctx):
             return Verdict(False, s, detail="post fails in place (not enabled)")
     return Verdict(True, scope="statewise")
+
+
+def hoare_conditional_by_state(triple, graph, tctx=None):
+    """Reference: a conditional-action triple, one reachable state at a
+    time, stepping the action afresh at each pre-state."""
+    b = triple.statement
+    for s in graph.nodes:
+        if not eval_msf(s, triple.pre, tctx):
+            continue
+        st = step(s, b)
+        if not eval_msf(st.target, triple.post, tctx):
+            how = "after execution" if st.executed else "in place (idle)"
+            return Verdict(False, s, detail=f"post fails {how}")
+    return Verdict(True, scope="reachable")
+
+
+def ensures_by_state(phi, psi, agent, graph):
+    """Reference: the ensures rule with the pending states and the
+    continuous enabledness checked one state at a time."""
+    safety = verifier.check_unless(phi, psi, agent, graph)
+    if not safety.holds:
+        return Verdict(False, safety.witness,
+                       detail=f"unless part: {safety.detail}")
+    pre = And(phi, Not(psi))
+    pending = [s for s in graph.nodes if eval_msf(s, pre, agent.table)]
+    reasons = []
+    for i, b in enumerate(agent.program):
+        verdict = verifier.check_hoare_conditional(
+            HoareTriple(pre, b, psi), graph, agent.table)
+        if not verdict.holds:
+            reasons.append(f"{agent.action_label(i)}: progress triple fails")
+            continue
+        disabled = next((s for s in pending if not enabled_cond(b, s)), None)
+        if disabled is not None:
+            reasons.append(f"{agent.action_label(i)}: not continuously enabled")
+            continue
+        return Verdict(True,
+                       scope=f"reachable, witness {agent.action_label(i)}")
+    return Verdict(False,
+                   witness=pending[0] if pending else None,
+                   detail="no witness action ("
+                          + ("; ".join(reasons) if reasons else "empty program")
+                          + ")")
+
+
+def scope_entails_by_state(graph, tctx, alpha, beta):
+    """Reference: every reachable alpha-state is a beta-state."""
+    return all(eval_msf(s, beta, tctx)
+               for s in graph.nodes if eval_msf(s, alpha, tctx))
+
+
+def by_state(monkeypatch, fn, *args):
+    """``fn(*args)`` with the verifier routed through the reference loops,
+    so that its own check_unless, check_leadsto and prove_leadsto use them."""
+    with monkeypatch.context() as m:
+        m.setattr(verifier, "check_hoare_conditional",
+                  hoare_conditional_by_state)
+        m.setattr(verifier, "check_ensures", ensures_by_state)
+        m.setattr(verifier, "_scope_entails", scope_entails_by_state)
+        return fn(*args)
 
 
 def random_msf(rng, leaves, depth):
@@ -232,3 +299,230 @@ def test_a_leaf_reached_only_after_the_first_countermodel_raises(universe):
     assert not refuted.valid
     with pytest.raises(MentalStateError):
         validity_oracle(phi, PQ, 2)
+
+
+# -- the verifier over a reachable graph --------------------------------------
+
+
+def shopping_pairs(agent):
+    """(phi, psi) of every declared property; an invariant is phi unless
+    false."""
+    return [(prop.left, FALSE if prop.right is None else prop.right)
+            for prop in agent.properties]
+
+
+def test_shopping_obligations_match_statewise_reference(monkeypatch):
+    agent = ground_shopping_fixture()
+    graph = reachable(agent)
+    pairs = shopping_pairs(agent)
+    # the unless and progress triples of each property, for every action
+    triples = [HoareTriple(And(phi, Not(psi)), b, post)
+               for phi, psi in pairs for b in agent.program
+               for post in (Or(phi, psi), psi)]
+    details = set()
+    for triple in triples:
+        got = check_hoare_conditional(triple, graph, agent.table)
+        want = hoare_conditional_by_state(triple, graph, agent.table)
+        assert_same_verdict(got, want)
+        details.add(got.detail)
+    assert details == {"", "post fails after execution",
+                       "post fails in place (idle)"}
+    for phi, psi in pairs:
+        assert_same_verdict(
+            check_unless(phi, psi, agent, graph),
+            by_state(monkeypatch, check_unless, phi, psi, agent, graph))
+        assert_same_verdict(
+            check_ensures(phi, psi, agent, graph),
+            by_state(monkeypatch, ensures_by_state, phi, psi, agent, graph))
+
+
+def test_verify_steps_each_action_only_while_building_the_graph(monkeypatch):
+    attempts = []
+
+    def counted(state, b):
+        attempts.append(b)
+        return step(state, b)
+
+    monkeypatch.setattr(executor, "step", counted)
+    monkeypatch.setattr(verifier, "step", counted)
+    agent = ground_shopping_fixture()
+    assert all(ob.verdict.holds for ob in verifier.verify_agent(agent))
+    assert len(attempts) == 104     # the graph's edges: 13 nodes, 8 actions
+
+
+def test_shopping_leadsto_proof_matches_statewise_reference(monkeypatch):
+    agent = ground_shopping_fixture()
+    graph = reachable(agent)
+    steps = [(p.left, p.right) for p in agent.properties
+             if p.kind == "ensures"]
+    goal = next(p for p in agent.properties if p.kind == "leadsto")
+    args = (goal.left, goal.right, agent, steps, graph)
+    proof = prove_leadsto(*args)
+    assert proof is not None
+    assert proof == by_state(monkeypatch, prove_leadsto, *args)
+    assert_same_verdict(check_leadsto(proof, agent, graph),
+                        by_state(monkeypatch, check_leadsto, proof, agent, graph))
+
+
+def test_actions_outside_the_program_match_statewise_reference():
+    agent = ground_shopping_fixture()
+    graph = reachable(agent)
+    never = ConditionalAction(Bel(FALSE), agent.capabilities[0])
+    outside = [never] + [ConditionalAction(TRUE, cap)
+                         for cap in agent.capabilities]
+    assert not any(b in agent.program for b in outside)
+    details = set()
+    for phi, psi in shopping_pairs(agent):
+        for b in outside:
+            for post in (phi, psi, Or(phi, psi)):
+                triple = HoareTriple(And(phi, Not(psi)), b, post)
+                got = check_hoare_conditional(triple, graph, agent.table)
+                assert_same_verdict(
+                    got, hoare_conditional_by_state(triple, graph, agent.table))
+                details.add(got.detail)
+    assert details == {"", "post fails after execution",
+                       "post fails in place (idle)"}
+
+
+def test_enabled_leaves_in_graph_triples_match_statewise_reference():
+    # Under the agent's table the graph's state set keeps its values; under
+    # a table that gives the same names other capabilities it must not.
+    agent = ground_shopping_fixture()
+    graph = reachable(agent)
+    names = [cap.name for cap in agent.capabilities]
+    shifted = CapabilityTable(
+        {name: agent.capabilities[(i + 1) % len(names)]
+         for i, name in enumerate(names)})
+    rng = random.Random(0x0F)
+    leaves = [Enabled(name) for name in names]
+    leaves += [Bel(Atom(a)) for a in agent.vocab]
+    leaves += [Goal(Atom(a)) for a in agent.vocab]
+    actions = list(agent.program) + [
+        ConditionalAction(TRUE, cap) for cap in agent.capabilities]
+    verdicts = set()
+    for _ in range(120):
+        triple = HoareTriple(random_msf(rng, leaves, 2), rng.choice(actions),
+                             random_msf(rng, leaves, 2))
+        for table in (agent.table, shifted, agent.table):
+            got = check_hoare_conditional(triple, graph, table)
+            assert_same_verdict(
+                got, hoare_conditional_by_state(triple, graph, table))
+            verdicts.add(got.holds)
+    assert verdicts == {True, False}
+
+
+def test_micro_agent_graphs_match_statewise_reference(monkeypatch):
+    rng = random.Random(0x10)
+    checked = {"triples": 0, "unless": 0, "ensures": 0, "leadsto": 0}
+    ensures_held, entailed = set(), set()
+    for seed in range(60):
+        agent = micro_agent(seed)
+        if agent is None:
+            continue
+        graph = reachable(agent)
+        names = list(agent.table.capabilities)
+        leaves = msf_leaves(rng, agent.vocab, names, count=6)
+        conditions = [f for f in leaves if isinstance(f, (Bel, Goal))]
+        actions = list(agent.program) + [
+            ConditionalAction(random_msf(rng, conditions, 1), cap)
+            for cap in agent.capabilities]
+        for _ in range(8):
+            triple = HoareTriple(random_msf(rng, leaves, 2),
+                                 rng.choice(actions),
+                                 random_msf(rng, leaves, 2))
+            assert_same_verdict(
+                check_hoare_conditional(triple, graph, agent.table),
+                hoare_conditional_by_state(triple, graph, agent.table))
+            checked["triples"] += 1
+        pairs = [(random_msf(rng, leaves, 2), random_msf(rng, leaves, 2))
+                 for _ in range(4)]
+        for phi, psi in pairs:
+            assert_same_verdict(
+                check_unless(phi, psi, agent, graph),
+                by_state(monkeypatch, check_unless, phi, psi, agent, graph))
+            got = check_ensures(phi, psi, agent, graph)
+            assert_same_verdict(
+                got, by_state(monkeypatch, ensures_by_state,
+                              phi, psi, agent, graph))
+            ensures_held.add(got.holds)
+            checked["unless"] += 1
+            checked["ensures"] += 1
+        for _ in range(4):
+            alpha, beta = random_msf(rng, leaves, 2), random_msf(rng, leaves, 2)
+            got = verifier._scope_entails(graph, agent.table, alpha, beta)
+            assert got == scope_entails_by_state(graph, agent.table,
+                                                 alpha, beta)
+            entailed.add(got)
+        alpha, omega = random_msf(rng, leaves, 2), random_msf(rng, leaves, 2)
+        args = (alpha, omega, agent, pairs, graph)
+        assert prove_leadsto(*args) == by_state(monkeypatch, prove_leadsto,
+                                                *args)
+        checked["leadsto"] += 1
+    assert min(checked.values()) >= 40
+    assert ensures_held == entailed == {True, False}
+
+
+def test_graph_post_is_evaluated_only_at_the_targets_of_pre_states():
+    # enabled(c) without a resolver raises wherever it is evaluated.
+    agent = ground_shopping_fixture()
+    graph = reachable(agent)
+    leaf = Enabled("c")
+    for b in (agent.program[0], ConditionalAction(TRUE, agent.capabilities[0])):
+        triple = HoareTriple(Bel(FALSE), b, leaf)
+        assert check_hoare_conditional(triple, graph) == \
+            hoare_conditional_by_state(triple, graph)
+        triple = HoareTriple(TRUE, b, Or(TRUE, leaf))
+        assert check_hoare_conditional(triple, graph).holds
+        triple = HoareTriple(TRUE, b, Or(Bel(FALSE), leaf))
+        with pytest.raises(MentalStateError):
+            check_hoare_conditional(triple, graph)
+        with pytest.raises(MentalStateError):
+            hoare_conditional_by_state(triple, graph)
+
+
+def test_a_graph_leaf_reached_only_after_the_first_failing_state_raises():
+    # The reference stops at the first failing pre-state (the initial
+    # state, whose goto_Am_com step reaches a state without page_T); the
+    # mask path evaluates the post at every target, and a later target
+    # believes page_T, so the raising leaf behind B(page_T) is reached.
+    agent = ground_shopping_fixture()
+    graph = reachable(agent)
+    triple = HoareTriple(TRUE, agent.program[0],
+                         And(Bel(Atom("page_T")), Enabled("c")))
+    refuted = hoare_conditional_by_state(triple, graph)
+    assert refuted.witness is agent.initial_state
+    with pytest.raises(MentalStateError):
+        check_hoare_conditional(triple, graph)
+
+
+class CountingResolver:
+    def __init__(self, table):
+        self.table = table
+        self.calls = 0
+
+    def is_enabled(self, name, state):
+        self.calls += 1
+        return self.table.is_enabled(name, state)
+
+
+def test_a_set_keeps_values_only_for_the_context_it_was_built_for(universe):
+    a, b = CountingResolver(TABLE_A), CountingResolver(TABLE_B)
+    space = StateSet(universe, a)
+    n = len(universe)
+    leaf = Enabled("c")
+    phi = Or(Bel(P), leaf)
+    want = {a: mask_by_state(leaf, universe, TABLE_A),
+            b: mask_by_state(leaf, universe, TABLE_B)}
+    assert want[a] != want[b]
+    assert space.mask(leaf, a) == want[a] and a.calls == n
+    for _ in range(2):
+        assert space.mask(leaf, b) == want[b]
+        assert space.mask(phi, b) == mask_by_state(phi, universe, TABLE_B)
+        with pytest.raises(MentalStateError):
+            space.mask(leaf)
+        with pytest.raises(MentalStateError):
+            space.mask(phi)
+        # kept for the set's own context: asked again, nothing is evaluated
+        assert space.mask(leaf, a) == want[a] and a.calls == n
+    assert b.calls == 2 * (n + n - bin(mask_by_state(Bel(P), universe)).count("1"))
+    assert space.mask(phi, a) == mask_by_state(phi, universe, TABLE_A)

@@ -362,13 +362,6 @@ def test_verify_agent_shopping_all_hold(shopping):
     assert "leadsto-composition" in rules
 
 
-def test_verify_agent_parallel_matches_serial(shopping):
-    agent, _ = shopping
-    serial = [ob.record() for ob in verify_agent(agent)]
-    parallel = [ob.record() for ob in verify_agent(agent, jobs=4)]
-    assert serial == parallel
-
-
 def test_render_report_text(shopping):
     agent, _ = shopping
     report = render_report(verify_agent(agent))
