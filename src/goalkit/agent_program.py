@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .prop_logic import (
-    And, Formula, FormulaError, Iff, Imp, Not, Or, Token, TokenStream,
-    atoms_of, consistent, entails, parse_prop, render, tokenize,
+    Atom, Formula, Token, TokenStream, consistent, entails, leaves,
+    parse_prop, render, tokenize,
 )
 from .mental_state import (
-    Bel, Enabled, Goal, MentalState, MentalStateError, enabled_names,
+    Enabled, MentalState, MentalStateError, enabled_names, msf_atoms,
     msf_leaves, parse_msf_stream,
 )
 from .capabilities import (
@@ -144,30 +144,12 @@ def _parse_formula_span(tokens: list[Token], msf: bool) -> Formula:
     if tail.kind != "eof":
         raise AgentParseError(f"unexpected {tail.text!r} at position {tail.pos}")
     if msf:
-        from .mental_state import _bare_atoms
-        for name in _bare_atoms(phi):
+        bare = next((leaf for leaf in leaves(phi) if isinstance(leaf, Atom)),
+                    None)
+        if bare is not None:
             raise AgentParseError(
-                f"bare atom {name!r}; wrap atoms in B(...) or G(...)")
+                f"bare atom {bare.name!r}; wrap atoms in B(...) or G(...)")
     return phi
-
-
-def _formula_atoms(phi: Formula) -> frozenset[str]:
-    """Atoms of a propositional or mental-state formula, inside B/G leaves."""
-    names: set[str] = set()
-    stack = [phi]
-    while stack:
-        match stack.pop():
-            case Bel(arg) | Goal(arg):
-                names |= atoms_of(arg)
-            case Enabled():
-                pass
-            case Not(operand):
-                stack.append(operand)
-            case And(a, b) | Or(a, b) | Imp(a, b) | Iff(a, b):
-                stack.extend((a, b))
-            case leaf:
-                names |= atoms_of(leaf)
-    return frozenset(names)
 
 
 def parse_agent(text: str) -> Agent:
@@ -208,7 +190,7 @@ def parse_agent(text: str) -> Agent:
     def check_names(phi: Formula, where: str) -> None:
         """Atoms must be in the vocab; enabled(name) must name a capability
         (capabilities precede every section that may use enabled(...))."""
-        unknown = _formula_atoms(phi) - vocab_set
+        unknown = msf_atoms(phi) - vocab_set
         if unknown:
             raise AgentParseError(
                 f"{where}: undeclared atoms {', '.join(sorted(unknown))}")

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .prop_logic import (
-    TRUE, Formula, Not, atoms_of, consistent, entails, formula_for_table,
-    render, tautology, truth_table,
+    TRUE, Formula, atoms_of, consistent, entails, formula_for_table, render,
+    truth_table,
 )
-from .mental_state import MentalState, eval_msf, make_state
+from .mental_state import GoalAction, MentalState, eval_msf, make_state
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,15 +33,6 @@ class CapabilitySpec:
 
     def __str__(self) -> str:
         return self.name
-
-
-@dataclass(frozen=True, slots=True)
-class GoalAction:
-    kind: str  # "adopt" | "drop"
-    argument: Formula
-
-    def __str__(self) -> str:
-        return f"{self.kind}({render(self.argument)})"
 
 
 Action = Union[CapabilitySpec, GoalAction]
@@ -94,10 +85,7 @@ def enabled_cap(action: Action, state: MentalState) -> bool:
     argument.
     """
     if isinstance(action, GoalAction):
-        if action.kind == "drop":
-            return True
-        return (not tautology(Not(action.argument))
-                and not state.believes(action.argument))
+        return action.enabled_at(state)
     return apply_T(action, state.beliefs) is not None
 
 

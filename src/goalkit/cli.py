@@ -13,11 +13,10 @@ import sys
 from typing import Optional
 
 from .prop_logic import FormulaError, atoms_of, parse_formula
-from .mental_state import BoundsExceeded, parse_msformula
-from .capabilities import GoalAction
-from .agent_program import (
-    Agent, AgentParseError, SHOPPING_SOURCE, _formula_atoms, parse_agent,
+from .mental_state import (
+    BoundsExceeded, GoalAction, enabled_names, msf_atoms, parse_msformula,
 )
+from .agent_program import Agent, AgentParseError, SHOPPING_SOURCE, parse_agent
 from .executor import (
     BudgetExceeded, InvalidBudget, fairness_check, make_scheduler, reachable,
     run,
@@ -171,11 +170,17 @@ def _cmd_check_triple(args) -> int:
 
 
 def _triple_atoms(agent: Agent, triple: HoareTriple) -> tuple[str, ...]:
-    names = set(_formula_atoms(triple.pre)) | set(_formula_atoms(triple.post))
+    """The oracle vocabulary: the atoms of pre and post, of the action, and
+    of every capability an ``enabled(name)`` leaf of pre or post names."""
+    names = set(msf_atoms(triple.pre) | msf_atoms(triple.post))
+    caps = [agent.table[name] for phi in (triple.pre, triple.post)
+            for name in enabled_names(phi)]
     if isinstance(triple.statement, GoalAction):
         names |= atoms_of(triple.statement.argument)
     else:
-        for clause in triple.statement.clauses:
+        caps.append(triple.statement)
+    for cap in caps:
+        for clause in cap.clauses:
             names |= atoms_of(clause.guard)
             for f in clause.add + clause.delete:
                 names |= atoms_of(f)

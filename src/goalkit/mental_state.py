@@ -17,9 +17,9 @@ from typing import (
 )
 
 from .prop_logic import (
-    And, Atom, Const, FALSE, Formula, FormulaError, Iff, Imp, Not, Or, TRUE,
-    TokenStream, atoms_of, consistent, entails, formula_for_table, parse_prop,
-    render, tautology, tokenize, truth_table,
+    And, Atom, Const, Formula, FormulaError, Iff, Imp, Not, Or, TokenStream,
+    atoms_of, consistent, entails, formula_for_table, leaves, map_leaves,
+    parse_prop, render, tautology, tokenize, truth_table,
 )
 
 
@@ -68,6 +68,23 @@ class Enabled(Formula):
 
     def render_leaf(self) -> str:
         return f"enabled({self.target})"
+
+
+@dataclass(frozen=True, slots=True)
+class GoalAction:
+    kind: str  # "adopt" | "drop"
+    argument: Formula
+
+    def __str__(self) -> str:
+        return f"{self.kind}({render(self.argument)})"
+
+    def enabled_at(self, state: "MentalState") -> bool:
+        """drop is always enabled; adopt requires a satisfiable,
+        not-yet-believed argument."""
+        if self.kind == "drop":
+            return True
+        return (not tautology(Not(self.argument))
+                and not state.believes(self.argument))
 
 
 class CapabilityResolver(Protocol):
@@ -170,20 +187,12 @@ def eval_msf(state: MentalState, phi: Formula,
 
 def _enabled_leaf(state: MentalState, target: object,
                   tctx: Optional[CapabilityResolver]) -> bool:
-    if isinstance(target, str):
-        if tctx is None:
-            raise MentalStateError(
-                f"enabled({target}) needs a capability context to evaluate")
-        return tctx.is_enabled(target, state)
-    kind = getattr(target, "kind", None)
-    arg = getattr(target, "argument", None)
-    if kind == "drop":
-        return True
-    if kind == "adopt":
-        return not tautology(Not(arg)) and not state.believes(arg)
+    if isinstance(target, GoalAction):
+        return target.enabled_at(state)
     if tctx is None:
-        raise MentalStateError(f"enabled({target!r}) needs a capability context")
-    return tctx.is_enabled(getattr(target, "name"), state)
+        raise MentalStateError(
+            f"enabled({target}) needs a capability context to evaluate")
+    return tctx.is_enabled(target, state)
 
 
 class StateSet:
@@ -276,42 +285,28 @@ def lowest_bit(mask: int) -> int:
 
 def msf_leaves(phi: Formula) -> Iterator[Formula]:
     """All Bel/Goal/Enabled leaves of ``phi`` (with repetition collapsed)."""
-    seen: set[Formula] = set()
+    return (leaf for leaf in leaves(phi)
+            if isinstance(leaf, (Bel, Goal, Enabled)))
 
-    def go(f: Formula) -> Iterator[Formula]:
-        match f:
-            case Bel() | Goal() | Enabled():
-                if f not in seen:
-                    seen.add(f)
-                    yield f
-            case Not(operand):
-                yield from go(operand)
-            case And(a, b) | Or(a, b) | Imp(a, b) | Iff(a, b):
-                yield from go(a)
-                yield from go(b)
+
+def msf_atoms(phi: Formula) -> frozenset[str]:
+    """Atoms of a propositional or mental-state formula, inside B/G leaves."""
+    names: set[str] = set()
+    for leaf in leaves(phi):
+        match leaf:
+            case Bel(arg) | Goal(arg):
+                names |= atoms_of(arg)
+            case Enabled():
+                pass
             case _:
-                return
-
-    return go(phi)
+                names |= atoms_of(leaf)
+    return frozenset(names)
 
 
 def map_goal_leaves(phi: Formula, fn: Callable[[Formula], Formula]) -> Formula:
-    """Rewrite every G-leaf of ``phi`` with ``fn`` (other nodes untouched)."""
-    match phi:
-        case Goal(arg):
-            return fn(arg)
-        case Not(operand):
-            return Not(map_goal_leaves(operand, fn))
-        case And(a, b):
-            return And(map_goal_leaves(a, fn), map_goal_leaves(b, fn))
-        case Or(a, b):
-            return Or(map_goal_leaves(a, fn), map_goal_leaves(b, fn))
-        case Imp(a, b):
-            return Imp(map_goal_leaves(a, fn), map_goal_leaves(b, fn))
-        case Iff(a, b):
-            return Iff(map_goal_leaves(a, fn), map_goal_leaves(b, fn))
-        case _:
-            return phi
+    """Rewrite every G-leaf G(chi) of ``phi`` to ``fn(chi)``."""
+    return map_leaves(
+        phi, lambda leaf: fn(leaf.arg) if isinstance(leaf, Goal) else leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +339,6 @@ def parse_msf_stream(stream: TokenStream) -> Formula:
     return parse_prop(stream, _msf_leaf_hook)
 
 
-def _bare_atoms(phi: Formula) -> Iterator[str]:
-    match phi:
-        case Bel() | Goal() | Enabled():
-            return
-        case Atom(name):
-            yield name
-        case Not(operand):
-            yield from _bare_atoms(operand)
-        case And(a, b) | Or(a, b) | Imp(a, b) | Iff(a, b):
-            yield from _bare_atoms(a)
-            yield from _bare_atoms(b)
-
-
 def enabled_names(phi: Formula) -> Iterator[str]:
     """The capability names of the ``enabled(name)`` leaves of ``phi``."""
     for leaf in msf_leaves(phi):
@@ -376,16 +358,14 @@ def parse_msformula(text: str, vocab: Optional[Iterable[str]] = None,
     tail = stream.peek()
     if tail.kind != "eof":
         raise FormulaError(f"unexpected {tail.text!r} at position {tail.pos}")
-    for name in _bare_atoms(phi):
+    bare = next((leaf for leaf in leaves(phi) if isinstance(leaf, Atom)), None)
+    if bare is not None:
         raise FormulaError(
-            f"bare atom {name!r}; atoms must appear inside B(...) or G(...)")
+            f"bare atom {bare.name!r}; atoms must appear inside B(...) or G(...)")
     if vocab is not None:
-        vocab = set(vocab)
-        for leaf in msf_leaves(phi):
-            if isinstance(leaf, (Bel, Goal)):
-                unknown = atoms_of(leaf.arg) - vocab
-                if unknown:
-                    raise FormulaError(f"unknown atoms: {', '.join(sorted(unknown))}")
+        unknown = msf_atoms(phi) - set(vocab)
+        if unknown:
+            raise FormulaError(f"unknown atoms: {', '.join(sorted(unknown))}")
     if capabilities is not None:
         for name in enabled_names(phi):
             if name not in capabilities:

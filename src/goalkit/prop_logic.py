@@ -10,16 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 class FormulaError(Exception):
     """Raised for malformed formula text or out-of-vocabulary atoms."""
 
 
-# Formulas nested deeper than this are rejected by the parser.  Every walker
-# over formulas recurses once per level, and the limit keeps that well inside
-# Python's default recursion limit.
+# Formulas nested deeper than this are rejected by the parser.  The structural
+# walkers (leaves, map_leaves) keep their own stacks, but the evaluators
+# (truth_table, satisfies, render, eval_msf, StateSet.mask) recurse once per
+# level, and the limit keeps them well inside Python's recursion limit.
 MAX_DEPTH = 200
 
 # The intern table: (class, *fields) -> the one node with that structure.
@@ -159,6 +160,59 @@ def disj(parts: Sequence[Formula]) -> Formula:
     for part in reversed(parts[:-1]):
         out = Or(part, out)
     return out
+
+
+def _operands(node: Formula) -> tuple[Formula, ...]:
+    """The operands of a connective; empty for every other node."""
+    if isinstance(node, Not):
+        return (node.operand,)
+    if isinstance(node, _Binary):
+        return (node.left, node.right)
+    return ()
+
+
+def leaves(phi: Formula) -> Iterator[Formula]:
+    """The non-connective nodes of ``phi``, left to right, each once.
+
+    The walk keeps its own stack and enters a shared subformula once, so it
+    costs no Python stack and time linear in the number of distinct nodes.
+    """
+    seen: set[Formula] = set()
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        parts = _operands(node)
+        if parts:
+            stack.extend(reversed(parts))
+        else:
+            yield node
+
+
+def map_leaves(phi: Formula, fn: Callable[[Formula], Formula]) -> Formula:
+    """``phi`` with each non-connective node ``leaf`` replaced by ``fn(leaf)``.
+
+    The connectives are rebuilt over the rewritten operands, so the result
+    is the interned node a recursive rewrite would build.  Like
+    :func:`leaves` it keeps its own stack and meets each distinct node once.
+    """
+    done: dict[Formula, Formula] = {}
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if node in done:
+            continue
+        parts = _operands(node)
+        todo = [p for p in parts if p not in done]
+        if todo:
+            stack.append(node)
+            stack.extend(reversed(todo))
+        else:
+            done[node] = (type(node)(*map(done.__getitem__, parts)) if parts
+                          else fn(node))
+    return done[phi]
 
 
 def atoms_of(phi: Formula) -> frozenset[str]:

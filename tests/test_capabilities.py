@@ -134,3 +134,35 @@ def test_goal_persistence_for_non_drop_actions():
         for a in actions:
             target = apply_M(a, s) if enabled_cap(a, s) else s
             assert target.believes(phi) or goal_holds(target, phi), (s, a)
+
+
+def test_goal_action_is_one_class_everywhere():
+    import goalkit
+    from goalkit import mental_state
+    assert goalkit.GoalAction is GoalAction is mental_state.GoalAction
+
+
+def test_goal_action_enabledness_is_one_rule():
+    """enabled_cap, the enabled(...) leaf and GoalAction.enabled_at agree."""
+    from goalkit.mental_state import Enabled, enumerate_states
+    args = [P, Q, Not(P), And(P, Q), Or(P, Q), And(Q, Not(Q)), TRUE, FALSE]
+    actions = [GoalAction(kind, arg) for kind in ("adopt", "drop")
+               for arg in args]
+    for s in enumerate_states(("p", "q"), 1):
+        for action in actions:
+            rule = action.enabled_at(s)
+            assert enabled_cap(action, s) == rule
+            assert eval_msf(s, Enabled(action)) == rule
+            assert rule == (action.kind == "drop" or (
+                not equivalent(action.argument, FALSE)
+                and not s.believes(action.argument)))
+
+
+def test_named_enabled_leaves_go_to_the_resolver():
+    from goalkit.mental_state import Enabled, MentalStateError
+    table = CapabilityTable({"c": cap(EffectClause(P, (Q,), ()))})
+    leaf = Enabled("c")
+    assert eval_msf(state(beliefs=[P]), leaf, table)
+    assert not eval_msf(state(), leaf, table)
+    with pytest.raises(MentalStateError, match=r"enabled\(c\) needs"):
+        eval_msf(state(), leaf)

@@ -188,6 +188,46 @@ def test_check_triple_unknown_capability_exits_2(capsys, pre, post):
         assert err == "error: unknown capability 'nosuch'\n"
 
 
+ENABLED_AGENT = """
+vocab { p; q; }
+beliefs { }
+goals { p; }
+capability c { when q add { p } del { }; }
+capability d { when true add { q } del { }; }
+program { G(p) -> do(d); }
+"""
+
+
+def test_check_triple_wlp_counts_the_atoms_of_named_capabilities(
+        capsys, tmp_path):
+    """enabled(c) is decided over c's guard and effects, so the oracle's
+    vocabulary must include their atoms, or the leaf is false everywhere."""
+    path = tmp_path / "enabled.agent"
+    path.write_text(ENABLED_AGENT)
+    for mode in ("semantic", "wlp"):
+        code, out, err = invoke(capsys, "check-triple", str(path),
+                                "enabled(c)", "adopt(p)", "false",
+                                "--mode", mode)
+        assert code == EXIT_PROPERTY_FAILED and not err
+        assert "verdict: fails" in out and "witness" in out
+    code, out, _ = invoke(capsys, "check-triple", str(path), "enabled(c)",
+                          "adopt(p)", "B(q)", "--mode", "wlp")
+    assert code == EXIT_OK
+    assert "verdict: holds (valid-within-bounds (atoms=p,q," in out
+    code, out, _ = invoke(capsys, "check-triple", str(path), "B(q)", "d",
+                          "enabled(c)", "--mode", "wlp")
+    assert code == EXIT_PROPERTY_FAILED
+    assert "witness" in out and "[beliefs: !p & q | goals: -]" in out
+
+
+def test_check_triple_wlp_on_a_large_named_capability_exceeds_bounds(capsys):
+    code, out, err = invoke(capsys, "check-triple", "--fixture", "shopping",
+                            "enabled(pay_cart)", "adopt(Am_com)", "false",
+                            "--mode", "wlp")
+    assert code == EXIT_BUDGET and not out
+    assert err == "error: at most 4 atoms supported\n"
+
+
 def test_verify_property_with_unknown_capability_exits_2(capsys, tmp_path):
     path = tmp_path / "unknown.agent"
     path.write_text(GOOD_AGENT.replace("invariant B(p) | B(q);",

@@ -6,7 +6,7 @@ from goalkit.prop_logic import (
     And, Atom, FALSE, Imp, Not, Or, TRUE, tautology,
 )
 from goalkit.mental_state import (
-    Bel, Enabled, Goal, MentalState, enumerate_states, eval_msf,
+    Bel, Enabled, Goal, MentalState, enumerate_states, eval_msf, msf_leaves,
     validity_oracle,
 )
 from goalkit.capabilities import (
@@ -217,6 +217,34 @@ def test_check_ensures_negative(shopping):
 
 
 # -- leads-to proofs ----------------------------------------------------------
+
+
+def test_a_holding_progress_triple_means_continuous_enabledness(shopping):
+    """Why check_ensures tests only the progress triple: an action whose
+    triple {phi & !psi} b {psi} holds executes at every pending state, as
+    an idle step would leave that state, where psi is false, in place."""
+    import random
+    from helpers import micro_agent
+    graphs = [shopping[1]] + [reachable(a) for a in map(micro_agent, range(40))
+                              if a is not None]
+    rng = random.Random(7)
+    held = 0
+    for graph in graphs:
+        agent = graph.agent
+        leaves = sorted({leaf for b in agent.program
+                         for leaf in msf_leaves(b.condition)}, key=str)
+        leaves += [m(Atom(a)) for a in agent.vocab[:2] for m in (Bel, Goal)]
+        leaves += [Not(leaf) for leaf in leaves]
+        for _ in range(12):
+            phi, psi = rng.choice(leaves), rng.choice(leaves + [TRUE, FALSE])
+            pre = And(phi, Not(psi))
+            pending = graph.states.mask(pre, agent.table)
+            for i, b in enumerate(agent.program):
+                triple = HoareTriple(pre, b, psi)
+                if check_hoare_conditional(triple, graph, agent.table).holds:
+                    held += pending != 0
+                    assert pending & ~graph.executed[i] == 0
+    assert held >= 20
 
 
 def test_leadsto_single_leaf(shopping):
