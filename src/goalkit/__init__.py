@@ -11,7 +11,7 @@ from .mental_state import (
     validity_oracle,
 )
 from .capabilities import (
-    CapabilitySpec, CapabilityTable, ConditionalAction, EffectClause,
+    CapabilitySpec, ConditionalAction, EffectClause,
     GoalAction, apply_M, apply_T, enabled_cap, enabled_cond, insert, remove,
 )
 from .agent_program import (

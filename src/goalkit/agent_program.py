@@ -10,19 +10,17 @@ declared in the vocab section (``book T;``) when the file is loaded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .prop_logic import (
     Atom, Formula, Token, TokenStream, consistent, entails, leaves,
     parse_prop, render, tokenize,
 )
 from .mental_state import (
-    Enabled, MentalState, MentalStateError, enabled_names, msf_atoms,
-    msf_leaves, parse_msf_stream,
+    MentalState, MentalStateError, msf_atoms, parse_msf_stream,
 )
 from .capabilities import (
-    CapabilitySpec, CapabilityTable, ConditionalAction, EffectClause,
-    GoalAction,
+    CapabilitySpec, ConditionalAction, EffectClause, GoalAction,
 )
 
 
@@ -50,12 +48,12 @@ class Agent:
     program: tuple[ConditionalAction, ...]
     initial_state: MentalState
     properties: tuple[PropertyDecl, ...] = ()
-    table: CapabilityTable = field(init=False, compare=False, repr=False)
+    table: dict[str, CapabilitySpec] = field(init=False, compare=False,
+                                             repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "table",
-            CapabilityTable({c.name: c for c in self.capabilities}))
+        object.__setattr__(self, "table",
+                           {c.name: c for c in self.capabilities})
 
     def action_label(self, index: int) -> str:
         return f"b{index}:{self.program[index].action}"
@@ -137,9 +135,14 @@ class _FileReader:
         return parts
 
 
-def _parse_formula_span(tokens: list[Token], msf: bool) -> Formula:
+def _parse_formula_span(
+        tokens: list[Token],
+        resolve: Optional[Callable[[str], CapabilitySpec]] = None) -> Formula:
+    """A propositional formula, or with ``resolve`` a mental-state formula
+    whose ``enabled(name)`` leaves ``resolve`` binds."""
     stream = _stream(tokens)
-    phi = parse_msf_stream(stream) if msf else parse_prop(stream)
+    msf = resolve is not None
+    phi = parse_msf_stream(stream, resolve) if msf else parse_prop(stream)
     tail = stream.peek()
     if tail.kind != "eof":
         raise AgentParseError(f"unexpected {tail.text!r} at position {tail.pos}")
@@ -185,18 +188,21 @@ def parse_agent(text: str) -> Agent:
                 raise AgentParseError(f"duplicate atom {target!r}")
             vocab.append(target)
     vocab_set = set(vocab)
-    cap_names: set[str] = set()
+    caps_by_name: dict[str, CapabilitySpec] = {}
 
     def check_names(phi: Formula, where: str) -> None:
-        """Atoms must be in the vocab; enabled(name) must name a capability
-        (capabilities precede every section that may use enabled(...))."""
+        """Atoms must be in the vocab."""
         unknown = msf_atoms(phi) - vocab_set
         if unknown:
             raise AgentParseError(
                 f"{where}: undeclared atoms {', '.join(sorted(unknown))}")
-        for name in enabled_names(phi):
-            if name not in cap_names:
-                raise AgentParseError(f"{where}: unknown capability {name!r}")
+
+    def capability(name: str) -> CapabilitySpec:
+        """The capability an ``enabled(name)`` leaf of a property names
+        (capabilities precede the properties)."""
+        if name not in caps_by_name:
+            raise AgentParseError(f"property: unknown capability {name!r}")
+        return caps_by_name[name]
 
     def expansions(span: list[Token]) -> list[list[Token]]:
         if _span_has_schema(span):
@@ -211,7 +217,7 @@ def parse_agent(text: str) -> Agent:
     beliefs: list[Formula] = []
     for span in reader.split(reader.take_block(), ";"):
         for bound in expansions(span):
-            phi = _parse_formula_span(bound, msf=False)
+            phi = _parse_formula_span(bound)
             check_names(phi, "beliefs")
             beliefs.append(phi)
 
@@ -220,12 +226,11 @@ def parse_agent(text: str) -> Agent:
     goals: list[Formula] = []
     for span in reader.split(reader.take_block(), ";"):
         for bound in expansions(span):
-            phi = _parse_formula_span(bound, msf=False)
+            phi = _parse_formula_span(bound)
             check_names(phi, "goals")
             goals.append(phi)
 
     # capabilities
-    capabilities: list[CapabilitySpec] = []
     while stream.peek().text == "capability":
         stream.next()
         name_tok = stream.next()
@@ -240,18 +245,16 @@ def parse_agent(text: str) -> Agent:
         for book in bindings:
             cap_name = (name_tok.text if book is None
                         else _expand_name(name_tok.text, book))
-            if cap_name in cap_names:
+            if cap_name in caps_by_name:
                 raise AgentParseError(f"duplicate capability {cap_name!r}")
             clauses = []
             for span in spans:
                 bound = span if book is None else _bind(span, book)
                 clauses.append(_parse_clause(bound, reader, check_names))
-            capabilities.append(CapabilitySpec(cap_name, tuple(clauses)))
-            cap_names.add(cap_name)
+            caps_by_name[cap_name] = CapabilitySpec(cap_name, tuple(clauses))
 
     # program
     stream.expect("program")
-    caps_by_name = {c.name: c for c in capabilities}
     program: list[ConditionalAction] = []
     for span in reader.split(reader.take_block(), ";"):
         for bound in expansions(span):
@@ -265,7 +268,8 @@ def parse_agent(text: str) -> Agent:
         stream.next()
         for span in reader.split(reader.take_block(), ";"):
             for bound in expansions(span):
-                properties.append(_parse_property(bound, reader, check_names))
+                properties.append(
+                    _parse_property(bound, reader, check_names, capability))
 
     tail = stream.peek()
     if tail.kind != "eof":
@@ -286,7 +290,7 @@ def parse_agent(text: str) -> Agent:
     except MentalStateError as exc:  # pragma: no cover - guarded above
         raise AgentParseError(str(exc)) from exc
 
-    return Agent(tuple(vocab), tuple(books), tuple(capabilities),
+    return Agent(tuple(vocab), tuple(books), tuple(caps_by_name.values()),
                  tuple(program), initial, tuple(properties))
 
 
@@ -313,7 +317,7 @@ def _parse_clause(tokens: list[Token], reader: _FileReader,
         stream.expect("}")
         formulas = []
         for span in reader.split(inner, ","):
-            phi = _parse_formula_span(span, msf=False)
+            phi = _parse_formula_span(span)
             check_names(phi, f"capability {word.text} list")
             formulas.append(phi)
         (add if word.text == "add" else delete).extend(formulas)
@@ -332,11 +336,7 @@ def _parse_rule(tokens: list[Token], reader: _FileReader,
             split_at = i
     if split_at is None:
         raise AgentParseError("program rules have the form '<condition> -> do(<action>)'")
-    condition = _parse_formula_span(tokens[:split_at], msf=True)
-    for leaf in msf_leaves(condition):
-        if isinstance(leaf, Enabled):
-            raise AgentParseError(
-                "program conditions range over B and G only (no enabled(...))")
+    condition = _parse_formula_span(tokens[:split_at], _no_enabled)
     check_names(condition, "program condition")
     action_tokens = tokens[split_at + 1:]
     stream = _stream(action_tokens)
@@ -358,7 +358,7 @@ def _parse_rule(tokens: list[Token], reader: _FileReader,
                 if depth == 0:
                     break
             arg_tokens.append(tok)
-        arg = _parse_formula_span(arg_tokens, msf=False)
+        arg = _parse_formula_span(arg_tokens)
         check_names(arg, f"{head.text} argument")
         action = GoalAction(head.text, arg)
     elif head.kind == "name":
@@ -373,21 +373,26 @@ def _parse_rule(tokens: list[Token], reader: _FileReader,
     return ConditionalAction(condition, action)
 
 
-def _parse_property(tokens: list[Token], reader: _FileReader,
-                    check_names) -> PropertyDecl:
+def _no_enabled(name: str) -> CapabilitySpec:
+    raise AgentParseError(
+        "program conditions range over B and G only (no enabled(...))")
+
+
+def _parse_property(tokens: list[Token], reader: _FileReader, check_names,
+                    capability: Callable[[str], CapabilitySpec]) -> PropertyDecl:
     head = tokens[0]
     if head.text not in ("unless", "ensures", "leadsto", "invariant"):
         raise AgentParseError(f"unknown property kind {head.text!r}")
     rest = tokens[1:]
     if head.text == "invariant":
-        left = _parse_formula_span(rest, msf=True)
+        left = _parse_formula_span(rest, capability)
         check_names(left, "property")
         return PropertyDecl("invariant", left)
     parts = reader.split(rest, ",")
     if len(parts) != 2:
         raise AgentParseError(f"{head.text} takes two formulas separated by ','")
-    left = _parse_formula_span(parts[0], msf=True)
-    right = _parse_formula_span(parts[1], msf=True)
+    left = _parse_formula_span(parts[0], capability)
+    right = _parse_formula_span(parts[1], capability)
     check_names(left, "property")
     check_names(right, "property")
     return PropertyDecl(head.text, left, right)

@@ -5,6 +5,9 @@ the first clause whose guard the beliefs entail fires, deletion removes the
 listed formulas by syntactic identity, and the update is undefined when no
 clause fires or the updated base is inconsistent.  Undefined updates are a
 normal value (``None``); the executor turns them into idle steps.
+``CapabilitySpec``, ``EffectClause`` and ``apply_T`` are defined in
+``mental_state``, where ``enabled(...)`` leaves evaluate through them, and
+are re-exported here.
 """
 
 from __future__ import annotations
@@ -13,27 +16,12 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .prop_logic import (
-    TRUE, Formula, atoms_of, consistent, entails, formula_for_table, render,
-    truth_table,
+    TRUE, Formula, atoms_of, entails, formula_for_table, render, truth_table,
 )
-from .mental_state import GoalAction, MentalState, eval_msf, make_state
-
-
-@dataclass(frozen=True, slots=True)
-class EffectClause:
-    guard: Formula
-    add: tuple[Formula, ...]
-    delete: tuple[Formula, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class CapabilitySpec:
-    name: str
-    clauses: tuple[EffectClause, ...]
-
-    def __str__(self) -> str:
-        return self.name
-
+from .mental_state import (
+    CapabilitySpec, EffectClause, GoalAction, MentalState, apply_T, eval_msf,
+    make_state,
+)
 
 Action = Union[CapabilitySpec, GoalAction]
 
@@ -61,22 +49,6 @@ def remove(phi: Formula) -> CapabilitySpec:
                           (EffectClause(TRUE, (), (phi,)),))
 
 
-def apply_T(cap: CapabilitySpec,
-            beliefs: frozenset[Formula]) -> Optional[frozenset[Formula]]:
-    """The partial belief-update function.
-
-    Returns the updated base, or ``None`` when no clause applies or the
-    update would be inconsistent.
-    """
-    for clause in cap.clauses:
-        if entails(beliefs, clause.guard):
-            updated = (beliefs - frozenset(clause.delete)) | frozenset(clause.add)
-            if not consistent(updated):
-                return None
-            return updated
-    return None
-
-
 def enabled_cap(action: Action, state: MentalState) -> bool:
     """Enabledness of a basic action at ``state``.
 
@@ -84,9 +56,7 @@ def enabled_cap(action: Action, state: MentalState) -> bool:
     drop is always enabled; adopt requires a satisfiable, not-yet-believed
     argument.
     """
-    if isinstance(action, GoalAction):
-        return action.enabled_at(state)
-    return apply_T(action, state.beliefs) is not None
+    return action.enabled_at(state)
 
 
 def apply_M(action: Action, state: MentalState) -> Optional[MentalState]:
@@ -136,23 +106,3 @@ def enabled_cond(b: ConditionalAction, state: MentalState) -> bool:
     """A conditional action executes iff its condition holds and the
     underlying action is enabled."""
     return eval_msf(state, b.condition) and enabled_cap(b.action, state)
-
-
-class CapabilityTable:
-    """Name-indexed capability lookup; doubles as the enabledness resolver
-    for ``enabled(...)`` leaves in mental-state formulas."""
-
-    def __init__(self, capabilities: dict[str, CapabilitySpec]):
-        self.capabilities = dict(capabilities)
-
-    def __getitem__(self, name: str) -> CapabilitySpec:
-        return self.capabilities[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.capabilities
-
-    def is_enabled(self, name: str, state: MentalState) -> bool:
-        cap = self.capabilities.get(name)
-        if cap is None:
-            raise KeyError(f"unknown capability {name!r}")
-        return enabled_cap(cap, state)

@@ -14,7 +14,8 @@ from typing import Optional
 
 from .prop_logic import FormulaError, atoms_of, parse_formula
 from .mental_state import (
-    BoundsExceeded, GoalAction, enabled_names, msf_atoms, parse_msformula,
+    BoundsExceeded, Enabled, GoalAction, msf_atoms, msf_leaves,
+    parse_msformula,
 )
 from .agent_program import Agent, AgentParseError, SHOPPING_SOURCE, parse_agent
 from .executor import (
@@ -155,13 +156,12 @@ def _cmd_check_triple(args) -> int:
     action = _parse_action(agent, args.action)
     triple = HoareTriple(pre, action, post)
     if args.mode == "wlp":
-        atoms = _triple_atoms(agent, triple)
-        verdict = derive_hoare(triple, atoms, args.max_generators,
-                               tctx=agent.table)
+        atoms = _triple_atoms(triple)
+        verdict = derive_hoare(triple, atoms, args.max_generators)
         route = "wlp + validity oracle"
     else:
         states = reachable(agent).nodes
-        verdict = check_hoare_basic(triple, states, agent.table)
+        verdict = check_hoare_basic(triple, states)
         route = "semantic over reachable states"
     print(f"{triple}")
     print(f"route: {route}")
@@ -169,12 +169,12 @@ def _cmd_check_triple(args) -> int:
     return EXIT_OK if verdict.holds else EXIT_PROPERTY_FAILED
 
 
-def _triple_atoms(agent: Agent, triple: HoareTriple) -> tuple[str, ...]:
+def _triple_atoms(triple: HoareTriple) -> tuple[str, ...]:
     """The oracle vocabulary: the atoms of pre and post, of the action, and
     of every capability an ``enabled(name)`` leaf of pre or post names."""
     names = set(msf_atoms(triple.pre) | msf_atoms(triple.post))
-    caps = [agent.table[name] for phi in (triple.pre, triple.post)
-            for name in enabled_names(phi)]
+    caps = [leaf.target for phi in (triple.pre, triple.post)
+            for leaf in msf_leaves(phi) if isinstance(leaf, Enabled)]
     if isinstance(triple.statement, GoalAction):
         names |= atoms_of(triple.statement.argument)
     else:

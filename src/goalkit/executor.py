@@ -262,8 +262,7 @@ class StateGraph:
     ``targets[a][i]`` is the position of the state that action ``a`` leads
     to from node ``i``, and bit ``i`` of ``executed[a]`` is set where ``a``
     executes rather than idles.  ``states`` evaluates formulas over the
-    nodes as bit masks and keeps its values for the agent's capability
-    table.
+    nodes as bit masks and keeps its values.
     """
 
     agent: Agent
@@ -284,7 +283,7 @@ class StateGraph:
         self.executed = tuple(
             sum(1 << i for i, row in enumerate(rows) if row[a].executed)
             for a in actions)
-        self.states = StateSet(self.nodes, self.agent.table)
+        self.states = StateSet(self.nodes)
 
     def to_dot(self) -> str:
         lines = ["digraph reachable {"]

@@ -4,7 +4,8 @@ A mental state pairs a consistent belief base with a goal base.  The goal
 base is kept as a finite set of generator formulas; the agent has psi as a
 goal exactly when psi is consistent, not believed, and entailed by some
 single generator.  That realizes the closure condition on goal bases while
-keeping states finite.
+keeping states finite.  Goal actions and belief capabilities are defined
+here too: an ``enabled(...)`` leaf holds its action and asks it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import (
-    Callable, Container, Iterable, Iterator, Optional, Protocol, Sequence,
+    Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union,
 )
 
 from .prop_logic import (
@@ -57,19 +58,6 @@ class Goal(Formula):
         return f"G({render(self.arg)})"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Enabled(Formula):
-    """Enabledness atom: the target is a capability name or a goal action."""
-
-    target: object
-
-    def __post_init__(self) -> None:
-        self._seal(None, 1)
-
-    def render_leaf(self) -> str:
-        return f"enabled({self.target})"
-
-
 @dataclass(frozen=True, slots=True)
 class GoalAction:
     kind: str  # "adopt" | "drop"
@@ -87,8 +75,57 @@ class GoalAction:
                 and not state.believes(self.argument))
 
 
-class CapabilityResolver(Protocol):
-    def is_enabled(self, name: str, state: "MentalState") -> bool: ...
+@dataclass(frozen=True, slots=True)
+class EffectClause:
+    guard: Formula
+    add: tuple[Formula, ...]
+    delete: tuple[Formula, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class CapabilitySpec:
+    name: str
+    clauses: tuple[EffectClause, ...]
+
+    def __str__(self) -> str:
+        return self.name
+
+    def enabled_at(self, state: "MentalState") -> bool:
+        """A belief capability is enabled exactly when its update is defined."""
+        return apply_T(self, state.beliefs) is not None
+
+
+def apply_T(cap: CapabilitySpec,
+            beliefs: frozenset[Formula]) -> Optional[frozenset[Formula]]:
+    """The partial belief-update function.
+
+    Returns the updated base, or ``None`` when no clause applies or the
+    update would be inconsistent.
+    """
+    for clause in cap.clauses:
+        if entails(beliefs, clause.guard):
+            updated = (beliefs - frozenset(clause.delete)) | frozenset(clause.add)
+            if not consistent(updated):
+                return None
+            return updated
+    return None
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Enabled(Formula):
+    """Enabledness atom of a goal action or of a belief capability."""
+
+    target: Union[GoalAction, CapabilitySpec]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.target, (GoalAction, CapabilitySpec)):
+            raise TypeError(
+                f"enabled(...) needs a goal action or a capability, "
+                f"not {self.target!r}")
+        self._seal(None, 1)
+
+    def render_leaf(self) -> str:
+        return f"enabled({self.target})"
 
 
 # ---------------------------------------------------------------------------
@@ -153,81 +190,61 @@ def goal_holds(state: MentalState, psi: Formula) -> bool:
     return any(entails((gamma,), psi) for gamma in state.goals)
 
 
-def eval_msf(state: MentalState, phi: Formula,
-             tctx: Optional[CapabilityResolver] = None) -> bool:
-    """Truth of a mental-state formula at ``state``.
-
-    ``tctx`` resolves enabledness of named capabilities; enabledness of
-    adopt/drop is position-independent and needs no context.
-    """
+def eval_msf(state: MentalState, phi: Formula) -> bool:
+    """Truth of a mental-state formula at ``state``."""
     match phi:
         case Bel(arg):
             return state.believes(arg)
         case Goal(arg):
             return goal_holds(state, arg)
         case Enabled(target):
-            return _enabled_leaf(state, target, tctx)
+            return target.enabled_at(state)
         case Const(value):
             return value
         case Not(operand):
-            return not eval_msf(state, operand, tctx)
+            return not eval_msf(state, operand)
         case And(a, b):
-            return eval_msf(state, a, tctx) and eval_msf(state, b, tctx)
+            return eval_msf(state, a) and eval_msf(state, b)
         case Or(a, b):
-            return eval_msf(state, a, tctx) or eval_msf(state, b, tctx)
+            return eval_msf(state, a) or eval_msf(state, b)
         case Imp(a, b):
-            return (not eval_msf(state, a, tctx)) or eval_msf(state, b, tctx)
+            return (not eval_msf(state, a)) or eval_msf(state, b)
         case Iff(a, b):
-            return eval_msf(state, a, tctx) == eval_msf(state, b, tctx)
+            return eval_msf(state, a) == eval_msf(state, b)
         case Atom(name):
             raise MentalStateError(
                 f"bare atom {name!r} in a mental-state formula; wrap it in B(...) or G(...)")
     raise MentalStateError(f"cannot evaluate {phi!r}")
 
 
-def _enabled_leaf(state: MentalState, target: object,
-                  tctx: Optional[CapabilityResolver]) -> bool:
-    if isinstance(target, GoalAction):
-        return target.enabled_at(state)
-    if tctx is None:
-        raise MentalStateError(
-            f"enabled({target}) needs a capability context to evaluate")
-    return tctx.is_enabled(target, state)
-
-
 class StateSet:
     """A fixed sequence of states over which formulas evaluate as bit masks.
 
-    Bit i of ``mask(phi, tctx)`` is the truth of ``phi`` at ``states[i]``.
+    Bit i of ``mask(phi)`` is the truth of ``phi`` at ``states[i]``.
     Connectives are integer bit operations; each leaf is evaluated with
     :func:`eval_msf`, and only at the states where :func:`eval_msf` itself
     would reach it: the right side of ``&``, ``|`` and ``->`` is evaluated
-    only where the left side leaves the result open.  A set is built for
-    one capability context (``None`` by default).  Truth values computed
-    under that context are kept on the set between calls; a call made with
-    any other context starts afresh, since ``enabled(...)`` leaves may
-    answer differently under it.
+    only where the left side leaves the result open.  A truth value depends
+    only on the formula and the state, so the values computed are kept on
+    the set between calls.
     """
 
-    __slots__ = ("states", "full", "tctx", "_known")
+    __slots__ = ("states", "full", "_known")
 
-    def __init__(self, states: Iterable[MentalState],
-                 tctx: Optional[CapabilityResolver] = None):
+    def __init__(self, states: Iterable[MentalState]):
         self.states: tuple[MentalState, ...] = tuple(states)
         self.full = (1 << len(self.states)) - 1
-        self.tctx = tctx
         # per subformula: (states evaluated so far, where it holds among them)
         self._known: dict[Formula, tuple[int, int]] = {}
 
-    def mask(self, phi: Formula, tctx: Optional[CapabilityResolver] = None,
-             within: Optional[int] = None) -> int:
+    def mask(self, phi: Formula, within: Optional[int] = None) -> int:
         """The states where ``phi`` holds, as a bit mask.
 
         With ``within``, only the states whose bits are set in it are
         evaluated, and the result is a subset of it.
         """
         states = self.states
-        seen = self._known if tctx is self.tctx else {}
+        seen = self._known
 
         def go(f: Formula, care: int) -> int:
             """Where ``f`` holds among the states in ``care``."""
@@ -259,7 +276,7 @@ class StateSet:
                     return care & ~(go(a, care) ^ go(b, care))
             out = 0
             for i in set_bits(care):
-                if eval_msf(states[i], f, tctx):
+                if eval_msf(states[i], f):
                     out |= 1 << i
             return out
 
@@ -313,48 +330,57 @@ def map_goal_leaves(phi: Formula, fn: Callable[[Formula], Formula]) -> Formula:
 # Parsing mental-state formulas.
 
 
-def _msf_leaf_hook(stream: TokenStream):
-    tok = stream.peek()
-    nxt = stream.tokens[stream.pos + 1] if stream.pos + 1 < len(stream.tokens) else None
-    if nxt is None or nxt.text != "(":
+def parse_msf_stream(stream: TokenStream,
+                     resolve: Callable[[str], CapabilitySpec]) -> Formula:
+    """Parse a mental-state formula from ``stream``.
+
+    ``resolve`` binds the name of each ``enabled(name)`` leaf to its
+    capability, and raises for a name it does not accept.
+    """
+
+    def leaf_hook(stream: TokenStream) -> Optional[Formula]:
+        tok = stream.peek()
+        nxt = (stream.tokens[stream.pos + 1]
+               if stream.pos + 1 < len(stream.tokens) else None)
+        if nxt is None or nxt.text != "(":
+            return None
+        if tok.text in ("B", "G"):
+            stream.next()
+            stream.expect("(")
+            inner = parse_prop(stream)
+            stream.expect(")")
+            return Bel(inner) if tok.text == "B" else Goal(inner)
+        if tok.text == "enabled":
+            stream.next()
+            stream.expect("(")
+            name = stream.next()
+            if name.kind != "name":
+                raise FormulaError(
+                    f"expected a capability name at position {name.pos}")
+            stream.expect(")")
+            return Enabled(resolve(name.text))
         return None
-    if tok.text in ("B", "G"):
-        stream.next()
-        stream.expect("(")
-        inner = parse_prop(stream)
-        stream.expect(")")
-        return Bel(inner) if tok.text == "B" else Goal(inner)
-    if tok.text == "enabled":
-        stream.next()
-        stream.expect("(")
-        name = stream.next()
-        if name.kind != "name":
-            raise FormulaError(f"expected a capability name at position {name.pos}")
-        stream.expect(")")
-        return Enabled(name.text)
-    return None
 
-
-def parse_msf_stream(stream: TokenStream) -> Formula:
-    return parse_prop(stream, _msf_leaf_hook)
-
-
-def enabled_names(phi: Formula) -> Iterator[str]:
-    """The capability names of the ``enabled(name)`` leaves of ``phi``."""
-    for leaf in msf_leaves(phi):
-        if isinstance(leaf, Enabled) and isinstance(leaf.target, str):
-            yield leaf.target
+    return parse_prop(stream, leaf_hook)
 
 
 def parse_msformula(text: str, vocab: Optional[Iterable[str]] = None,
-                    capabilities: Optional[Container[str]] = None) -> Formula:
+                    capabilities: Optional[Mapping[str, CapabilitySpec]] = None
+                    ) -> Formula:
     """Parse a mental-state formula (B/G/enabled leaves plus connectives).
 
-    With ``vocab``, atoms outside it are rejected; with ``capabilities``,
-    so are ``enabled(name)`` leaves naming a capability outside it.
+    With ``vocab``, atoms outside it are rejected.  Each ``enabled(name)``
+    leaf is bound to ``capabilities[name]``; a name outside
+    ``capabilities``, or any name when it is not given, is rejected.
     """
+
+    def resolve(name: str) -> CapabilitySpec:
+        if capabilities is None or name not in capabilities:
+            raise FormulaError(f"unknown capability {name!r}")
+        return capabilities[name]
+
     stream = TokenStream(tokenize(text))
-    phi = parse_msf_stream(stream)
+    phi = parse_msf_stream(stream, resolve)
     tail = stream.peek()
     if tail.kind != "eof":
         raise FormulaError(f"unexpected {tail.text!r} at position {tail.pos}")
@@ -366,10 +392,6 @@ def parse_msformula(text: str, vocab: Optional[Iterable[str]] = None,
         unknown = msf_atoms(phi) - set(vocab)
         if unknown:
             raise FormulaError(f"unknown atoms: {', '.join(sorted(unknown))}")
-    if capabilities is not None:
-        for name in enabled_names(phi):
-            if name not in capabilities:
-                raise FormulaError(f"unknown capability {name!r}")
     return phi
 
 
@@ -451,8 +473,7 @@ class OracleVerdict:
 
 
 def validity_oracle(phi: Formula, atoms: Sequence[str],
-                    max_generators: int = 2,
-                    tctx: Optional[CapabilityResolver] = None) -> OracleVerdict:
+                    max_generators: int = 2) -> OracleVerdict:
     """Decide ``phi`` over all bounded mental states.
 
     Refutations are exact (the countermodel is the least in enumeration
@@ -460,7 +481,7 @@ def validity_oracle(phi: Formula, atoms: Sequence[str],
     """
     voc = tuple(sorted(atoms))
     space = StateSet(enumerate_states(voc, max_generators))
-    refuted = space.full & ~space.mask(phi, tctx)
+    refuted = space.full & ~space.mask(phi)
     if refuted:
         return OracleVerdict(False, space.states[lowest_bit(refuted)], voc,
                              max_generators)

@@ -12,18 +12,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .prop_logic import (
     And, FALSE, Formula, Imp, Not, Or, TRUE, map_leaves, render, tautology,
 )
 from .mental_state import (
-    Bel, CapabilityResolver, Enabled, Goal, MentalState, OracleVerdict,
-    StateSet, eval_msf, lowest_bit, map_goal_leaves, set_bits,
-    validity_oracle,
+    Bel, Enabled, Goal, MentalState, OracleVerdict, StateSet, eval_msf,
+    lowest_bit, map_goal_leaves, msf_leaves, set_bits, validity_oracle,
 )
 from .capabilities import (
-    CapabilitySpec, ConditionalAction, GoalAction, apply_M, enabled_cap,
+    CapabilitySpec, ConditionalAction, GoalAction, apply_M,
 )
 from .agent_program import Agent, PropertyDecl
 from .executor import Edge, StateGraph, reachable, step
@@ -79,8 +79,31 @@ class Verdict:
 # Semantic Hoare checking.
 
 
-def check_hoare_basic(triple: HoareTriple, states: Iterable[MentalState],
-                      tctx: Optional[CapabilityResolver] = None) -> Verdict:
+def _post_fails(witness: MentalState, executed: bool, idle: str) -> Verdict:
+    how = "after execution" if executed else f"in place ({idle})"
+    return Verdict(False, witness, detail=f"post fails {how}")
+
+
+def _first_failing_step(
+        pre_states: list[MentalState], post: Formula,
+        advance: Callable[[MentalState], Optional[MentalState]],
+) -> Optional[tuple[MentalState, bool]]:
+    """Step each pre-state with ``advance``, which gives ``None`` for an
+    idle step that leaves the state in place, and evaluate ``post`` over
+    the images as one mask.  Returns the first pre-state whose image fails,
+    and whether its step executed; ``None`` when every image satisfies it.
+    """
+    moved = [advance(s) for s in pre_states]
+    images = StateSet(s if t is None else t for s, t in zip(pre_states, moved))
+    failed = images.full & ~images.mask(post)
+    if not failed:
+        return None
+    i = lowest_bit(failed)
+    return pre_states[i], moved[i] is not None
+
+
+def check_hoare_basic(triple: HoareTriple,
+                      states: Iterable[MentalState]) -> Verdict:
     """Total-correctness triple over a basic action, checked statewise.
 
     At each in-scope state satisfying the precondition: if the action is
@@ -90,22 +113,15 @@ def check_hoare_basic(triple: HoareTriple, states: Iterable[MentalState],
     action = triple.statement
     assert not isinstance(action, ConditionalAction)
     scope = StateSet(states)
-    pre_states = scope.select(scope.mask(triple.pre, tctx))
-    executed = [enabled_cap(action, s) for s in pre_states]
-    images = [apply_M(action, s) if ran else s
-              for s, ran in zip(pre_states, executed)]
-    assert None not in images
-    at_images = StateSet(images)
-    failed = at_images.full & ~at_images.mask(triple.post, tctx)
-    if failed:
-        i = lowest_bit(failed)
-        how = "after execution" if executed[i] else "in place (not enabled)"
-        return Verdict(False, pre_states[i], detail=f"post fails {how}")
-    return Verdict(True, scope="statewise")
+    # apply_M is None exactly where the action is not enabled
+    failure = _first_failing_step(scope.select(scope.mask(triple.pre)),
+                                  triple.post, partial(apply_M, action))
+    if failure is None:
+        return Verdict(True, scope="statewise")
+    return _post_fails(*failure, "not enabled")
 
 
-def check_hoare_conditional(triple: HoareTriple, graph: StateGraph,
-                            tctx: Optional[CapabilityResolver] = None) -> Verdict:
+def check_hoare_conditional(triple: HoareTriple, graph: StateGraph) -> Verdict:
     """Conditional-action triple over the agent's reachable states.
 
     Where the precondition holds: an executing step must reach the
@@ -117,8 +133,9 @@ def check_hoare_conditional(triple: HoareTriple, graph: StateGraph,
     b = triple.statement
     assert isinstance(b, ConditionalAction)
     space = graph.states
-    pre = space.mask(triple.pre, tctx)
+    pre = space.mask(triple.pre)
     program = graph.agent.program
+    failure: Optional[tuple[MentalState, bool]] = None
     if b in program:
         a = program.index(b)
         targets = graph.targets[a]
@@ -126,28 +143,22 @@ def check_hoare_conditional(triple: HoareTriple, graph: StateGraph,
         reached = 0
         for i in sources:
             reached |= 1 << targets[i]
-        post = space.mask(triple.post, tctx, within=reached)
+        post = space.mask(triple.post, within=reached)
         bad = next((i for i in sources if not post >> targets[i] & 1), None)
-        if bad is None:
-            return Verdict(True, scope="reachable")
-        witness, executed = graph.nodes[bad], graph.executed[a] >> bad & 1
+        if bad is not None:
+            failure = graph.nodes[bad], bool(graph.executed[a] >> bad & 1)
     else:
-        steps = [step(s, b) for s in space.select(pre)]
-        images = StateSet(st.target for st in steps)
-        failed = images.full & ~images.mask(triple.post, tctx)
-        if not failed:
-            return Verdict(True, scope="reachable")
-        first = steps[lowest_bit(failed)]
-        witness, executed = first.source, first.executed
-    how = "after execution" if executed else "in place (idle)"
-    return Verdict(False, witness, detail=f"post fails {how}")
+        def advance(s: MentalState) -> Optional[MentalState]:
+            st = step(s, b)
+            return st.target if st.executed else None
+        failure = _first_failing_step(space.select(pre), triple.post, advance)
+    if failure is None:
+        return Verdict(True, scope="reachable")
+    return _post_fails(*failure, "idle")
 
 
 # ---------------------------------------------------------------------------
 # The wlp calculus.
-
-AxiomTable = dict[str, Callable[[Formula], Formula]]
-
 
 def _subst_adopt(sigma: Formula, phi: Formula) -> Formula:
     """Replace each G-leaf G(chi) with !B(chi) when phi entails chi."""
@@ -191,16 +202,18 @@ def _builtin_remove_arg(cap: CapabilitySpec) -> Optional[Formula]:
     return None
 
 
-def wlp(statement: Statement, sigma: Formula,
-        axioms: Optional[AxiomTable] = None) -> Formula:
+def wlp(statement: Statement, sigma: Formula) -> Formula:
     """Weakest liberal precondition of ``sigma`` under ``statement``.
 
-    adopt/drop/conditional are computed syntactically; belief capabilities
-    come from the axiom table, with the two built-in shapes (pure single
-    add, pure single delete) recognized directly.
+    adopt/drop/conditional are computed syntactically, and so are the two
+    built-in shapes of belief capability (pure single add, pure single
+    delete).  adopt and drop leave the beliefs, and so every ``enabled``
+    leaf, as they are.  A belief update can change whether an action is
+    enabled, and no rule here regresses that, so a belief capability under
+    a ``sigma`` with an ``enabled`` leaf raises :class:`MissingAxiom`.
     """
     if isinstance(statement, ConditionalAction):
-        inner = wlp(statement.action, sigma, axioms)
+        inner = wlp(statement.action, sigma)
         psi = statement.condition
         return Or(And(psi, inner), And(Not(psi), sigma))
     if isinstance(statement, GoalAction):
@@ -209,8 +222,10 @@ def wlp(statement: Statement, sigma: Formula,
             return Or(And(en, _subst_adopt(sigma, statement.argument)),
                       And(Not(en), sigma))
         return _subst_drop(sigma, statement.argument)
-    if axioms is not None and statement.name in axioms:
-        return axioms[statement.name](sigma)
+    leaf = next((f for f in msf_leaves(sigma) if isinstance(f, Enabled)), None)
+    if leaf is not None:
+        raise MissingAxiom(f"no wlp axiom for {render(leaf)} under "
+                           f"capability {statement.name!r}")
     phi = _builtin_insert_arg(statement)
     if phi is not None:
         guarded = subst_insert(sigma, phi)
@@ -224,13 +239,11 @@ def wlp(statement: Statement, sigma: Formula,
 
 
 def derive_hoare(triple: HoareTriple, atoms: Sequence[str],
-                 max_generators: int = 2,
-                 axioms: Optional[AxiomTable] = None,
-                 tctx: Optional[CapabilityResolver] = None) -> Verdict:
+                 max_generators: int = 2) -> Verdict:
     """Syntactic route: is pre -> wlp(statement, post) valid in bounds?"""
-    weakest = wlp(triple.statement, triple.post, axioms)
+    weakest = wlp(triple.statement, triple.post)
     oracle: OracleVerdict = validity_oracle(
-        Imp(triple.pre, weakest), atoms, max_generators, tctx)
+        Imp(triple.pre, weakest), atoms, max_generators)
     if oracle.valid:
         return Verdict(True, scope=oracle.describe())
     return Verdict(False, oracle.countermodel,
@@ -252,8 +265,7 @@ def check_unless(phi: Formula, psi: Formula, agent: Agent,
     failures = []
     witness = None
     for i, b in enumerate(agent.program):
-        verdict = check_hoare_conditional(HoareTriple(pre, b, post), graph,
-                                          agent.table)
+        verdict = check_hoare_conditional(HoareTriple(pre, b, post), graph)
         if not verdict.holds:
             failures.append(agent.action_label(i))
             if witness is None:
@@ -286,13 +298,12 @@ def check_ensures(phi: Formula, psi: Formula, agent: Agent,
     pre = And(phi, Not(psi))
     reasons = []
     for i, b in enumerate(agent.program):
-        verdict = check_hoare_conditional(HoareTriple(pre, b, psi), graph,
-                                          agent.table)
+        verdict = check_hoare_conditional(HoareTriple(pre, b, psi), graph)
         if verdict.holds:
             return Verdict(True,
                            scope=f"reachable, witness {agent.action_label(i)}")
         reasons.append(f"{agent.action_label(i)}: progress triple fails")
-    pending = graph.states.mask(pre, agent.table)
+    pending = graph.states.mask(pre)
     return Verdict(False,
                    witness=graph.nodes[lowest_bit(pending)] if pending else None,
                    detail="no witness action ("
@@ -388,11 +399,10 @@ def _or_disjuncts(phi: Formula) -> list[Formula]:
     return [phi]
 
 
-def _scope_entails(graph: StateGraph, tctx, alpha: Formula,
-                   beta: Formula) -> bool:
+def _scope_entails(graph: StateGraph, alpha: Formula, beta: Formula) -> bool:
     """Whether every reachable state satisfying alpha satisfies beta."""
-    where = graph.states.mask(alpha, tctx)
-    return graph.states.mask(beta, tctx, within=where) == where
+    where = graph.states.mask(alpha)
+    return graph.states.mask(beta, within=where) == where
 
 
 def prove_leadsto(alpha: Formula, omega: Formula, agent: Agent,
@@ -407,7 +417,6 @@ def prove_leadsto(alpha: Formula, omega: Formula, agent: Agent,
     """
     if graph is None:
         graph = reachable(agent)
-    tctx = agent.table
 
     def search(left: Formula, used: frozenset[int]) -> Optional[LeadsToProof]:
         if check_ensures(left, omega, agent, graph).holds:
@@ -420,7 +429,7 @@ def prove_leadsto(alpha: Formula, omega: Formula, agent: Agent,
         for i, (phi_i, psi_i) in enumerate(steps):
             if i in used:
                 continue
-            if not _scope_entails(graph, tctx, left, phi_i):
+            if not _scope_entails(graph, left, phi_i):
                 continue
             rest = search(psi_i, used | {i})
             if rest is None:
@@ -531,7 +540,6 @@ class LassoTrace:
 
     states: tuple[MentalState, ...]
     cycle_start: Optional[int] = None
-    tctx: Optional[CapabilityResolver] = None
 
     def norm(self, i: int) -> int:
         n = len(self.states)
@@ -571,7 +579,7 @@ def eval_temporal(trace: LassoTrace, phi: Temporal, position: int = 0) -> Tri:
             case TInit():
                 return i == 0
             case TState(formula):
-                return eval_msf(trace.states[trace.norm(i)], formula, trace.tctx)
+                return eval_msf(trace.states[trace.norm(i)], formula)
             case TNot(operand):
                 return _tri_not(ev(operand, i))
             case TAnd(a, b):
@@ -620,8 +628,7 @@ def _fair_scc_trap(graph: StateGraph, agent: Agent, avoid: Formula,
     that stays inside it (so cycling through the component attempts every
     action infinitely often: a fair trace).
     """
-    tctx = agent.table
-    bad = [s for s in graph.nodes if not eval_msf(s, avoid, tctx)]
+    bad = [s for s in graph.nodes if not eval_msf(s, avoid)]
     bad_set = set(bad)
     # Tarjan over the subgraph induced by the avoid-falsifying states.
     index: dict[MentalState, int] = {}
@@ -717,14 +724,13 @@ def graph_unless(phi: Formula, psi: Formula, agent: Agent,
     """
     if graph is None:
         graph = reachable(agent)
-    tctx = agent.table
     pre = And(phi, Not(psi))
     for s in graph.nodes:
-        if not eval_msf(s, pre, tctx):
+        if not eval_msf(s, pre):
             continue
         for edge in graph.successors[s]:
             t = edge.target
-            if not eval_msf(t, phi, tctx) and not eval_msf(t, psi, tctx):
+            if not eval_msf(t, phi) and not eval_msf(t, psi):
                 return Verdict(False, s,
                                detail=f"broken by {agent.action_label(edge.action_index)}")
     return Verdict(True, scope="all fair traces (graph oracle)")
@@ -738,9 +744,8 @@ def graph_eventuality(phi: Formula, psi: Formula, agent: Agent,
     leaving it."""
     if graph is None:
         graph = reachable(agent)
-    tctx = agent.table
     sources = [s for s in graph.nodes
-               if eval_msf(s, phi, tctx) and not eval_msf(s, psi, tctx)]
+               if eval_msf(s, phi) and not eval_msf(s, psi)]
     trap = _fair_scc_trap(graph, agent, psi, sources)
     if trap is None:
         return Verdict(True, scope="all fair traces (graph oracle)")
@@ -803,8 +808,7 @@ def fair_lasso_from(agent: Agent, graph: StateGraph,
         phase = (phase + 1) % n
     cycle_start = seen[(states[-1], phase)]
     # the final state re-enters the cycle; drop the duplicate
-    return LassoTrace(tuple(states[:-1]), cycle_start=cycle_start,
-                      tctx=agent.table)
+    return LassoTrace(tuple(states[:-1]), cycle_start=cycle_start)
 
 
 def trap_lasso(agent: Agent, graph: StateGraph, start: MentalState,
@@ -812,13 +816,12 @@ def trap_lasso(agent: Agent, graph: StateGraph, start: MentalState,
     """A fair lasso witnessing that ``psi`` can be avoided forever from
     ``start``: path through !psi states into a fair trap, then a cycle
     inside the trap attempting every action."""
-    tctx = agent.table
     trap = _fair_scc_trap(graph, agent, psi, [start])
     if trap is None:
         return None
     _, comp = trap
     comp_set = set(comp)
-    not_psi = lambda s: not eval_msf(s, psi, tctx)
+    not_psi = lambda s: not eval_msf(s, psi)
     into = _path_states(graph, start, lambda s: s in comp_set, not_psi)
     assert into is not None
     states = [start] + [e.target for e in into]
@@ -841,7 +844,7 @@ def trap_lasso(agent: Agent, graph: StateGraph, start: MentalState,
     states.extend(e.target for e in back)
     # states[cycle_start] recurs at the end: drop the duplicate tail state
     assert states[-1] == states[cycle_start]
-    return LassoTrace(tuple(states[:-1]), cycle_start=cycle_start, tctx=tctx)
+    return LassoTrace(tuple(states[:-1]), cycle_start=cycle_start)
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +885,7 @@ def verify_agent(agent: Agent, budget: Optional[int] = None) -> list[Obligation]
     def check(prop: PropertyDecl) -> list[Obligation]:
         label = str(prop)
         if prop.kind == "invariant":
-            init_ok = eval_msf(agent.initial_state, prop.left, agent.table)
+            init_ok = eval_msf(agent.initial_state, prop.left)
             init_verdict = Verdict(init_ok,
                                    None if init_ok else agent.initial_state,
                                    scope="initial state")

@@ -92,8 +92,7 @@ def rr_closure(agent, graph, states):
         states.append(graph.successors[states[-1]][phase].target)
         phase = (phase + 1) % n
     return LassoTrace(tuple(states[:-1]),
-                      cycle_start=seen[(states[-1], phase)],
-                      tctx=agent.table)
+                      cycle_start=seen[(states[-1], phase)])
 
 
 def lasso_through(agent, graph, edge):
@@ -141,7 +140,7 @@ def test_criterion_02_invariant_and_status_stability(shopping):
     report: list[tuple[str, object]] = []
 
     report.append(("initial state satisfies the page invariant",
-                   eval_msf(agent.initial_state, inv, agent.table)))
+                   eval_msf(agent.initial_state, inv)))
     report.append(("page invariant unless false",
                    check_unless(inv, FALSE, agent, graph)))
     for prop in agent.properties:
@@ -155,7 +154,7 @@ def test_criterion_02_invariant_and_status_stability(shopping):
         for cap in agent.capabilities:
             report.append((f"{{B(bought_{book})}} {cap.name} {{B(bought_{book})}}",
                            check_hoare_basic(HoareTriple(bought, cap, bought),
-                                             graph.nodes, agent.table)))
+                                             graph.nodes)))
     # frame obligations: cart contents survive everything but paying
     for book in agent.books:
         in_cart = Bel(a[f"in_cart_{book}"])
@@ -164,7 +163,7 @@ def test_criterion_02_invariant_and_status_stability(shopping):
                 continue
             report.append((f"{{B(in_cart_{book})}} {cap.name} {{B(in_cart_{book})}}",
                            check_hoare_basic(HoareTriple(in_cart, cap, in_cart),
-                                             graph.nodes, agent.table)))
+                                             graph.nodes)))
     # paying from the cart page buys the book ...
     for book in agent.books:
         pre = And(And(Bel(a[f"in_cart_{book}"]), Goal(Atom(f"bought_{book}"))),
@@ -173,7 +172,7 @@ def test_criterion_02_invariant_and_status_stability(shopping):
                        check_hoare_basic(
                            HoareTriple(pre, caps["pay_cart"],
                                        Bel(a[f"bought_{book}"])),
-                           graph.nodes, agent.table)))
+                           graph.nodes)))
     # ... and away from it the attempt is infeasible, so nothing changes.
     # Reachable runs never leave the cart page while something is in the
     # cart, so this case is checked on explicitly built off-page states
@@ -186,11 +185,10 @@ def test_criterion_02_invariant_and_status_stability(shopping):
                         frozenset({And(a["bought_T"], a["bought_I"])}))
             for page in ("hpage_user", "Am_com", "page_T", "page_I")
         ]
-        assert all(eval_msf(s, pre, agent.table) for s in off_page)
+        assert all(eval_msf(s, pre) for s in off_page)
         report.append((f"pay_cart is a frame for {book}'s status off the cart page",
                        check_hoare_basic(HoareTriple(pre, caps["pay_cart"], status),
-                                         list(graph.nodes) + off_page,
-                                         agent.table)))
+                                         list(graph.nodes) + off_page)))
 
     assert len(report) >= 20
     failed = [name for name, verdict in report if not verdict]
@@ -373,8 +371,8 @@ def test_criterion_07_unless_reduction_equivalence(micro_agents):
             else:
                 bad = next(
                     e for e in graph.successors[traces.witness]
-                    if not eval_msf(e.target, phi, agent.table)
-                    and not eval_msf(e.target, psi, agent.table))
+                    if not eval_msf(e.target, phi)
+                    and not eval_msf(e.target, psi))
                 lasso = lasso_through(agent, graph, bad)
                 assert eval_temporal(lasso, temporal) is False, (seed, phi, psi)
     assert checked >= 2500
@@ -392,7 +390,7 @@ def test_criterion_08_ensures_soundness(micro_agents):
             successes += 1
             assert graph_ensures(phi, psi, agent, graph).holds, (seed, phi, psi)
             for s in graph.nodes:
-                if eval_msf(s, phi, agent.table) and not eval_msf(s, psi, agent.table):
+                if eval_msf(s, phi) and not eval_msf(s, psi):
                     assert trap_lasso(agent, graph, s, psi) is None
             for s in graph.nodes:
                 lasso = fair_lasso_from(agent, graph, s)

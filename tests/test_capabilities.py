@@ -3,7 +3,7 @@ import pytest
 from goalkit.prop_logic import And, Atom, FALSE, Imp, Not, Or, TRUE, equivalent
 from goalkit.mental_state import Bel, Goal, MentalState, eval_msf, goal_holds
 from goalkit.capabilities import (
-    CapabilitySpec, CapabilityTable, ConditionalAction, EffectClause,
+    CapabilitySpec, ConditionalAction, EffectClause,
     GoalAction, apply_M, apply_T, enabled_cap, enabled_cond, insert, remove,
 )
 
@@ -112,13 +112,15 @@ def test_conditional_action_enabledness():
     assert not enabled_cond(blocked, state(beliefs=[P]))    # condition false
 
 
-def test_capability_table_resolver():
-    c = cap(EffectClause(P, (Q,), ()))
-    table = CapabilityTable({"c": c})
-    assert table.is_enabled("c", state(beliefs=[P]))
-    assert not table.is_enabled("c", state())
-    with pytest.raises(KeyError):
-        table.is_enabled("nope", state())
+def test_capability_is_enabled_where_its_update_is_defined():
+    from goalkit.mental_state import Enabled, enumerate_states
+    c = cap(EffectClause(P, (Q,), ()), EffectClause(Q, (Not(P),), ()))
+    assert c.enabled_at(state(beliefs=[P]))
+    assert not c.enabled_at(state())
+    for s in enumerate_states(("p", "q"), 1):
+        rule = apply_T(c, s.beliefs) is not None
+        assert c.enabled_at(s) == enabled_cap(c, s) == rule
+        assert eval_msf(s, Enabled(c)) == rule
 
 
 def test_goal_persistence_for_non_drop_actions():
@@ -158,11 +160,16 @@ def test_goal_action_enabledness_is_one_rule():
                 and not s.believes(action.argument)))
 
 
-def test_named_enabled_leaves_go_to_the_resolver():
-    from goalkit.mental_state import Enabled, MentalStateError
-    table = CapabilityTable({"c": cap(EffectClause(P, (Q,), ()))})
-    leaf = Enabled("c")
-    assert eval_msf(state(beliefs=[P]), leaf, table)
-    assert not eval_msf(state(), leaf, table)
-    with pytest.raises(MentalStateError, match=r"enabled\(c\) needs"):
-        eval_msf(state(), leaf)
+def test_named_enabled_leaves_are_bound_when_parsed():
+    from goalkit.mental_state import Enabled, parse_msformula
+    from goalkit.prop_logic import FormulaError
+    c = cap(EffectClause(P, (Q,), ()))
+    leaf = parse_msformula("enabled(c)", capabilities={"c": c})
+    assert leaf is Enabled(c) and leaf.target == c
+    assert eval_msf(state(beliefs=[P]), leaf)
+    assert not eval_msf(state(), leaf)
+    for capabilities in (None, {"d": c}):
+        with pytest.raises(FormulaError, match=r"^unknown capability 'c'$"):
+            parse_msformula("enabled(c)", capabilities=capabilities)
+    with pytest.raises(TypeError):
+        Enabled("c")

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from goalkit.agent_program import SHOPPING_SOURCE
 from goalkit.cli import (
     EXIT_BUDGET, EXIT_OK, EXIT_PROPERTY_FAILED, EXIT_USAGE, main,
 )
+from goalkit.prop_logic import tokenize
 
 GOOD_AGENT = """
 vocab { p; q; }
@@ -214,10 +219,24 @@ def test_check_triple_wlp_counts_the_atoms_of_named_capabilities(
                           "adopt(p)", "B(q)", "--mode", "wlp")
     assert code == EXIT_OK
     assert "verdict: holds (valid-within-bounds (atoms=p,q," in out
-    code, out, _ = invoke(capsys, "check-triple", str(path), "B(q)", "d",
-                          "enabled(c)", "--mode", "wlp")
-    assert code == EXIT_PROPERTY_FAILED
-    assert "witness" in out and "[beliefs: !p & q | goals: -]" in out
+
+
+def test_check_triple_wlp_refuses_belief_updates_under_enabled_leaves(
+        capsys, tmp_path):
+    """d adds q and so enables c: wlp has no rule for that, and says so
+    instead of answering."""
+    path = tmp_path / "enabled.agent"
+    path.write_text(ENABLED_AGENT)
+    for pre, post in (("!B(q)", "!enabled(c)"), ("B(q)", "enabled(c)")):
+        code, out, err = invoke(capsys, "check-triple", str(path), pre, "d",
+                                post, "--mode", "wlp")
+        assert code == EXIT_USAGE and not out
+        assert err == ("error: no wlp axiom for enabled(c) under "
+                       "capability 'd'\n")
+    code, out, err = invoke(capsys, "check-triple", str(path), "!B(q)", "d",
+                            "!enabled(c)")
+    assert code == EXIT_PROPERTY_FAILED and not err
+    assert "post fails after execution" in out
 
 
 def test_check_triple_wlp_on_a_large_named_capability_exceeds_bounds(capsys):
@@ -257,23 +276,33 @@ def test_verify_output_is_identical_across_hash_seeds(tmp_path, source, fmt):
     # which formula hashes use); the output must not depend on it
     if source == "fixture":
         agent = ["--fixture", "shopping"]
+        # an enabled(...) leaf hashes its capability, name and all
+        triple = ["B(hpage_user) & enabled(goto_Am_com)", "adopt(Am_com)",
+                  "G(Am_com) | enabled(search_T)"]
     else:
         path = tmp_path / "broken.agent"
         path.write_text(BROKEN_AGENT)
         agent = [str(path)]
-    outputs = set()
-    for seed in ("0", "1", "4242"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "goalkit.cli", "verify", *agent,
-             "--format", fmt],
-            capture_output=True, text=True,
-            env=dict(os.environ, PYTHONHASHSEED=seed))
-        expected = EXIT_OK if source == "fixture" else EXIT_PROPERTY_FAILED
-        assert proc.returncode == expected
-        outputs.add(proc.stdout)
-    assert len(outputs) == 1
-    if source == "failing":
-        assert "witness" in outputs.pop()
+        triple = ["enabled(flip)", "adopt(q)", "G(q) & enabled(flip)"]
+    expected = EXIT_OK if source == "fixture" else EXIT_PROPERTY_FAILED
+    commands = [(["verify", *agent, "--format", fmt], expected)]
+    if fmt == "text":
+        commands += [(["check-triple", *agent, *triple, "--mode", mode], code)
+                     for mode, code in (("semantic", expected),
+                                        ("wlp", EXIT_BUDGET if source == "fixture"
+                                         else EXIT_PROPERTY_FAILED))]
+    for argv, expected in commands:
+        outputs = set()
+        for seed in ("0", "1", "4242"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "goalkit.cli", *argv],
+                capture_output=True, text=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed))
+            assert proc.returncode == expected, argv
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        if expected == EXIT_PROPERTY_FAILED:
+            assert "witness" in outputs.pop()
 
 
 def test_deeply_nested_goal_exits_2(capsys, tmp_path):
@@ -305,3 +334,72 @@ def test_negative_counts_exit_2(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == EXIT_USAGE and not out
     assert "non-negative integer" in err
+
+
+# -- the exit-code contract under random input --------------------------------
+
+
+def run_quietly(argv):
+    """``main(argv)`` in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(argv):
+    """A contract exit code, at most one line of stderr, and the same
+    stdout and exit code when called again."""
+    code, out, err = run_quietly(argv)
+    assert code in (EXIT_OK, EXIT_PROPERTY_FAILED, EXIT_USAGE, EXIT_BUDGET)
+    assert err.count("\n") <= 1 and (not err or err.endswith("\n")), err
+    assert run_quietly(argv)[:2] == (code, out)
+
+
+SHOPPING_TOKENS = [t.text for t in tokenize(SHOPPING_SOURCE)[:-1]]
+EXTRA_TOKENS = sorted(set(SHOPPING_TOKENS)) + [
+    "enabled", "nosuch", "book", "X", "0", ";", ",", "(", ")", "{", "}"]
+EDITS = st.lists(st.tuples(st.booleans(),
+                           st.integers(0, len(SHOPPING_TOKENS) - 1),
+                           st.sampled_from(EXTRA_TOKENS)),
+                 max_size=3)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=EDITS)
+def test_mutated_agent_sources_keep_the_exit_code_contract(tmp_path, edits):
+    tokens = list(SHOPPING_TOKENS)
+    for insert, at, token in edits:
+        if insert:
+            tokens.insert(at, token)
+        else:
+            del tokens[min(at, len(tokens) - 1)]
+    path = tmp_path / "mutated.agent"
+    path.write_text(" ".join(tokens))
+    assert_contract(["verify", str(path)])
+
+
+MSF_LEAVES = ["B(p)", "G(q)", "B(p | !q)", "G(p & q)", "true",
+              "enabled(flip)", "enabled(nosuch)", "B(x)"]
+MSF = st.recursive(
+    st.sampled_from(MSF_LEAVES),
+    lambda parts: st.one_of(
+        parts.map(lambda f: f"!({f})"),
+        st.tuples(parts, st.sampled_from(["&", "|", "->", "<->"]), parts)
+          .map(lambda t: f"({t[0]} {t[1]} {t[2]})")),
+    max_leaves=5)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pre=MSF, post=MSF,
+       action=st.sampled_from(["flip", "adopt(q)", "drop(p)", "nosuch",
+                               "adopt(p & !p)"]),
+       mode=st.sampled_from(["semantic", "wlp"]))
+def test_random_triples_keep_the_exit_code_contract(tmp_path, pre, post,
+                                                    action, mode):
+    path = tmp_path / "good.agent"
+    path.write_text(GOOD_AGENT)
+    assert_contract(["check-triple", str(path), pre, action, post,
+                     "--mode", mode])

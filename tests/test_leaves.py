@@ -19,13 +19,15 @@ from goalkit.prop_logic import (
     leaves, map_leaves, tautology,
 )
 from goalkit.mental_state import (
-    Bel, Enabled, Goal, GoalAction, enabled_names, map_goal_leaves,
+    Bel, CapabilitySpec, Enabled, Goal, GoalAction, map_goal_leaves,
     msf_atoms, msf_leaves, parse_msformula,
 )
 from goalkit.agent_program import AgentParseError, parse_agent
 from goalkit.verifier import _subst_adopt, _subst_drop, subst_insert
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
+EN_C = Enabled(CapabilitySpec("c", ()))
+EN_D = Enabled(CapabilitySpec("d", ()))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +159,7 @@ def ref_subst_drop(sigma, phi):
 
 LEAF_POOL = [
     Bel(P), Bel(Or(P, R)), Bel(Not(Q)), Goal(Q), Goal(And(P, Q)),
-    Goal(Not(R)), Goal(Or(Q, R)), Enabled("c"), Enabled("d"),
+    Goal(Not(R)), Goal(Or(Q, R)), EN_C, EN_D,
     Enabled(GoalAction("adopt", P)), Enabled(GoalAction("drop", Q)),
     TRUE, FALSE,
 ]
@@ -199,8 +201,8 @@ def ref_map_leaves(phi, fn):
 
 
 def test_leaves_come_left_to_right_each_once():
-    phi = Or(Goal(Q), And(Not(Bel(P)), Imp(Goal(Q), And(Bel(P), Enabled("c")))))
-    assert list(leaves(phi)) == [Goal(Q), Bel(P), Enabled("c")]
+    phi = Or(Goal(Q), And(Not(Bel(P)), Imp(Goal(Q), And(Bel(P), EN_C))))
+    assert list(leaves(phi)) == [Goal(Q), Bel(P), EN_C]
     assert list(leaves(Bel(P))) == [Bel(P)]
     assert list(leaves(And(P, P))) == [P]
 
@@ -294,7 +296,7 @@ def test_walkers_handle_formulas_deeper_than_the_recursion_limit():
     assert phi.depth > sys.getrecursionlimit()
     assert list(msf_leaves(phi)) == parts
     assert msf_atoms(phi) == frozenset(names)
-    assert list(enabled_names(And(phi, Enabled("c")))) == ["c"]
+    assert list(msf_leaves(And(phi, EN_C))) == parts + [EN_C]
     bare = And(phi, Or(Atom("x"), Atom("y")))
     assert next(f for f in leaves(bare) if isinstance(f, Atom)) is Atom("x")
     assert map_goal_leaves(phi, lambda chi: Not(Bel(chi))) is conj(

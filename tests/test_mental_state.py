@@ -10,9 +10,10 @@ from goalkit.mental_state import (
     canonical_formulas, enumerate_states, eval_msf, goal_holds, make_state,
     msf_leaves, parse_msformula, validity_oracle,
 )
-from goalkit.capabilities import GoalAction
+from goalkit.capabilities import CapabilitySpec, EffectClause, GoalAction
 
 P, Q = Atom("p"), Atom("q")
+PAY = CapabilitySpec("pay", (EffectClause(P, (Q,), ()),))
 
 
 def state(beliefs=(), goals=()):
@@ -84,8 +85,8 @@ def test_enabled_goal_action_leaves():
 def test_parse_msformula():
     phi = parse_msformula("B(p) & !G(p -> q)")
     assert phi == And(Bel(P), Not(Goal(Imp(P, Q))))
-    phi = parse_msformula("enabled(pay) | B(true)")
-    assert phi == Or(Enabled("pay"), Bel(TRUE))
+    phi = parse_msformula("enabled(pay) | B(true)", capabilities={"pay": PAY})
+    assert phi == Or(Enabled(PAY), Bel(TRUE))
     with pytest.raises(Exception):
         parse_msformula("B(p) & r", vocab=("p",))
 
@@ -172,7 +173,7 @@ def test_canonical_formula_tables(table):
 def test_modal_leaves_are_interned():
     assert Bel(P) is Bel(arg=Atom("p"))
     assert Goal(Imp(P, Q)) is Goal(Imp(P, Q))
-    assert Enabled("pay") is Enabled(target="pay")
+    assert Enabled(PAY) is Enabled(target=PAY)
     assert Enabled(GoalAction("adopt", P)) is Enabled(GoalAction("adopt", P))
     assert Bel(P) is not Goal(P)
 
@@ -180,7 +181,7 @@ def test_modal_leaves_are_interned():
 def test_modal_leaves_render_through_their_hooks():
     assert render(Bel(And(P, Q))) == "B(p & q)"
     assert render(Not(Goal(Or(P, Q)))) == "!G(p | q)"
-    assert render(Enabled("pay")) == "enabled(pay)"
+    assert render(Enabled(PAY)) == "enabled(pay)"
     assert render(Enabled(GoalAction("drop", P))) == "enabled(drop(p))"
 
 

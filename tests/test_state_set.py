@@ -15,7 +15,7 @@ import pytest
 
 from goalkit import executor, verifier
 from goalkit.prop_logic import (
-    And, Atom, FALSE, Iff, Imp, Not, Or, TRUE,
+    And, Atom, FALSE, Iff, Imp, Not, Or, TRUE, render,
 )
 from goalkit.mental_state import (
     Bel, BoundsExceeded, Enabled, Goal, MentalStateError, OracleVerdict,
@@ -23,7 +23,7 @@ from goalkit.mental_state import (
     enumerate_states, eval_msf, validity_oracle,
 )
 from goalkit.capabilities import (
-    CapabilitySpec, CapabilityTable, ConditionalAction, EffectClause,
+    CapabilitySpec, ConditionalAction, EffectClause,
     GoalAction, apply_M, enabled_cap, enabled_cond, insert, remove,
 )
 from goalkit.agent_program import ground_shopping_fixture
@@ -38,46 +38,47 @@ from helpers import micro_agent, random_formula
 P, Q = Atom("p"), Atom("q")
 PQ = ("p", "q")
 
-# Two resolvers that give the same capability name opposite guards, so an
-# enabled(c) leaf cached under one would give wrong answers under the other.
-TABLE_A = CapabilityTable(
-    {"c": CapabilitySpec("c", (EffectClause(P, (Q,), ()),))})
-TABLE_B = CapabilityTable(
-    {"c": CapabilitySpec("c", (EffectClause(Not(P), (), (Q,)),))})
+# Two capabilities with one name and opposite guards: their leaves both
+# render enabled(c), and a value of one given for the other would be wrong.
+CAP_A = CapabilitySpec("c", (EffectClause(P, (Q,), ()),))
+CAP_B = CapabilitySpec("c", (EffectClause(Not(P), (), (Q,)),))
+
+# eval_msf raises on a bare atom wherever it is evaluated.
+RAISES = Atom("x")
 
 
-def oracle_by_state(phi, atoms, max_generators=2, tctx=None):
+def oracle_by_state(phi, atoms, max_generators=2):
     """Reference: the first enumerated state falsifying ``phi``."""
     voc = tuple(sorted(atoms))
     for state in enumerate_states(voc, max_generators):
-        if not eval_msf(state, phi, tctx):
+        if not eval_msf(state, phi):
             return OracleVerdict(False, state, voc, max_generators)
     return OracleVerdict(True, None, voc, max_generators)
 
 
-def hoare_by_state(triple, states, tctx=None):
+def hoare_by_state(triple, states):
     """Reference: the triple checked one in-scope state at a time."""
     action = triple.statement
     for s in states:
-        if not eval_msf(s, triple.pre, tctx):
+        if not eval_msf(s, triple.pre):
             continue
         if enabled_cap(action, s):
-            if not eval_msf(apply_M(action, s), triple.post, tctx):
+            if not eval_msf(apply_M(action, s), triple.post):
                 return Verdict(False, s, detail="post fails after execution")
-        elif not eval_msf(s, triple.post, tctx):
+        elif not eval_msf(s, triple.post):
             return Verdict(False, s, detail="post fails in place (not enabled)")
     return Verdict(True, scope="statewise")
 
 
-def hoare_conditional_by_state(triple, graph, tctx=None):
+def hoare_conditional_by_state(triple, graph):
     """Reference: a conditional-action triple, one reachable state at a
     time, stepping the action afresh at each pre-state."""
     b = triple.statement
     for s in graph.nodes:
-        if not eval_msf(s, triple.pre, tctx):
+        if not eval_msf(s, triple.pre):
             continue
         st = step(s, b)
-        if not eval_msf(st.target, triple.post, tctx):
+        if not eval_msf(st.target, triple.post):
             how = "after execution" if st.executed else "in place (idle)"
             return Verdict(False, s, detail=f"post fails {how}")
     return Verdict(True, scope="reachable")
@@ -91,11 +92,11 @@ def ensures_by_state(phi, psi, agent, graph):
         return Verdict(False, safety.witness,
                        detail=f"unless part: {safety.detail}")
     pre = And(phi, Not(psi))
-    pending = [s for s in graph.nodes if eval_msf(s, pre, agent.table)]
+    pending = [s for s in graph.nodes if eval_msf(s, pre)]
     reasons = []
     for i, b in enumerate(agent.program):
         verdict = verifier.check_hoare_conditional(
-            HoareTriple(pre, b, psi), graph, agent.table)
+            HoareTriple(pre, b, psi), graph)
         if not verdict.holds:
             reasons.append(f"{agent.action_label(i)}: progress triple fails")
             continue
@@ -112,10 +113,10 @@ def ensures_by_state(phi, psi, agent, graph):
                           + ")")
 
 
-def scope_entails_by_state(graph, tctx, alpha, beta):
+def scope_entails_by_state(graph, alpha, beta):
     """Reference: every reachable alpha-state is a beta-state."""
-    return all(eval_msf(s, beta, tctx)
-               for s in graph.nodes if eval_msf(s, alpha, tctx))
+    return all(eval_msf(s, beta)
+               for s in graph.nodes if eval_msf(s, alpha))
 
 
 def by_state(monkeypatch, fn, *args):
@@ -139,9 +140,9 @@ def random_msf(rng, leaves, depth):
                                        random_msf(rng, leaves, depth - 1))
 
 
-def msf_leaves(rng, vocab, capability_names, count=12):
+def msf_leaves(rng, vocab, capabilities, count=12):
     leaves = [TRUE, FALSE]
-    leaves += [Enabled(name) for name in capability_names]
+    leaves += [Enabled(cap) for cap in capabilities]
     for _ in range(count):
         arg = random_formula(rng, vocab, 2)
         leaves.append(rng.choice((Bel, Goal))(arg))
@@ -149,9 +150,9 @@ def msf_leaves(rng, vocab, capability_names, count=12):
     return leaves
 
 
-def mask_by_state(phi, states, tctx=None):
+def mask_by_state(phi, states):
     """Reference: the mask built from one ``eval_msf`` call per state."""
-    return sum(1 << i for i, s in enumerate(states) if eval_msf(s, phi, tctx))
+    return sum(1 << i for i, s in enumerate(states) if eval_msf(s, phi))
 
 
 def assert_same_verdict(got, want):
@@ -166,72 +167,63 @@ def universe():
 
 def test_validity_oracle_matches_statewise_reference():
     rng = random.Random(0x0A)
-    leaves = msf_leaves(rng, PQ, ["c"])
+    leaves = msf_leaves(rng, PQ, [CAP_A, CAP_B])
     outcomes = set()
     for _ in range(150):
         phi = random_msf(rng, leaves, 3)
         for max_generators in (1, 2):
-            for table in (TABLE_A, TABLE_B, TABLE_A):
-                got = validity_oracle(phi, PQ, max_generators, table)
-                want = oracle_by_state(phi, PQ, max_generators, table)
-                assert got == want, phi
-                assert got.countermodel is want.countermodel
-                outcomes.add(got.valid)
+            got = validity_oracle(phi, PQ, max_generators)
+            want = oracle_by_state(phi, PQ, max_generators)
+            assert got == want, phi
+            assert got.countermodel is want.countermodel
+            outcomes.add(got.valid)
     assert outcomes == {True, False}
 
 
 def test_masks_match_statewise_reference(universe):
     rng = random.Random(0x0D)
-    leaves = msf_leaves(rng, PQ, ["c"])
-    space = StateSet(universe)
+    leaves = msf_leaves(rng, PQ, [CAP_A, CAP_B])
     for _ in range(60):
         phi = random_msf(rng, leaves, 3)
-        for table in (TABLE_A, TABLE_B):
-            assert space.mask(phi, table) == mask_by_state(phi, universe, table)
+        assert StateSet(universe).mask(phi) == mask_by_state(phi, universe)
 
 
 def test_masks_kept_between_calls_match_statewise_reference(universe):
-    # Without a context the set keeps what it evaluated; later calls reach
-    # the same subformulas at other states and must extend, not reuse, it.
+    # The set keeps what it evaluated; later calls reach the same
+    # subformulas at other states and must extend, not reuse, it.
     rng = random.Random(0x0E)
-    leaves = msf_leaves(rng, PQ, [], count=6)
+    leaves = msf_leaves(rng, PQ, [CAP_A, CAP_B], count=6)
     space = StateSet(universe)
     for _ in range(150):
         phi = random_msf(rng, leaves, 3)
         assert space.mask(phi) == mask_by_state(phi, universe)
 
 
-def test_enabled_leaves_follow_the_resolver_of_each_call(universe):
+def test_capabilities_with_one_name_are_distinct_leaves(universe):
+    a, b = Enabled(CAP_A), Enabled(CAP_B)
+    assert a is not b and render(a) == render(b) == "enabled(c)"
     space = StateSet(universe)
-    leaf = Enabled("c")
-    masks = {}
-    for table in (TABLE_A, TABLE_B, TABLE_A, TABLE_B):
-        mask = space.mask(leaf, table)
-        assert mask == mask_by_state(leaf, universe, table)
-        masks.setdefault(table, mask)
-        assert masks[table] == mask
-    assert masks[TABLE_A] != masks[TABLE_B]
-    with pytest.raises(MentalStateError):
-        space.mask(leaf)
+    for leaf in (a, b, a, b):
+        assert space.mask(leaf) == mask_by_state(leaf, universe)
+    assert space.mask(a) != space.mask(b)
 
 
 def test_hoare_basic_matches_statewise_reference_on_the_universe(universe):
     rng = random.Random(0x0B)
-    leaves = msf_leaves(rng, PQ, ["c"])
+    leaves = msf_leaves(rng, PQ, [CAP_A, CAP_B])
     args = [random_formula(rng, PQ, 2) for _ in range(6)]
     statements = ([insert(phi) for phi in args] + [remove(P), remove(Q)]
                   + [GoalAction(kind, phi) for kind in ("adopt", "drop")
                      for phi in args]
-                  + [TABLE_A["c"], TABLE_B["c"]])
+                  + [CAP_A, CAP_B])
     details = set()
     for _ in range(80):
         triple = HoareTriple(random_msf(rng, leaves, 2),
                              rng.choice(statements),
                              random_msf(rng, leaves, 2))
-        for table in (TABLE_A, TABLE_B):
-            got = check_hoare_basic(triple, universe, table)
-            assert_same_verdict(got, hoare_by_state(triple, universe, table))
-            details.add(got.detail)
+        got = check_hoare_basic(triple, universe)
+        assert_same_verdict(got, hoare_by_state(triple, universe))
+        details.add(got.detail)
     assert details == {"", "post fails after execution",
                        "post fails in place (not enabled)"}
 
@@ -244,16 +236,14 @@ def test_hoare_basic_matches_statewise_reference_on_reachable_graphs():
         if agent is None:
             continue
         states = reachable(agent).nodes
-        names = list(agent.table.capabilities)
-        leaves = msf_leaves(rng, agent.vocab, names, count=6)
+        leaves = msf_leaves(rng, agent.vocab, agent.capabilities, count=6)
         actions = [b.action for b in agent.program]
         for _ in range(10):
             triple = HoareTriple(random_msf(rng, leaves, 2),
                                  rng.choice(actions),
                                  random_msf(rng, leaves, 2))
-            got = check_hoare_basic(triple, states, agent.table)
-            assert_same_verdict(
-                got, hoare_by_state(triple, states, agent.table))
+            got = check_hoare_basic(triple, states)
+            assert_same_verdict(got, hoare_by_state(triple, states))
             checked += 1
     assert checked >= 200
 
@@ -270,9 +260,9 @@ def test_oracle_bounds_are_still_enforced(atoms, max_generators):
 
 
 def test_leaves_are_evaluated_only_where_eval_msf_reaches_them(universe):
-    # enabled(c) without a resolver raises wherever it is evaluated; behind
-    # a leaf that decides the connective at every state it is never reached.
-    leaf = Enabled("c")
+    # A leaf behind one that decides the connective at every state is
+    # never reached.
+    leaf = RAISES
     for phi in (And(FALSE, leaf), Or(TRUE, leaf), Imp(FALSE, leaf),
                 Not(And(Bel(FALSE), leaf))):
         assert StateSet(universe).mask(phi) == mask_by_state(phi, universe)
@@ -293,7 +283,7 @@ def test_a_leaf_reached_only_after_the_first_countermodel_raises(universe):
     # The one difference from the state-by-state loop: a mask evaluates
     # every state, so a raising leaf that the loop would reach only after
     # it stopped at its first countermodel is reached too.
-    leaf = Enabled("c")
+    leaf = RAISES
     phi = And(Bel(P), Or(Bel(Q), leaf))
     refuted = oracle_by_state(phi, PQ, 2)
     assert not refuted.valid
@@ -321,8 +311,8 @@ def test_shopping_obligations_match_statewise_reference(monkeypatch):
                for post in (Or(phi, psi), psi)]
     details = set()
     for triple in triples:
-        got = check_hoare_conditional(triple, graph, agent.table)
-        want = hoare_conditional_by_state(triple, graph, agent.table)
+        got = check_hoare_conditional(triple, graph)
+        want = hoare_conditional_by_state(triple, graph)
         assert_same_verdict(got, want)
         details.add(got.detail)
     assert details == {"", "post fails after execution",
@@ -376,25 +366,24 @@ def test_actions_outside_the_program_match_statewise_reference():
         for b in outside:
             for post in (phi, psi, Or(phi, psi)):
                 triple = HoareTriple(And(phi, Not(psi)), b, post)
-                got = check_hoare_conditional(triple, graph, agent.table)
+                got = check_hoare_conditional(triple, graph)
                 assert_same_verdict(
-                    got, hoare_conditional_by_state(triple, graph, agent.table))
+                    got, hoare_conditional_by_state(triple, graph))
                 details.add(got.detail)
     assert details == {"", "post fails after execution",
                        "post fails in place (idle)"}
 
 
 def test_enabled_leaves_in_graph_triples_match_statewise_reference():
-    # Under the agent's table the graph's state set keeps its values; under
-    # a table that gives the same names other capabilities it must not.
+    # Each capability's name is also given the next capability's clauses:
+    # the graph's state set keeps the values of both leaves apart.
     agent = ground_shopping_fixture()
     graph = reachable(agent)
-    names = [cap.name for cap in agent.capabilities]
-    shifted = CapabilityTable(
-        {name: agent.capabilities[(i + 1) % len(names)]
-         for i, name in enumerate(names)})
+    caps = agent.capabilities
+    shifted = [CapabilitySpec(cap.name, caps[(i + 1) % len(caps)].clauses)
+               for i, cap in enumerate(caps)]
     rng = random.Random(0x0F)
-    leaves = [Enabled(name) for name in names]
+    leaves = [Enabled(cap) for cap in caps + tuple(shifted)]
     leaves += [Bel(Atom(a)) for a in agent.vocab]
     leaves += [Goal(Atom(a)) for a in agent.vocab]
     actions = list(agent.program) + [
@@ -403,10 +392,9 @@ def test_enabled_leaves_in_graph_triples_match_statewise_reference():
     for _ in range(120):
         triple = HoareTriple(random_msf(rng, leaves, 2), rng.choice(actions),
                              random_msf(rng, leaves, 2))
-        for table in (agent.table, shifted, agent.table):
-            got = check_hoare_conditional(triple, graph, table)
-            assert_same_verdict(
-                got, hoare_conditional_by_state(triple, graph, table))
+        for _ in range(2):
+            got = check_hoare_conditional(triple, graph)
+            assert_same_verdict(got, hoare_conditional_by_state(triple, graph))
             verdicts.add(got.holds)
     assert verdicts == {True, False}
 
@@ -420,8 +408,7 @@ def test_micro_agent_graphs_match_statewise_reference(monkeypatch):
         if agent is None:
             continue
         graph = reachable(agent)
-        names = list(agent.table.capabilities)
-        leaves = msf_leaves(rng, agent.vocab, names, count=6)
+        leaves = msf_leaves(rng, agent.vocab, agent.capabilities, count=6)
         conditions = [f for f in leaves if isinstance(f, (Bel, Goal))]
         actions = list(agent.program) + [
             ConditionalAction(random_msf(rng, conditions, 1), cap)
@@ -431,8 +418,8 @@ def test_micro_agent_graphs_match_statewise_reference(monkeypatch):
                                  rng.choice(actions),
                                  random_msf(rng, leaves, 2))
             assert_same_verdict(
-                check_hoare_conditional(triple, graph, agent.table),
-                hoare_conditional_by_state(triple, graph, agent.table))
+                check_hoare_conditional(triple, graph),
+                hoare_conditional_by_state(triple, graph))
             checked["triples"] += 1
         pairs = [(random_msf(rng, leaves, 2), random_msf(rng, leaves, 2))
                  for _ in range(4)]
@@ -449,9 +436,8 @@ def test_micro_agent_graphs_match_statewise_reference(monkeypatch):
             checked["ensures"] += 1
         for _ in range(4):
             alpha, beta = random_msf(rng, leaves, 2), random_msf(rng, leaves, 2)
-            got = verifier._scope_entails(graph, agent.table, alpha, beta)
-            assert got == scope_entails_by_state(graph, agent.table,
-                                                 alpha, beta)
+            got = verifier._scope_entails(graph, alpha, beta)
+            assert got == scope_entails_by_state(graph, alpha, beta)
             entailed.add(got)
         alpha, omega = random_msf(rng, leaves, 2), random_msf(rng, leaves, 2)
         args = (alpha, omega, agent, pairs, graph)
@@ -463,10 +449,9 @@ def test_micro_agent_graphs_match_statewise_reference(monkeypatch):
 
 
 def test_graph_post_is_evaluated_only_at_the_targets_of_pre_states():
-    # enabled(c) without a resolver raises wherever it is evaluated.
     agent = ground_shopping_fixture()
     graph = reachable(agent)
-    leaf = Enabled("c")
+    leaf = RAISES
     for b in (agent.program[0], ConditionalAction(TRUE, agent.capabilities[0])):
         triple = HoareTriple(Bel(FALSE), b, leaf)
         assert check_hoare_conditional(triple, graph) == \
@@ -488,41 +473,37 @@ def test_a_graph_leaf_reached_only_after_the_first_failing_state_raises():
     agent = ground_shopping_fixture()
     graph = reachable(agent)
     triple = HoareTriple(TRUE, agent.program[0],
-                         And(Bel(Atom("page_T")), Enabled("c")))
+                         And(Bel(Atom("page_T")), RAISES))
     refuted = hoare_conditional_by_state(triple, graph)
     assert refuted.witness is agent.initial_state
     with pytest.raises(MentalStateError):
         check_hoare_conditional(triple, graph)
 
 
-class CountingResolver:
-    def __init__(self, table):
-        self.table = table
-        self.calls = 0
-
-    def is_enabled(self, name, state):
-        self.calls += 1
-        return self.table.is_enabled(name, state)
-
-
-def test_a_set_keeps_values_only_for_the_context_it_was_built_for(universe):
-    a, b = CountingResolver(TABLE_A), CountingResolver(TABLE_B)
-    space = StateSet(universe, a)
-    n = len(universe)
-    leaf = Enabled("c")
-    phi = Or(Bel(P), leaf)
-    want = {a: mask_by_state(leaf, universe, TABLE_A),
-            b: mask_by_state(leaf, universe, TABLE_B)}
+def test_a_set_answers_each_leaf_once(universe, monkeypatch):
+    a, b = Enabled(CAP_A), Enabled(CAP_B)
+    phi = Or(Bel(P), b)
+    want = {f: mask_by_state(f, universe) for f in (a, b, phi)}
     assert want[a] != want[b]
-    assert space.mask(leaf, a) == want[a] and a.calls == n
-    for _ in range(2):
-        assert space.mask(leaf, b) == want[b]
-        assert space.mask(phi, b) == mask_by_state(phi, universe, TABLE_B)
-        with pytest.raises(MentalStateError):
-            space.mask(leaf)
-        with pytest.raises(MentalStateError):
-            space.mask(phi)
-        # kept for the set's own context: asked again, nothing is evaluated
-        assert space.mask(leaf, a) == want[a] and a.calls == n
-    assert b.calls == 2 * (n + n - bin(mask_by_state(Bel(P), universe)).count("1"))
-    assert space.mask(phi, a) == mask_by_state(phi, universe, TABLE_A)
+    calls = []
+    enabled_at = CapabilitySpec.enabled_at
+
+    def counted(cap, state):
+        calls.append(cap)
+        return enabled_at(cap, state)
+
+    monkeypatch.setattr(CapabilitySpec, "enabled_at", counted)
+    space = StateSet(universe)
+    n = len(universe)
+    assert space.mask(a) == want[a] and calls.count(CAP_A) == n
+    # b is reached only where B(p) is false; asked alone, it is evaluated
+    # at the other states only
+    assert space.mask(phi) == want[phi]
+    believed = bin(mask_by_state(Bel(P), universe)).count("1")
+    assert calls.count(CAP_B) == n - believed
+    assert space.mask(b) == want[b] and calls.count(CAP_B) == n
+    assert len(calls) == 2 * n
+    # asked again, nothing is evaluated
+    for f in (a, b, phi):
+        assert space.mask(f) == want[f]
+    assert len(calls) == 2 * n

@@ -45,7 +45,7 @@ def test_hoare_basic_on_shopping_goto(shopping):
     agent, graph = shopping
     goto = agent.capabilities[0]
     triple = HoareTriple(Bel(Atom("hpage_user")), goto, Bel(Atom("Am_com")))
-    assert check_hoare_basic(triple, graph.nodes, agent.table).holds
+    assert check_hoare_basic(triple, graph.nodes).holds
 
 
 def test_hoare_basic_failure_carries_witness():
@@ -68,7 +68,7 @@ def test_hoare_conditional_invariant_stability(shopping):
     inv = next(p for p in agent.properties if p.kind == "invariant").left
     for b in agent.program:
         triple = HoareTriple(inv, b, inv)
-        assert check_hoare_conditional(triple, graph, agent.table).holds
+        assert check_hoare_conditional(triple, graph).holds
 
 
 def test_hoare_conditional_idle_branch(shopping):
@@ -76,9 +76,9 @@ def test_hoare_conditional_idle_branch(shopping):
     never = ConditionalAction(Bel(FALSE), agent.capabilities[0])
     # the condition is false everywhere, so the post must hold in place
     ok = HoareTriple(Bel(Atom("hpage_user")), never, Bel(Atom("hpage_user")))
-    assert check_hoare_conditional(ok, graph, agent.table).holds
+    assert check_hoare_conditional(ok, graph).holds
     bad = HoareTriple(Bel(Atom("hpage_user")), never, Bel(Atom("Am_com")))
-    verdict = check_hoare_conditional(bad, graph, agent.table)
+    verdict = check_hoare_conditional(bad, graph)
     assert not verdict.holds and "idle" in verdict.detail
 
 
@@ -118,8 +118,6 @@ def test_wlp_missing_axiom():
                                  EffectClause(TRUE, (), (P,))))
     with pytest.raises(MissingAxiom):
         wlp(cap, Bel(P))
-    # an explicit axiom table unblocks it
-    assert wlp(cap, Bel(P), axioms={"odd": lambda s: TRUE}) == TRUE
 
 
 # -- derived triples for the goal actions -------------------------------------
@@ -169,6 +167,54 @@ def test_derive_insert_effect_and_agreement():
     assert derive_hoare(effect, PQ).holds
     verdict = derive_hoare(too_weak, PQ)
     assert not verdict.holds and verdict.witness is not None
+
+
+def test_wlp_under_enabled_leaves_refuses_or_agrees(shopping):
+    """With enabled(...) leaves in the post, the wlp route either raises
+    MissingAxiom (any belief update, bare or conditional) or agrees with
+    the semantic route over the same bounded universe (adopt and drop)."""
+    import random
+    from helpers import micro_agent, random_formula
+    rng = random.Random(0x11)
+    universe = small_universe()
+    agents = [shopping[0]] + [a for a in map(micro_agent, range(40))
+                              if a is not None]
+    refused, agreed = 0, set()
+    for agent in agents:
+        atoms = PQ if agent.vocab == PQ else ()
+        enabled = [Enabled(cap) for cap in agent.capabilities]
+        if atoms:
+            enabled += [Enabled(GoalAction(kind, random_formula(rng, PQ, 1)))
+                        for kind in ("adopt", "drop")]
+            others = [m(random_formula(rng, PQ, 1)) for m in (Bel, Goal)
+                      for _ in range(3)]
+        else:
+            others = [Bel(Atom(agent.vocab[0])), Goal(Atom(agent.vocab[1]))]
+        statements = list(agent.program) + list(agent.capabilities)
+        if atoms:
+            statements += [insert(P), remove(Q)] + [
+                GoalAction(kind, random_formula(rng, PQ, 1))
+                for kind in ("adopt", "drop")]
+        for statement in statements:
+            for _ in range(2):
+                leaf = rng.choice(enabled)
+                post = rng.choice((leaf, Not(leaf), And(rng.choice(others), leaf),
+                                   Or(Not(leaf), rng.choice(others))))
+                pre = rng.choice(others + enabled + [TRUE])
+                triple = HoareTriple(pre, statement, post)
+                action = (statement.action
+                          if isinstance(statement, ConditionalAction)
+                          else statement)
+                if not isinstance(action, GoalAction):
+                    with pytest.raises(MissingAxiom, match=r"enabled\("):
+                        derive_hoare(triple, atoms)
+                    refused += 1
+                elif atoms and statement is action:
+                    verdict = derive_hoare(triple, atoms)
+                    assert verdict.holds == check_hoare_basic(
+                        triple, universe).holds, str(triple)
+                    agreed.add(verdict.holds)
+    assert refused >= 200 and agreed == {True, False}
 
 
 def test_derive_failure_witness_refutes_the_triple():
@@ -238,10 +284,10 @@ def test_a_holding_progress_triple_means_continuous_enabledness(shopping):
         for _ in range(12):
             phi, psi = rng.choice(leaves), rng.choice(leaves + [TRUE, FALSE])
             pre = And(phi, Not(psi))
-            pending = graph.states.mask(pre, agent.table)
+            pending = graph.states.mask(pre)
             for i, b in enumerate(agent.program):
                 triple = HoareTriple(pre, b, psi)
-                if check_hoare_conditional(triple, graph, agent.table).holds:
+                if check_hoare_conditional(triple, graph).holds:
                     held += pending != 0
                     assert pending & ~graph.executed[i] == 0
     assert held >= 20
@@ -311,8 +357,7 @@ def test_fair_lasso_satisfies_the_goal_properties(shopping):
 
 def test_temporal_undetermined_on_short_prefix(shopping):
     agent, graph = shopping
-    prefix = LassoTrace((agent.initial_state,), cycle_start=None,
-                        tctx=agent.table)
+    prefix = LassoTrace((agent.initial_state,), cycle_start=None)
     verdict = eval_temporal(prefix, t_eventually(TState(bought_all())))
     assert verdict == UNDETERMINED
     # decided sub-formulas stay boolean even on the prefix
