@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .agent_program import Agent
@@ -92,9 +92,6 @@ class TracePrefix:
 
     def __len__(self) -> int:
         return len(self.picks)
-
-    def final_state(self) -> MentalState:
-        return self.states[-1]
 
     def dump_lines(self) -> list[str]:
         lines = []
@@ -216,13 +213,7 @@ def fairness_check(prefix: TracePrefix) -> bool:
     if len(prefix) < n:
         return True
     if prefix.scheduler_kind == "random":
-        streaks = [0] * n
-        for pick in prefix.picks:
-            for i in range(n):
-                streaks[i] = 0 if i == pick else streaks[i] + 1
-                if streaks[i] > n:
-                    return False
-        return True
+        return max_omission_streak(prefix.picks, n) <= n
     for start in range(len(prefix) - n + 1):
         if set(prefix.picks[start:start + n]) != set(range(n)):
             return False
@@ -256,34 +247,22 @@ class Edge:
 class StateGraph:
     """The reachable states of an agent and every attempted step between them.
 
-    ``successors[s]`` holds the edges out of ``s`` in program order, idle
-    self-loops included.  The graph is also indexed by position, once, when
-    it is built: ``position[s]`` is the index of ``s`` in ``nodes``,
-    ``targets[a][i]`` is the position of the state that action ``a`` leads
-    to from node ``i``, and bit ``i`` of ``executed[a]`` is set where ``a``
-    executes rather than idles.  ``states`` evaluates formulas over the
-    nodes as bit masks and keeps its values.
+    ``edges`` lists the attempted steps node by node, in program order, idle
+    self-loops included.  The graph is indexed by position: ``position[s]``
+    is the index of ``s`` in ``nodes``, ``targets[a][i]`` is the position of
+    the state that action ``a`` leads to from node ``i``, and bit ``i`` of
+    ``executed[a]`` is set where ``a`` executes rather than idles.
+    ``states`` evaluates formulas over the nodes as bit masks and keeps its
+    values.
     """
 
     agent: Agent
     nodes: list[MentalState]
     edges: list[Edge]
-    successors: dict[MentalState, tuple[Edge, ...]]
     position: dict[MentalState, int]
-    targets: tuple[tuple[int, ...], ...] = field(init=False)
-    executed: tuple[int, ...] = field(init=False)
-    states: StateSet = field(init=False)
-
-    def __post_init__(self) -> None:
-        rows = [self.successors[node] for node in self.nodes]
-        actions = range(len(self.agent.program))
-        self.targets = tuple(
-            tuple(self.position[row[a].target] for row in rows)
-            for a in actions)
-        self.executed = tuple(
-            sum(1 << i for i, row in enumerate(rows) if row[a].executed)
-            for a in actions)
-        self.states = StateSet(self.nodes)
+    targets: tuple[tuple[int, ...], ...]
+    executed: tuple[int, ...]
+    states: StateSet
 
     def to_dot(self) -> str:
         lines = ["digraph reachable {"]
@@ -309,18 +288,20 @@ def reachable(agent: Agent, budget: Optional[int] = None) -> StateGraph:
     nodes = [agent.initial_state]
     position = {agent.initial_state: 0}
     edges: list[Edge] = []
-    successors: dict[MentalState, tuple[Edge, ...]] = {}
-    for state in nodes:     # nodes grows as the BFS finds new states
-        out = []
-        for i, b in enumerate(agent.program):
+    targets: list[list[int]] = [[] for _ in agent.program]
+    executed = [0] * len(agent.program)
+    for i, state in enumerate(nodes):   # nodes grows as the BFS finds states
+        for a, b in enumerate(agent.program):
             st = step(state, b)
-            out.append(Edge(state, i, st.target, st.executed))
+            edges.append(Edge(state, a, st.target, st.executed))
             if st.target not in position:
                 if len(position) >= budget:
                     raise BudgetExceeded(
                         f"reachable-state budget of {budget} nodes exceeded")
                 position[st.target] = len(nodes)
                 nodes.append(st.target)
-        successors[state] = tuple(out)
-        edges.extend(out)
-    return StateGraph(agent, nodes, edges, successors, position)
+            targets[a].append(position[st.target])
+            executed[a] |= st.executed << i
+    return StateGraph(agent, nodes, edges, position,
+                      tuple(map(tuple, targets)), tuple(executed),
+                      StateSet(nodes))

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .prop_logic import (
     And, FALSE, Formula, Imp, Not, Or, TRUE, map_leaves, render, tautology,
@@ -26,7 +25,7 @@ from .capabilities import (
     CapabilitySpec, ConditionalAction, GoalAction, apply_M,
 )
 from .agent_program import Agent, PropertyDecl
-from .executor import Edge, StateGraph, reachable, step
+from .executor import StateGraph, reachable
 
 
 class VerifierError(Exception):
@@ -84,77 +83,55 @@ def _post_fails(witness: MentalState, executed: bool, idle: str) -> Verdict:
     return Verdict(False, witness, detail=f"post fails {how}")
 
 
-def _first_failing_step(
-        pre_states: list[MentalState], post: Formula,
-        advance: Callable[[MentalState], Optional[MentalState]],
-) -> Optional[tuple[MentalState, bool]]:
-    """Step each pre-state with ``advance``, which gives ``None`` for an
-    idle step that leaves the state in place, and evaluate ``post`` over
-    the images as one mask.  Returns the first pre-state whose image fails,
-    and whether its step executed; ``None`` when every image satisfies it.
-    """
-    moved = [advance(s) for s in pre_states]
-    images = StateSet(s if t is None else t for s, t in zip(pre_states, moved))
-    failed = images.full & ~images.mask(post)
-    if not failed:
-        return None
-    i = lowest_bit(failed)
-    return pre_states[i], moved[i] is not None
-
-
 def check_hoare_basic(triple: HoareTriple,
                       states: Iterable[MentalState]) -> Verdict:
     """Total-correctness triple over a basic action, checked statewise.
 
     At each in-scope state satisfying the precondition: if the action is
     enabled the postcondition must hold at its result, otherwise at the
-    state itself.
+    state itself.  The postcondition is evaluated over the images as one
+    mask.
     """
     action = triple.statement
     assert not isinstance(action, ConditionalAction)
     scope = StateSet(states)
+    pre_states = scope.select(scope.mask(triple.pre))
     # apply_M is None exactly where the action is not enabled
-    failure = _first_failing_step(scope.select(scope.mask(triple.pre)),
-                                  triple.post, partial(apply_M, action))
-    if failure is None:
+    moved = [apply_M(action, s) for s in pre_states]
+    images = StateSet(s if t is None else t for s, t in zip(pre_states, moved))
+    failed = images.full & ~images.mask(triple.post)
+    if not failed:
         return Verdict(True, scope="statewise")
-    return _post_fails(*failure, "not enabled")
+    i = lowest_bit(failed)
+    return _post_fails(pre_states[i], moved[i] is not None, "not enabled")
 
 
 def check_hoare_conditional(triple: HoareTriple, graph: StateGraph) -> Verdict:
     """Conditional-action triple over the agent's reachable states.
 
     Where the precondition holds: an executing step must reach the
-    postcondition, an idle step must leave it true in place.  For an action
-    of the agent's program the steps are read from the graph's index and
-    the postcondition is evaluated at their targets on the graph's state
-    set; any other conditional action is stepped at each pre-state.
+    postcondition, an idle step must leave it true in place.  The steps are
+    read from the graph's index and the postcondition is evaluated at their
+    targets on the graph's state set, so the action must belong to the
+    agent's program; any other raises :class:`VerifierError`.
     """
     b = triple.statement
     assert isinstance(b, ConditionalAction)
-    space = graph.states
-    pre = space.mask(triple.pre)
     program = graph.agent.program
-    failure: Optional[tuple[MentalState, bool]] = None
-    if b in program:
-        a = program.index(b)
-        targets = graph.targets[a]
-        sources = list(set_bits(pre))
-        reached = 0
-        for i in sources:
-            reached |= 1 << targets[i]
-        post = space.mask(triple.post, within=reached)
-        bad = next((i for i in sources if not post >> targets[i] & 1), None)
-        if bad is not None:
-            failure = graph.nodes[bad], bool(graph.executed[a] >> bad & 1)
-    else:
-        def advance(s: MentalState) -> Optional[MentalState]:
-            st = step(s, b)
-            return st.target if st.executed else None
-        failure = _first_failing_step(space.select(pre), triple.post, advance)
-    if failure is None:
+    if b not in program:
+        raise VerifierError(f"{b} is not an action of the agent's program")
+    a = program.index(b)
+    targets = graph.targets[a]
+    sources = list(set_bits(graph.states.mask(triple.pre)))
+    reached = 0
+    for i in sources:
+        reached |= 1 << targets[i]
+    post = graph.states.mask(triple.post, within=reached)
+    bad = next((i for i in sources if not post >> targets[i] & 1), None)
+    if bad is None:
         return Verdict(True, scope="reachable")
-    return _post_fails(*failure, "idle")
+    executed = bool(graph.executed[a] >> bad & 1)
+    return _post_fails(graph.nodes[bad], executed, "idle")
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +314,9 @@ class Trans:
 
 @dataclass(frozen=True)
 class Disj:
+    """Disjunction: one child per top-level disjunct of ``left``, in order."""
+    left: Formula
     children: tuple["LeadsToProof", ...]
-
-    @property
-    def left(self) -> Formula:
-        lefts = [c.left for c in self.children]
-        out = lefts[0]
-        for f in lefts[1:]:
-            out = Or(out, f)
-        return out
 
     @property
     def right(self) -> Formula:
@@ -382,6 +353,9 @@ def check_leadsto(proof: LeadsToProof, agent: Agent,
     if isinstance(proof, Disj):
         if not proof.children:
             raise MalformedProof("empty disjunction node")
+        if [c.left for c in proof.children] != _or_disjuncts(proof.left):
+            raise MalformedProof(
+                f"disjunction children do not split {render(proof.left)}")
         rights = {c.right for c in proof.children}
         if len(rights) != 1:
             raise MalformedProof("disjunction children disagree on the conclusion")
@@ -425,7 +399,7 @@ def prove_leadsto(alpha: Formula, omega: Formula, agent: Agent,
         if len(parts) > 1:
             subs = [search(p, used) for p in parts]
             if all(s is not None for s in subs):
-                return Disj(tuple(subs))  # type: ignore[arg-type]
+                return Disj(left, tuple(subs))  # type: ignore[arg-type]
         for i, (phi_i, psi_i) in enumerate(steps):
             if i in used:
                 continue
@@ -452,11 +426,6 @@ class Temporal:
 
 
 @dataclass(frozen=True, slots=True)
-class TInit(Temporal):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
 class TState(Temporal):
     formula: Formula
 
@@ -468,12 +437,6 @@ class TNot(Temporal):
 
 @dataclass(frozen=True, slots=True)
 class TAnd(Temporal):
-    left: Temporal
-    right: Temporal
-
-
-@dataclass(frozen=True, slots=True)
-class TOr(Temporal):
     left: Temporal
     right: Temporal
 
@@ -509,208 +472,138 @@ def t_ensures(phi: Formula, psi: Formula) -> Temporal:
                 TImp(TState(phi), t_eventually(TState(psi))))
 
 
-UNDETERMINED = "undetermined"
-Tri = Union[bool, str]
-
-
-def _tri_not(a: Tri) -> Tri:
-    return UNDETERMINED if a == UNDETERMINED else (not a)
-
-
-def _tri_and(a: Tri, b: Tri) -> Tri:
-    if a is False or b is False:
-        return False
-    if a == UNDETERMINED or b == UNDETERMINED:
-        return UNDETERMINED
-    return True
-
-
-def _tri_or(a: Tri, b: Tri) -> Tri:
-    if a is True or b is True:
-        return True
-    if a == UNDETERMINED or b == UNDETERMINED:
-        return UNDETERMINED
-    return True if (a or b) else False
-
-
 @dataclass(frozen=True)
 class LassoTrace:
-    """States of a trace; ``cycle_start`` marks a lasso (the suffix from
-    that index repeats forever).  ``None`` means a plain finite prefix."""
+    """An infinite trace: ``states``, after which the suffix from
+    ``cycle_start`` repeats forever."""
 
     states: tuple[MentalState, ...]
-    cycle_start: Optional[int] = None
+    cycle_start: int
 
-    def norm(self, i: int) -> int:
-        n = len(self.states)
-        if i < n:
-            return i
-        if self.cycle_start is None:
-            raise IndexError(f"position {i} beyond a finite prefix")
-        c = self.cycle_start
-        return c + (i - c) % (n - c)
-
-    def horizon(self) -> int:
-        """One full cycle beyond the prefix (every normalized position is
-        visited at least once below the horizon)."""
-        n = len(self.states)
-        if self.cycle_start is None:
-            return n
-        return n + (n - self.cycle_start)
+    def successor(self, i: int) -> int:
+        return i + 1 if i + 1 < len(self.states) else self.cycle_start
 
 
-def eval_temporal(trace: LassoTrace, phi: Temporal, position: int = 0) -> Tri:
-    """Three-valued evaluation: booleans are exact; on a finite non-lasso
-    prefix an undecided until yields the explicit undetermined verdict."""
-    memo: dict[tuple[int, int], Tri] = {}
+def eval_temporal(trace: LassoTrace, phi: Temporal, position: int = 0) -> bool:
+    """Whether ``phi`` holds at index ``position`` of the lasso.
 
-    def ev(f: Temporal, i: int) -> Tri:
-        i = trace.norm(i) if (trace.cycle_start is not None
-                              and i >= len(trace.states)) else i
+    Every position of a lasso has a successor, so the evaluation is
+    two-valued: a weak until walks positions until one repeats, and holds
+    if its left side held at each of them.
+    """
+    memo: dict[tuple[int, int], bool] = {}
+
+    def ev(f: Temporal, i: int) -> bool:
         key = (id(f), i)
-        if key in memo:
-            return memo[key]
-        result = _ev(f, i)
-        memo[key] = result
-        return result
+        if key not in memo:
+            memo[key] = _ev(f, i)
+        return memo[key]
 
-    def _ev(f: Temporal, i: int) -> Tri:
+    def _ev(f: Temporal, i: int) -> bool:
         match f:
-            case TInit():
-                return i == 0
             case TState(formula):
-                return eval_msf(trace.states[trace.norm(i)], formula)
+                return eval_msf(trace.states[i], formula)
             case TNot(operand):
-                return _tri_not(ev(operand, i))
+                return not ev(operand, i)
             case TAnd(a, b):
-                return _tri_and(ev(a, i), ev(b, i))
-            case TOr(a, b):
-                return _tri_or(ev(a, i), ev(b, i))
+                return ev(a, i) and ev(b, i)
             case TImp(a, b):
-                return _tri_or(_tri_not(ev(a, i)), ev(b, i))
+                return not ev(a, i) or ev(b, i)
             case TUntil(a, b):
-                return _until(a, b, i)
-        raise VerifierError(f"not a temporal formula: {f!r}")
-
-    def _until(a: Temporal, b: Temporal, i: int) -> Tri:
-        pending = False
-        lasso = trace.cycle_start is not None
-        for j in range(i, max(trace.horizon(), i + 1)):
-            bj = ev(b, j)
-            if bj is True:
+                seen = set()
+                while i not in seen:
+                    if ev(b, i):
+                        return True
+                    if not ev(a, i):
+                        return False
+                    seen.add(i)
+                    i = trace.successor(i)
                 return True
-            if bj == UNDETERMINED:
-                pending = True
-            aj = ev(a, j)
-            if aj is False:
-                return UNDETERMINED if pending else False
-            if aj == UNDETERMINED:
-                return UNDETERMINED
-        if not lasso:
-            # the prefix ended with the left side still holding
-            return UNDETERMINED
-        return UNDETERMINED if pending else True
+        raise VerifierError(f"not a temporal formula: {f!r}")
 
     return ev(phi, position)
 
 
 # ---------------------------------------------------------------------------
-# Graph-level trace oracles (quantification over all fair traces).
+# Graph-level trace oracles (quantification over all fair traces).  They
+# walk the graph's position index but evaluate formulas one state at a time
+# with eval_msf, never with the graph's StateSet, so that they stay an
+# independent check of the Hoare-triple rules.
 
 
-def _fair_scc_trap(graph: StateGraph, agent: Agent, avoid: Formula,
-                   sources: list[MentalState]) -> Optional[tuple[MentalState, list[MentalState]]]:
-    """Find a fair way to avoid ``avoid`` forever.
+def _truth(graph: StateGraph, phi: Formula) -> int:
+    """The nodes where ``phi`` holds, as a position mask, state by state."""
+    return sum(1 << i for i, s in enumerate(graph.nodes) if eval_msf(s, phi))
 
-    Returns (start, component) where start satisfies the caller's source
-    predicate, every state on the path and in the component falsifies
-    ``avoid``, and every action has, somewhere in the component, a step
-    that stays inside it (so cycling through the component attempts every
-    action infinitely often: a fair trace).
+
+def shortest_path(graph: StateGraph, start: int, goal: int,
+                  within: int = -1) -> Optional[list[int]]:
+    """A shortest position path from ``start`` to a position in the mask
+    ``goal``, every later position in the mask ``within``; ``None`` when
+    there is none.  Breadth-first, expanding actions in program order."""
+    parent = {start: start}
+    queue = [start]
+    for node in queue:      # queue grows as the search finds positions
+        if goal >> node & 1:
+            path = [node]
+            while node != start:
+                node = parent[node]
+                path.append(node)
+            return path[::-1]
+        for row in graph.targets:
+            t = row[node]
+            if t not in parent and within >> t & 1:
+                parent[t] = node
+                queue.append(t)
+    return None
+
+
+def _closure(adjacent: list[int], mask: int, within: int) -> int:
+    """The positions reached from ``mask`` along ``adjacent`` (one mask of
+    neighbours per position) without leaving ``within``."""
+    reached = frontier = mask
+    while frontier:
+        out = 0
+        for i in set_bits(frontier):
+            out |= adjacent[i]
+        frontier = out & within & ~reached
+        reached |= frontier
+    return reached
+
+
+def _fair_trap(graph: StateGraph, avoid: int,
+               starts: int) -> Optional[tuple[list[int], int]]:
+    """Find a fair way to stay inside the position mask ``avoid`` forever.
+
+    A trap is a strongly connected component of the nodes in ``avoid``
+    where every action has a step that stays inside it, so that cycling
+    through it attempts every action infinitely often: a fair trace.  Each
+    component is the forward closure of a position intersected with its
+    backward closure inside ``avoid`` (Emerson and Lei's fair-cycle
+    detection).  Returns a shortest path through ``avoid`` from the first
+    of ``starts`` that reaches a trap, and that trap, or ``None``.
     """
-    bad = [s for s in graph.nodes if not eval_msf(s, avoid)]
-    bad_set = set(bad)
-    # Tarjan over the subgraph induced by the avoid-falsifying states.
-    index: dict[MentalState, int] = {}
-    low: dict[MentalState, int] = {}
-    on_stack: set[MentalState] = set()
-    stack: list[MentalState] = []
-    sccs: list[list[MentalState]] = []
-    counter = [0]
-
-    def out_edges(s: MentalState) -> list[Edge]:
-        return [e for e in graph.successors[s] if e.target in bad_set]
-
-    def strongconnect(root: MentalState) -> None:
-        work = [(root, iter(out_edges(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for edge in it:
-                t = edge.target
-                if t not in index:
-                    index[t] = low[t] = counter[0]
-                    counter[0] += 1
-                    stack.append(t)
-                    on_stack.add(t)
-                    work.append((t, iter(out_edges(t))))
-                    advanced = True
-                    break
-                if t in on_stack:
-                    low[node] = min(low[node], index[t])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
-
-    for s in bad:
-        if s not in index:
-            strongconnect(s)
-
+    succ = [0] * len(graph.nodes)
+    pred = [0] * len(graph.nodes)
+    for row in graph.targets:
+        for i, t in enumerate(row):
+            succ[i] |= 1 << t
+            pred[t] |= 1 << i
     traps = []
-    n_actions = len(agent.program)
-    for comp in sccs:
-        comp_set = set(comp)
+    rest = avoid
+    while rest:
+        pivot = rest & -rest
+        comp = _closure(succ, pivot, avoid) & _closure(pred, pivot, avoid)
+        rest &= ~comp
         # self-loop-only components still count: an idle attempt is a step
-        ok = all(
-            any(graph.successors[w][b].target in comp_set for w in comp)
-            for b in range(n_actions))
-        if ok:
-            traps.append(comp_set)
-    if not traps:
-        return None
-
-    # Can some source reach a trap through avoid-falsifying states?
-    trap_union: dict[MentalState, list[MentalState]] = {}
-    for comp_set in traps:
-        for s in comp_set:
-            trap_union.setdefault(s, sorted(comp_set, key=lambda x: x.digest()))
-    for start in sources:
-        seen = {start}
-        queue = [start]
-        while queue:
-            node = queue.pop(0)
-            if node in trap_union:
-                return start, trap_union[node]
-            for edge in out_edges(node):
-                if edge.target not in seen:
-                    seen.add(edge.target)
-                    queue.append(edge.target)
+        if all(any(comp >> row[w] & 1 for w in set_bits(comp))
+               for row in graph.targets):
+            traps.append(comp)
+    trapped = sum(traps)    # the components are disjoint
+    for start in set_bits(starts):
+        path = shortest_path(graph, start, trapped, avoid)
+        if path is not None:
+            return path, next(c for c in traps if c >> path[-1] & 1)
     return None
 
 
@@ -724,15 +617,13 @@ def graph_unless(phi: Formula, psi: Formula, agent: Agent,
     """
     if graph is None:
         graph = reachable(agent)
-    pre = And(phi, Not(psi))
-    for s in graph.nodes:
-        if not eval_msf(s, pre):
-            continue
-        for edge in graph.successors[s]:
-            t = edge.target
-            if not eval_msf(t, phi) and not eval_msf(t, psi):
-                return Verdict(False, s,
-                               detail=f"broken by {agent.action_label(edge.action_index)}")
+    holds_phi, holds_psi = _truth(graph, phi), _truth(graph, psi)
+    broken = graph.states.full & ~(holds_phi | holds_psi)
+    for i in set_bits(holds_phi & ~holds_psi):
+        for a, row in enumerate(graph.targets):
+            if broken >> row[i] & 1:
+                return Verdict(False, graph.nodes[i],
+                               detail=f"broken by {agent.action_label(a)}")
     return Verdict(True, scope="all fair traces (graph oracle)")
 
 
@@ -744,14 +635,14 @@ def graph_eventuality(phi: Formula, psi: Formula, agent: Agent,
     leaving it."""
     if graph is None:
         graph = reachable(agent)
-    sources = [s for s in graph.nodes
-               if eval_msf(s, phi) and not eval_msf(s, psi)]
-    trap = _fair_scc_trap(graph, agent, psi, sources)
+    avoid = graph.states.full & ~_truth(graph, psi)
+    trap = _fair_trap(graph, avoid, _truth(graph, phi) & avoid)
     if trap is None:
         return Verdict(True, scope="all fair traces (graph oracle)")
-    start, comp = trap
-    return Verdict(False, start,
-                   detail=f"fair trap of {len(comp)} state(s) avoids the target")
+    path, comp = trap
+    return Verdict(False, graph.nodes[path[0]],
+                   detail=f"fair trap of {comp.bit_count()} state(s) "
+                          f"avoids the target")
 
 
 def graph_ensures(phi: Formula, psi: Formula, agent: Agent,
@@ -765,86 +656,60 @@ def graph_ensures(phi: Formula, psi: Formula, agent: Agent,
 
 
 # ---------------------------------------------------------------------------
-# Witness lassos: concrete fair traces refuting a property, suitable for
-# independent re-evaluation with eval_temporal.
+# Witness lassos: concrete fair traces, suitable for independent
+# re-evaluation with eval_temporal.
 
 
-def _path_states(graph: StateGraph, start: MentalState,
-                 goal: Callable[[MentalState], bool],
-                 allowed: Callable[[MentalState], bool]) -> Optional[list[Edge]]:
-    """BFS for an edge path from start to a goal state through allowed states."""
-    if goal(start):
-        return []
-    seen = {start}
-    queue: list[tuple[MentalState, list[Edge]]] = [(start, [])]
-    while queue:
-        node, path = queue.pop(0)
-        for edge in graph.successors[node]:
-            t = edge.target
-            if t in seen or not allowed(t):
-                continue
-            if goal(t):
-                return path + [edge]
-            seen.add(t)
-            queue.append((t, path + [edge]))
-    return None
+def fair_lasso(graph: StateGraph, path: Sequence[int]) -> LassoTrace:
+    """Extend a position path into a fair lasso: from its last position,
+    attempt the actions round-robin until a (position, action) pair
+    repeats."""
+    n = len(graph.targets)
+    trace = list(path)
+    seen: dict[tuple[int, int], int] = {}
+    phase = 0
+    while (trace[-1], phase) not in seen:
+        seen[(trace[-1], phase)] = len(trace) - 1
+        trace.append(graph.targets[phase][trace[-1]])
+        phase = (phase + 1) % n
+    # the final position re-enters the cycle; drop the duplicate
+    return LassoTrace(tuple(graph.nodes[i] for i in trace[:-1]),
+                      seen[(trace[-1], phase)])
 
 
 def fair_lasso_from(agent: Agent, graph: StateGraph,
                     start: MentalState) -> LassoTrace:
-    """A concrete fair lasso: reach ``start``, then loop round-robin until
-    a (state, phase) pair repeats."""
-    prefix = _path_states(graph, agent.initial_state,
-                          lambda s: s == start, lambda s: True)
-    assert prefix is not None, "start must be reachable"
-    states = [agent.initial_state] + [e.target for e in prefix]
-    n = len(agent.program)
-    seen: dict[tuple[MentalState, int], int] = {}
-    phase = 0
-    while (states[-1], phase) not in seen:
-        seen[(states[-1], phase)] = len(states) - 1
-        nxt = graph.successors[states[-1]][phase].target
-        states.append(nxt)
-        phase = (phase + 1) % n
-    cycle_start = seen[(states[-1], phase)]
-    # the final state re-enters the cycle; drop the duplicate
-    return LassoTrace(tuple(states[:-1]), cycle_start=cycle_start)
+    """A concrete fair lasso: reach ``start`` from the initial state along
+    a shortest path, then loop round-robin."""
+    path = shortest_path(graph, graph.position[agent.initial_state],
+                         1 << graph.position[start])
+    assert path is not None, "start must be reachable"
+    return fair_lasso(graph, path)
 
 
 def trap_lasso(agent: Agent, graph: StateGraph, start: MentalState,
                psi: Formula) -> Optional[LassoTrace]:
     """A fair lasso witnessing that ``psi`` can be avoided forever from
-    ``start``: path through !psi states into a fair trap, then a cycle
+    ``start``: a path through !psi states into a fair trap, then a cycle
     inside the trap attempting every action."""
-    trap = _fair_scc_trap(graph, agent, psi, [start])
+    avoid = graph.states.full & ~_truth(graph, psi)
+    trap = _fair_trap(graph, avoid, 1 << graph.position[start])
     if trap is None:
         return None
-    _, comp = trap
-    comp_set = set(comp)
-    not_psi = lambda s: not eval_msf(s, psi)
-    into = _path_states(graph, start, lambda s: s in comp_set, not_psi)
-    assert into is not None
-    states = [start] + [e.target for e in into]
-    # Cycle: attempt every action from a node of the trap that keeps us
-    # inside, navigating within the trap between attempts.
-    current = states[-1]
-    cycle_start = len(states) - 1
-    for b in range(len(agent.program)):
-        anchor = next(w for w in comp
-                      if graph.successors[w][b].target in comp_set)
-        walk = _path_states(graph, current, lambda s: s == anchor,
-                            lambda s: s in comp_set)
+    trace, comp = trap
+    cycle_start = len(trace) - 1
+    # attempt each action at the first node of the trap where it stays
+    # inside, walking inside the trap between attempts
+    for row in graph.targets:
+        anchor = next(w for w in set_bits(comp) if comp >> row[w] & 1)
+        walk = shortest_path(graph, trace[-1], 1 << anchor, comp)
         assert walk is not None
-        states.extend(e.target for e in walk)
-        states.append(graph.successors[anchor][b].target)
-        current = states[-1]
-    back = _path_states(graph, current, lambda s: s == states[cycle_start],
-                        lambda s: s in comp_set)
+        trace += walk[1:] + [row[anchor]]
+    back = shortest_path(graph, trace[-1], 1 << trace[cycle_start], comp)
     assert back is not None
-    states.extend(e.target for e in back)
-    # states[cycle_start] recurs at the end: drop the duplicate tail state
-    assert states[-1] == states[cycle_start]
-    return LassoTrace(tuple(states[:-1]), cycle_start=cycle_start)
+    trace += back[1:]
+    # the cycle's first position recurs at the end: drop the duplicate
+    return LassoTrace(tuple(graph.nodes[i] for i in trace[:-1]), cycle_start)
 
 
 # ---------------------------------------------------------------------------

@@ -184,3 +184,10 @@ def micro_agent(seed: int) -> Optional[Agent]:
         return None
     return Agent(_MICRO_VOCAB, (), tuple(capabilities), tuple(program),
                  initial, ())
+
+
+def with_actions(agent: Agent, *actions: ConditionalAction) -> Agent:
+    """``agent`` with ``actions`` appended to its program."""
+    return Agent(agent.vocab, agent.books, agent.capabilities,
+                 agent.program + actions, agent.initial_state,
+                 agent.properties)

@@ -32,11 +32,10 @@ from goalkit.executor import (
     max_omission_streak, reachable, run,
 )
 from goalkit.verifier import (
-    HoareTriple, LassoTrace, _path_states, _subst_adopt, _subst_drop,
-    check_ensures, check_hoare_basic, check_unless, derive_hoare,
-    eval_temporal, fair_lasso_from, graph_ensures, graph_unless,
-    subst_insert, t_always, t_ensures, t_unless, trap_lasso, TState,
-    verify_agent, wlp,
+    HoareTriple, _subst_adopt, _subst_drop, check_ensures, check_hoare_basic,
+    check_unless, derive_hoare, eval_temporal, fair_lasso, fair_lasso_from,
+    graph_ensures, graph_unless, shortest_path, subst_insert, t_always,
+    t_ensures, t_unless, trap_lasso, TState, verify_agent, wlp,
 )
 
 from helpers import micro_agent, random_formula, \
@@ -82,26 +81,12 @@ def random_msf(rng: random.Random, depth: int):
     return (And, Or, Imp, Iff)[op - 1](a, b)
 
 
-def rr_closure(agent, graph, states):
-    """Extend a concrete path round-robin until a (state, phase) repeats."""
-    n = len(agent.program)
-    phase, seen = 0, {}
-    states = list(states)
-    while (states[-1], phase) not in seen:
-        seen[(states[-1], phase)] = len(states) - 1
-        states.append(graph.successors[states[-1]][phase].target)
-        phase = (phase + 1) % n
-    return LassoTrace(tuple(states[:-1]),
-                      cycle_start=seen[(states[-1], phase)])
-
-
-def lasso_through(agent, graph, edge):
-    """A lasso whose prefix takes one specific edge of the state graph."""
-    path = _path_states(graph, agent.initial_state,
-                        lambda s: s == edge.source, lambda s: True)
+def lasso_through(graph, source, target):
+    """A fair lasso whose prefix takes one specific step of the state
+    graph, from position ``source`` to position ``target``."""
+    path = shortest_path(graph, 0, 1 << source)
     assert path is not None
-    states = [agent.initial_state] + [e.target for e in path] + [edge.target]
-    return rr_closure(agent, graph, states)
+    return fair_lasso(graph, path + [target])
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +354,12 @@ def test_criterion_07_unless_reduction_equivalence(micro_agents):
                 lasso = fair_lasso_from(agent, graph, agent.initial_state)
                 assert eval_temporal(lasso, temporal) is True, (seed, phi, psi)
             else:
+                w = graph.position[traces.witness]
                 bad = next(
-                    e for e in graph.successors[traces.witness]
-                    if not eval_msf(e.target, phi)
-                    and not eval_msf(e.target, psi))
-                lasso = lasso_through(agent, graph, bad)
+                    row[w] for row in graph.targets
+                    if not eval_msf(graph.nodes[row[w]], phi)
+                    and not eval_msf(graph.nodes[row[w]], psi))
+                lasso = lasso_through(graph, w, bad)
                 assert eval_temporal(lasso, temporal) is False, (seed, phi, psi)
     assert checked >= 2500
 

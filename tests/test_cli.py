@@ -106,6 +106,43 @@ def test_verify_agent_file(capsys, tmp_path):
     assert code == EXIT_OK and "0 failing" in out
 
 
+# The proof splits the middle formula B(p) | (B(q) | B(r)) by its disjuncts;
+# a right-nested disjunction once made the split's conclusion mismatch.
+DISJ_AGENT = """
+vocab { p; q; r; s; }
+beliefs { }
+goals { s; }
+capability mkp { when true add { p } del { }; }
+capability mkq { when true add { q } del { }; }
+capability fin { when true add { s } del { }; }
+program {
+  G(s) & !B(p) & !B(q) -> do(mkp);
+  G(s) & !B(p) & !B(q) -> do(mkq);
+  B(p) & G(s) -> do(fin);
+  B(q) & G(s) -> do(fin);
+}
+properties {
+  ensures !B(p) & !B(q) & G(s), B(p) | (B(q) | B(r));
+  ensures B(p), B(s);
+  ensures B(q), B(s);
+  ensures B(r), B(s);
+  leadsto !B(p) & !B(q) & G(s), B(s);
+}
+"""
+
+
+@pytest.mark.parametrize("middle", ["B(p) | (B(q) | B(r))",
+                                    "B(p) | B(q) | B(r)"])
+def test_verify_leadsto_through_a_nested_disjunction(capsys, tmp_path,
+                                                     middle):
+    path = tmp_path / "disj.agent"
+    path.write_text(DISJ_AGENT.replace("B(p) | (B(q) | B(r))", middle))
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert code == EXIT_OK and not err
+    assert "leadsto-composition | holds (transitivity)" in out
+    assert "0 failing" in out
+
+
 def test_parse_error_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.agent"
     path.write_text("vocab { p; }\nbeliefs { nope; }\n")

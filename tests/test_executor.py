@@ -122,13 +122,16 @@ def test_reachable_shopping_graph():
     graph = reachable(agent)
     assert len(graph.nodes) == 13
     assert len(graph.edges) == 13 * len(agent.program)
-    # closed under successors, idle self-loops included
-    node_set = set(graph.nodes)
-    for node in graph.nodes:
-        for edge in graph.successors[node]:
-            assert edge.target in node_set
-            if not edge.executed:
-                assert edge.target == edge.source
+    # closed under successors, idle self-loops included; the edges list
+    # each node's attempts in program order, as the position index does
+    n = len(agent.program)
+    for k, edge in enumerate(graph.edges):
+        i, a = divmod(k, n)
+        assert edge.source == graph.nodes[i] and edge.action_index == a
+        assert graph.position[edge.target] == graph.targets[a][i]
+        assert edge.executed == bool(graph.executed[a] >> i & 1)
+        if not edge.executed:
+            assert edge.target == edge.source
 
 
 def test_reachable_matches_traces():

@@ -33,7 +33,7 @@ from goalkit.verifier import (
     check_hoare_conditional, check_leadsto, check_unless, prove_leadsto,
 )
 
-from helpers import micro_agent, random_formula
+from helpers import micro_agent, random_formula, with_actions
 
 P, Q = Atom("p"), Atom("q")
 PQ = ("p", "q")
@@ -334,7 +334,6 @@ def test_verify_steps_each_action_only_while_building_the_graph(monkeypatch):
         return step(state, b)
 
     monkeypatch.setattr(executor, "step", counted)
-    monkeypatch.setattr(verifier, "step", counted)
     agent = ground_shopping_fixture()
     assert all(ob.verdict.holds for ob in verifier.verify_agent(agent))
     assert len(attempts) == 104     # the graph's edges: 13 nodes, 8 actions
@@ -355,12 +354,14 @@ def test_shopping_leadsto_proof_matches_statewise_reference(monkeypatch):
 
 
 def test_actions_outside_the_program_match_statewise_reference():
+    # Actions that the shipped program lacks, checked over the graph of the
+    # program extended by them.
     agent = ground_shopping_fixture()
-    graph = reachable(agent)
     never = ConditionalAction(Bel(FALSE), agent.capabilities[0])
     outside = [never] + [ConditionalAction(TRUE, cap)
                          for cap in agent.capabilities]
     assert not any(b in agent.program for b in outside)
+    graph = reachable(with_actions(agent, *outside))
     details = set()
     for phi, psi in shopping_pairs(agent):
         for b in outside:
@@ -378,7 +379,6 @@ def test_enabled_leaves_in_graph_triples_match_statewise_reference():
     # Each capability's name is also given the next capability's clauses:
     # the graph's state set keeps the values of both leaves apart.
     agent = ground_shopping_fixture()
-    graph = reachable(agent)
     caps = agent.capabilities
     shifted = [CapabilitySpec(cap.name, caps[(i + 1) % len(caps)].clauses)
                for i, cap in enumerate(caps)]
@@ -386,8 +386,9 @@ def test_enabled_leaves_in_graph_triples_match_statewise_reference():
     leaves = [Enabled(cap) for cap in caps + tuple(shifted)]
     leaves += [Bel(Atom(a)) for a in agent.vocab]
     leaves += [Goal(Atom(a)) for a in agent.vocab]
-    actions = list(agent.program) + [
-        ConditionalAction(TRUE, cap) for cap in agent.capabilities]
+    extra = [ConditionalAction(TRUE, cap) for cap in agent.capabilities]
+    actions = list(agent.program) + extra
+    graph = reachable(with_actions(agent, *extra))
     verdicts = set()
     for _ in range(120):
         triple = HoareTriple(random_msf(rng, leaves, 2), rng.choice(actions),
@@ -410,16 +411,17 @@ def test_micro_agent_graphs_match_statewise_reference(monkeypatch):
         graph = reachable(agent)
         leaves = msf_leaves(rng, agent.vocab, agent.capabilities, count=6)
         conditions = [f for f in leaves if isinstance(f, (Bel, Goal))]
-        actions = list(agent.program) + [
-            ConditionalAction(random_msf(rng, conditions, 1), cap)
-            for cap in agent.capabilities]
+        extra = tuple(ConditionalAction(random_msf(rng, conditions, 1), cap)
+                      for cap in agent.capabilities)
+        actions = list(agent.program) + list(extra)
+        extended = reachable(with_actions(agent, *extra))
         for _ in range(8):
             triple = HoareTriple(random_msf(rng, leaves, 2),
                                  rng.choice(actions),
                                  random_msf(rng, leaves, 2))
             assert_same_verdict(
-                check_hoare_conditional(triple, graph),
-                hoare_conditional_by_state(triple, graph))
+                check_hoare_conditional(triple, extended),
+                hoare_conditional_by_state(triple, extended))
             checked["triples"] += 1
         pairs = [(random_msf(rng, leaves, 2), random_msf(rng, leaves, 2))
                  for _ in range(4)]
@@ -450,9 +452,10 @@ def test_micro_agent_graphs_match_statewise_reference(monkeypatch):
 
 def test_graph_post_is_evaluated_only_at_the_targets_of_pre_states():
     agent = ground_shopping_fixture()
-    graph = reachable(agent)
+    unguarded = ConditionalAction(TRUE, agent.capabilities[0])
+    graph = reachable(with_actions(agent, unguarded))
     leaf = RAISES
-    for b in (agent.program[0], ConditionalAction(TRUE, agent.capabilities[0])):
+    for b in (agent.program[0], unguarded):
         triple = HoareTriple(Bel(FALSE), b, leaf)
         assert check_hoare_conditional(triple, graph) == \
             hoare_conditional_by_state(triple, graph)

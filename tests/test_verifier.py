@@ -14,15 +14,18 @@ from goalkit.capabilities import (
     remove,
 )
 from goalkit.agent_program import Agent, ground_shopping_fixture
-from goalkit.executor import reachable
+from goalkit.executor import Edge, StateGraph, reachable
+from goalkit.mental_state import StateSet
 from goalkit.verifier import (
-    Disj, EnsuresLeaf, HoareTriple, LassoTrace, MalformedProof, MissingAxiom,
-    TInit, TState, Trans, UNDETERMINED, check_ensures, check_hoare_basic,
+    Disj, EnsuresLeaf, HoareTriple, MalformedProof, MissingAxiom, TState,
+    Trans, VerifierError, check_ensures, check_hoare_basic,
     check_hoare_conditional, check_leadsto, check_unless, derive_hoare,
     eval_temporal, fair_lasso_from, graph_ensures, graph_eventuality,
     graph_unless, prove_leadsto, render_report, subst_insert, t_always,
     t_ensures, t_eventually, trap_lasso, verify_agent, wlp,
 )
+
+from helpers import with_actions
 
 P, Q = Atom("p"), Atom("q")
 PQ = ("p", "q")
@@ -72,14 +75,18 @@ def test_hoare_conditional_invariant_stability(shopping):
 
 
 def test_hoare_conditional_idle_branch(shopping):
-    agent, graph = shopping
+    agent, shopping_graph = shopping
     never = ConditionalAction(Bel(FALSE), agent.capabilities[0])
+    graph = reachable(with_actions(agent, never))
     # the condition is false everywhere, so the post must hold in place
     ok = HoareTriple(Bel(Atom("hpage_user")), never, Bel(Atom("hpage_user")))
     assert check_hoare_conditional(ok, graph).holds
     bad = HoareTriple(Bel(Atom("hpage_user")), never, Bel(Atom("Am_com")))
     verdict = check_hoare_conditional(bad, graph)
     assert not verdict.holds and "idle" in verdict.detail
+    # the shipped graph has no steps of an action outside its program
+    with pytest.raises(VerifierError, match="not an action of the agent"):
+        check_hoare_conditional(ok, shopping_graph)
 
 
 # -- the wlp calculus ---------------------------------------------------------
@@ -308,10 +315,26 @@ def test_leadsto_malformed_nodes(shopping):
     with pytest.raises(MalformedProof, match="middle"):
         check_leadsto(Trans(a, EnsuresLeaf(Bel(P), Bel(Q))), agent, graph)
     with pytest.raises(MalformedProof, match="empty"):
-        check_leadsto(Disj(()), agent, graph)
+        check_leadsto(Disj(a.left, ()), agent, graph)
     if a.right != b.right:
         with pytest.raises(MalformedProof, match="disagree"):
-            check_leadsto(Disj((a, b)), agent, graph)
+            check_leadsto(Disj(Or(a.left, b.left), (a, b)), agent, graph)
+
+
+def test_leadsto_disjunction_children_must_split_the_left_formula(shopping):
+    agent, graph = shopping
+    x, y, z = (Bel(Atom(a)) for a in ("Am_com", "page_T", "in_cart_T"))
+    # phi ensures true holds vacuously: no state satisfies phi & !true
+    leaves = [EnsuresLeaf(phi, TRUE) for phi in (x, y, z)]
+    right_nested, left_nested = Or(x, Or(y, z)), Or(Or(x, y), z)
+    for left in (right_nested, left_nested):
+        assert check_leadsto(Disj(left, tuple(leaves)), agent, graph).holds
+    for left, children in ((right_nested, leaves[::-1]),
+                           (right_nested, leaves[:2]),
+                           (Or(x, y), leaves),
+                           (x, leaves[:2])):
+        with pytest.raises(MalformedProof, match="do not split"):
+            check_leadsto(Disj(left, tuple(children)), agent, graph)
 
 
 def test_prove_leadsto_main_property(shopping):
@@ -338,13 +361,6 @@ def bought_all():
     return And(Bel(Atom("bought_T")), Bel(Atom("bought_I")))
 
 
-def test_temporal_init_leaf(shopping):
-    agent, graph = shopping
-    trace = fair_lasso_from(agent, graph, agent.initial_state)
-    assert eval_temporal(trace, TInit(), 0) is True
-    assert eval_temporal(trace, TInit(), 1) is False
-
-
 def test_fair_lasso_satisfies_the_goal_properties(shopping):
     agent, graph = shopping
     trace = fair_lasso_from(agent, graph, agent.initial_state)
@@ -353,15 +369,6 @@ def test_fair_lasso_satisfies_the_goal_properties(shopping):
     assert eval_temporal(trace, t_eventually(TState(bought_all()))) is True
     prop = next(p for p in agent.properties if p.kind == "ensures")
     assert eval_temporal(trace, t_ensures(prop.left, prop.right)) is True
-
-
-def test_temporal_undetermined_on_short_prefix(shopping):
-    agent, graph = shopping
-    prefix = LassoTrace((agent.initial_state,), cycle_start=None)
-    verdict = eval_temporal(prefix, t_eventually(TState(bought_all())))
-    assert verdict == UNDETERMINED
-    # decided sub-formulas stay boolean even on the prefix
-    assert eval_temporal(prefix, TState(Bel(Atom("hpage_user")))) is True
 
 
 def test_temporal_false_is_definite(shopping):
@@ -414,6 +421,43 @@ def test_trap_lasso_refutes_the_eventuality():
     lasso = trap_lasso(agent, graph, agent.initial_state, Bel(Q))
     assert lasso is not None and lasso.cycle_start is not None
     assert eval_temporal(lasso, t_eventually(TState(Bel(Q)))) is False
+    assert eval_temporal(lasso, t_always(TState(Not(Bel(Q))))) is True
+
+
+def hand_built_graph(targets):
+    """A graph over three states, with the steps given position by position
+    (``targets[a][i]`` is where action ``a`` leads from node ``i``) rather
+    than by stepping an agent's program."""
+    noop = CapabilitySpec("noop", (EffectClause(TRUE, (), ()),))
+    rules = tuple(ConditionalAction(TRUE, noop) for _ in targets)
+    nodes = [MentalState(frozenset(), frozenset()),
+             MentalState(frozenset({P}), frozenset()),
+             MentalState(frozenset({Q}), frozenset())]
+    agent = Agent(PQ, (), (noop,), rules, nodes[0], ())
+    edges = [Edge(s, a, nodes[row[i]], row[i] != i)
+             for i, s in enumerate(nodes) for a, row in enumerate(targets)]
+    executed = tuple(sum(1 << i for i, t in enumerate(row) if t != i)
+                     for row in targets)
+    return agent, StateGraph(agent, nodes, edges,
+                             {s: i for i, s in enumerate(nodes)},
+                             targets, executed, StateSet(nodes))
+
+
+def test_a_cycle_that_one_action_always_leaves_is_no_trap():
+    # Nodes 0 and 1 falsify B(q) and action 0 cycles between them, but
+    # action 1 leads from both to node 2, where B(q) holds: every fair
+    # trace attempts action 1 and so leaves the cycle.
+    agent, graph = hand_built_graph(((1, 0, 2), (2, 2, 2)))
+    assert graph_eventuality(TRUE, Bel(Q), agent, graph).holds
+    assert trap_lasso(agent, graph, graph.nodes[0], Bel(Q)) is None
+    # Once action 1 idles at node 0 it can be attempted inside the cycle.
+    agent, graph = hand_built_graph(((1, 0, 2), (0, 2, 2)))
+    verdict = graph_eventuality(TRUE, Bel(Q), agent, graph)
+    assert not verdict.holds
+    assert verdict.detail == "fair trap of 2 state(s) avoids the target"
+    lasso = trap_lasso(agent, graph, graph.nodes[1], Bel(Q))
+    assert lasso.states[0] == graph.nodes[1]
+    assert set(lasso.states) == set(graph.nodes[:2])
     assert eval_temporal(lasso, t_always(TState(Not(Bel(Q))))) is True
 
 
