@@ -68,7 +68,7 @@ class GoalAction:
 
     def enabled_at(self, state: "MentalState") -> bool:
         """drop is always enabled; adopt requires a satisfiable,
-        not-yet-believed argument."""
+        not-yet-believed argument.  Reads only ``state.beliefs``."""
         if self.kind == "drop":
             return True
         return (not tautology(Not(self.argument))
@@ -91,7 +91,8 @@ class CapabilitySpec:
         return self.name
 
     def enabled_at(self, state: "MentalState") -> bool:
-        """A belief capability is enabled exactly when its update is defined."""
+        """A belief capability is enabled exactly when its update is
+        defined.  Reads only ``state.beliefs``."""
         return apply_T(self, state.beliefs) is not None
 
 
@@ -183,11 +184,13 @@ def make_state(beliefs: Iterable[Formula], goals: Iterable[Formula]) -> MentalSt
 
 def goal_holds(state: MentalState, psi: Formula) -> bool:
     """Whether ``psi`` is in the closure of the goal base of ``state``."""
-    if not consistent((psi,)):
-        return False
-    if state.believes(psi):
-        return False
-    return any(entails((gamma,), psi) for gamma in state.goals)
+    return (consistent((psi,)) and not state.believes(psi)
+            and generates(state.goals, psi))
+
+
+def generates(goals: Iterable[Formula], psi: Formula) -> bool:
+    """Whether some single generator in ``goals`` entails ``psi``."""
+    return any(entails((gamma,), psi) for gamma in goals)
 
 
 def eval_msf(state: MentalState, phi: Formula) -> bool:
@@ -221,21 +224,41 @@ class StateSet:
     """A fixed sequence of states over which formulas evaluate as bit masks.
 
     Bit i of ``mask(phi)`` is the truth of ``phi`` at ``states[i]``.
-    Connectives are integer bit operations; each leaf is evaluated with
-    :func:`eval_msf`, and only at the states where :func:`eval_msf` itself
-    would reach it: the right side of ``&``, ``|`` and ``->`` is evaluated
-    only where the left side leaves the result open.  A truth value depends
-    only on the formula and the state, so the values computed are kept on
-    the set between calls.
+    Connectives are integer bit operations.  A leaf is evaluated only at
+    the states where :func:`eval_msf` itself would reach it: the right side
+    of ``&``, ``|`` and ``->`` is evaluated only where the left side leaves
+    the result open.  Leaves are evaluated once per class of states, not
+    once per state: ``B`` and ``enabled`` leaves read only the belief base,
+    so each is evaluated with :func:`eval_msf` at the lowest state of each
+    belief class among those asked for, and its value is given to the whole
+    class; ``G(psi)`` is ``psi`` being consistent, ``B(psi)`` failing, and
+    :func:`generates` holding, which reads only the goal base and so is
+    decided once per goal class.  Other leaves are evaluated state by
+    state.  A truth value depends only on the formula and the state, so the
+    values computed are kept on the set between calls.
     """
 
-    __slots__ = ("states", "full", "_known")
+    __slots__ = ("states", "full", "_known", "_same_beliefs", "_same_goals")
 
     def __init__(self, states: Iterable[MentalState]):
         self.states: tuple[MentalState, ...] = tuple(states)
         self.full = (1 << len(self.states)) - 1
         # per subformula: (states evaluated so far, where it holds among them)
         self._known: dict[Formula, tuple[int, int]] = {}
+        # per state: the mask of the states with equal beliefs (goals);
+        # each built when first needed
+        self._same_beliefs: Optional[list[int]] = None
+        self._same_goals: Optional[list[int]] = None
+
+    def _belief_classes(self) -> list[int]:
+        if self._same_beliefs is None:
+            self._same_beliefs = _classes([s.beliefs for s in self.states])
+        return self._same_beliefs
+
+    def _goal_classes(self) -> list[int]:
+        if self._same_goals is None:
+            self._same_goals = _classes([s.goals for s in self.states])
+        return self._same_goals
 
     def mask(self, phi: Formula, within: Optional[int] = None) -> int:
         """The states where ``phi`` holds, as a bit mask.
@@ -243,48 +266,80 @@ class StateSet:
         With ``within``, only the states whose bits are set in it are
         evaluated, and the result is a subset of it.
         """
-        states = self.states
-        seen = self._known
+        return self._go(phi, self.full if within is None else within)
 
-        def go(f: Formula, care: int) -> int:
-            """Where ``f`` holds among the states in ``care``."""
-            if not care:
-                return 0
-            done, holds = seen.get(f, (0, 0))
-            todo = care & ~done
-            if todo:
-                holds |= at(f, todo)
-                done |= todo
-                seen[f] = (done, holds)
-            return holds & care
+    # _go and _at are methods, not closures inside mask: two closures that
+    # call each other form a reference cycle, which would keep each set's
+    # states and memo alive until the cyclic garbage collector runs.
 
-        def at(f: Formula, care: int) -> int:
-            match f:
-                case Const(value):
-                    return care if value else 0
-                case Not(operand):
-                    return care & ~go(operand, care)
-                case And(a, b):
-                    return go(b, go(a, care))
-                case Or(a, b):
-                    left = go(a, care)
-                    return left | go(b, care & ~left)
-                case Imp(a, b):
-                    left = go(a, care)
-                    return (care & ~left) | go(b, left)
-                case Iff(a, b):
-                    return care & ~(go(a, care) ^ go(b, care))
-            out = 0
-            for i in set_bits(care):
-                if eval_msf(states[i], f):
-                    out |= 1 << i
-            return out
+    def _go(self, f: Formula, care: int) -> int:
+        """Where ``f`` holds among the states in ``care``."""
+        if not care:
+            return 0
+        done, holds = self._known.get(f, (0, 0))
+        todo = care & ~done
+        if todo:
+            holds |= self._at(f, todo)
+            done |= todo
+            self._known[f] = (done, holds)
+        return holds & care
 
-        return go(phi, self.full if within is None else within)
+    def _at(self, f: Formula, care: int) -> int:
+        go = self._go
+        match f:
+            case Const(value):
+                return care if value else 0
+            case Not(operand):
+                return care & ~go(operand, care)
+            case And(a, b):
+                return go(b, go(a, care))
+            case Or(a, b):
+                left = go(a, care)
+                return left | go(b, care & ~left)
+            case Imp(a, b):
+                left = go(a, care)
+                return (care & ~left) | go(b, left)
+            case Iff(a, b):
+                return care & ~(go(a, care) ^ go(b, care))
+            case Bel() | Enabled():
+                return self._per_class(self._belief_classes(), care,
+                                       lambda s: eval_msf(s, f))
+            case Goal(arg):
+                if not consistent((arg,)):
+                    return 0
+                return self._per_class(self._goal_classes(),
+                                       care & ~go(Bel(arg), care),
+                                       lambda s: generates(s.goals, arg))
+        out = 0
+        for i in set_bits(care):
+            if eval_msf(self.states[i], f):
+                out |= 1 << i
+        return out
+
+    def _per_class(self, classes: list[int], care: int,
+                   holds: Callable[[MentalState], bool]) -> int:
+        """Where ``holds`` is true among the states in ``care``, asked at
+        the lowest state of each class in ``care`` for the whole class."""
+        out = 0
+        while care:
+            i = (care & -care).bit_length() - 1
+            members = classes[i] & care
+            if holds(self.states[i]):
+                out |= members
+            care &= ~members
+        return out
 
     def select(self, mask: int) -> list[MentalState]:
         """The states whose bits are set in ``mask``, in order."""
         return [self.states[i] for i in set_bits(mask)]
+
+
+def _classes(keys: Sequence[object]) -> list[int]:
+    """For each position, the mask of the positions with an equal key."""
+    masks: dict[object, int] = {}
+    for i, key in enumerate(keys):
+        masks[key] = masks.get(key, 0) | 1 << i
+    return [masks[key] for key in keys]
 
 
 def set_bits(mask: int) -> Iterator[int]:

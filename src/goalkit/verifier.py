@@ -691,9 +691,10 @@ def trap_lasso(agent: Agent, graph: StateGraph, start: MentalState,
                psi: Formula) -> Optional[LassoTrace]:
     """A fair lasso witnessing that ``psi`` can be avoided forever from
     ``start``: a path through !psi states into a fair trap, then a cycle
-    inside the trap attempting every action."""
+    inside the trap attempting every action.  ``None`` when there is none,
+    which includes every ``start`` that satisfies ``psi``."""
     avoid = graph.states.full & ~_truth(graph, psi)
-    trap = _fair_trap(graph, avoid, 1 << graph.position[start])
+    trap = _fair_trap(graph, avoid, 1 << graph.position[start] & avoid)
     if trap is None:
         return None
     trace, comp = trap

@@ -9,6 +9,7 @@ random formulas, triples and properties both must return the same verdict,
 the same countermodel or witness object, and the same detail text.
 """
 
+import gc
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from goalkit.prop_logic import (
 from goalkit.mental_state import (
     Bel, BoundsExceeded, Enabled, Goal, MentalStateError, OracleVerdict,
     StateSet,
-    enumerate_states, eval_msf, validity_oracle,
+    enumerate_states, eval_msf, set_bits, validity_oracle,
 )
 from goalkit.capabilities import (
     CapabilitySpec, ConditionalAction, EffectClause,
@@ -483,30 +484,194 @@ def test_a_graph_leaf_reached_only_after_the_first_failing_state_raises():
         check_hoare_conditional(triple, graph)
 
 
+def belief_classes(states, mask):
+    """The distinct belief bases among the states whose bits are in ``mask``."""
+    return {s.beliefs for i, s in enumerate(states) if mask >> i & 1}
+
+
 def test_a_set_answers_each_leaf_once(universe, monkeypatch):
+    # enabled(...) reads only the belief base: a set asks it once per belief
+    # class among the states asked for, at the lowest of them, and never
+    # again for the same states.
     a, b = Enabled(CAP_A), Enabled(CAP_B)
     phi = Or(Bel(P), b)
     want = {f: mask_by_state(f, universe) for f in (a, b, phi)}
     assert want[a] != want[b]
+    position = {s: i for i, s in enumerate(universe)}
     calls = []
     enabled_at = CapabilitySpec.enabled_at
 
     def counted(cap, state):
-        calls.append(cap)
+        calls.append((cap, position[state]))
         return enabled_at(cap, state)
+
+    def asked(cap):
+        return [i for c, i in calls if c == cap]
+
+    def lowest_per_class(mask):
+        firsts = {}
+        for i in set_bits(mask):
+            firsts.setdefault(universe[i].beliefs, i)
+        return sorted(firsts.values())
 
     monkeypatch.setattr(CapabilitySpec, "enabled_at", counted)
     space = StateSet(universe)
-    n = len(universe)
-    assert space.mask(a) == want[a] and calls.count(CAP_A) == n
+    full = space.full
+    believed = mask_by_state(Bel(P), universe)
+    assert len(belief_classes(universe, full)) == 15
+    assert len(belief_classes(universe, full & ~believed)) == 12
+    assert space.mask(a) == want[a]
+    assert asked(CAP_A) == lowest_per_class(full)
     # b is reached only where B(p) is false; asked alone, it is evaluated
-    # at the other states only
+    # at the other classes only
     assert space.mask(phi) == want[phi]
-    believed = bin(mask_by_state(Bel(P), universe)).count("1")
-    assert calls.count(CAP_B) == n - believed
-    assert space.mask(b) == want[b] and calls.count(CAP_B) == n
-    assert len(calls) == 2 * n
+    assert asked(CAP_B) == lowest_per_class(full & ~believed)
+    assert space.mask(b) == want[b]
+    assert sorted(asked(CAP_B)) == lowest_per_class(full)
+    assert len(calls) == 30
     # asked again, nothing is evaluated
     for f in (a, b, phi):
         assert space.mask(f) == want[f]
-    assert len(calls) == 2 * n
+    assert len(calls) == 30
+    # a class is asked at its lowest state inside the mask asked for
+    calls.clear()
+    within = full & ~sum(1 << i for i in lowest_per_class(full))
+    assert StateSet(universe).mask(a, within) == want[a] & within
+    assert asked(CAP_A) == lowest_per_class(within)
+    assert len(calls) == len(belief_classes(universe, within))
+
+
+def test_a_set_leaves_no_reference_cycle(universe):
+    # A dropped set, with its memo and class masks, is freed at once by
+    # reference counting, not at some later cyclic collection.
+    phi = Or(And(Bel(P), Goal(Q)), Not(Enabled(GoalAction("adopt", Q))))
+    StateSet(universe).mask(phi)
+    gc.collect()
+    gc.disable()
+    try:
+        StateSet(universe).mask(phi)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def shuffled(states, seed):
+    states = list(states)
+    random.Random(seed).shuffle(states)
+    return states
+
+
+def test_masks_on_a_shuffled_universe_match_statewise_reference(universe):
+    # In enumeration order each belief class is one run of states; shuffled,
+    # the members of a class are scattered.
+    rng = random.Random(0x11)
+    leaves = msf_leaves(rng, PQ, [CAP_A, CAP_B])
+    for seed in range(2):
+        states = shuffled(universe, seed)
+        space = StateSet(states)
+        for _ in range(30):
+            phi = random_msf(rng, leaves, 3)
+            want = mask_by_state(phi, states)
+            assert space.mask(phi) == want, phi
+            assert StateSet(states).mask(phi) == want
+
+
+def test_masks_within_random_masks_match_statewise_reference(universe):
+    rng = random.Random(0x12)
+    leaves = msf_leaves(rng, PQ, [CAP_A, CAP_B], count=8)
+    states = shuffled(universe, 3)
+    kept = StateSet(states)
+    for _ in range(100):
+        phi = random_msf(rng, leaves, 3)
+        within = rng.getrandbits(len(states)) & rng.getrandbits(len(states))
+        want = mask_by_state(phi, states) & within
+        assert kept.mask(phi, within) == want, phi
+        assert StateSet(states).mask(phi, within) == want
+
+
+def test_masks_on_micro_agent_graphs_match_statewise_reference():
+    rng = random.Random(0x13)
+    checked = 0
+    for seed in range(60):
+        agent = micro_agent(seed)
+        if agent is None:
+            continue
+        graph = reachable(agent)
+        nodes = list(graph.nodes)
+        leaves = msf_leaves(rng, agent.vocab, agent.capabilities, count=6)
+        for _ in range(10):
+            phi = random_msf(rng, leaves, 3)
+            want = mask_by_state(phi, nodes)
+            assert graph.states.mask(phi) == want, (seed, phi)
+            within = rng.getrandbits(len(nodes))
+            assert StateSet(nodes).mask(phi, within) == want & within
+            checked += 1
+    assert checked >= 400
+
+
+GOAL_ARGS = [
+    FALSE, And(P, Not(P)),      # inconsistent: G is false everywhere
+    TRUE, Or(P, Not(P)),        # believed everywhere: G is false everywhere
+    P, Q, Not(P), Or(P, Q), And(P, Q), Iff(P, Q),   # believed at some states
+]
+
+
+def test_goal_leaves_match_statewise_reference(universe):
+    rng = random.Random(0x14)
+    leaves = [Goal(arg) for arg in GOAL_ARGS]
+    held = set()
+    for seed in range(3):
+        states = shuffled(universe, seed)
+        for leaf in leaves:
+            want = mask_by_state(leaf, states)
+            assert StateSet(states).mask(leaf) == want, leaf
+            within = rng.getrandbits(len(states))
+            assert StateSet(states).mask(leaf, within) == want & within
+            held.add((leaf, want != 0))
+        # with B(arg) already known on the set, and under other leaves
+        space = StateSet(states)
+        for _ in range(40):
+            phi = random_msf(rng, leaves + [Bel(arg) for arg in GOAL_ARGS], 2)
+            assert space.mask(phi) == mask_by_state(phi, states), phi
+    for arg in GOAL_ARGS[:4]:
+        assert (Goal(arg), False) in held
+    for arg in GOAL_ARGS[4:]:
+        assert (Goal(arg), True) in held
+        assert mask_by_state(Bel(arg), universe)
+
+
+ENABLED_TARGETS = [CAP_A, CAP_B] + [
+    GoalAction(kind, arg) for kind in ("adopt", "drop")
+    for arg in (FALSE, TRUE, P, Q, Not(P), Or(P, Q), And(P, Q))]
+
+
+def test_enabled_leaves_match_statewise_reference(universe):
+    rng = random.Random(0x15)
+    leaves = [Enabled(target) for target in ENABLED_TARGETS]
+    for seed in range(3):
+        states = shuffled(universe, seed)
+        for leaf in leaves:
+            want = mask_by_state(leaf, states)
+            assert StateSet(states).mask(leaf) == want, leaf
+            within = rng.getrandbits(len(states))
+            assert StateSet(states).mask(leaf, within) == want & within
+        space = StateSet(states)
+        for _ in range(40):
+            phi = random_msf(rng, leaves + [Bel(P), Goal(Q)], 2)
+            assert space.mask(phi) == mask_by_state(phi, states), phi
+
+
+def test_enabledness_depends_only_on_the_belief_base(universe):
+    # The premise of evaluating enabled(...) once per belief class: states
+    # with equal beliefs but different goals never disagree.
+    by_beliefs = {}
+    for s in universe:
+        by_beliefs.setdefault(s.beliefs, []).append(s)
+    assert len(by_beliefs) == 15
+    values = set()
+    for target in ENABLED_TARGETS:
+        for group in by_beliefs.values():
+            assert len({g.goals for g in group}) > 1
+            assert len({target.enabled_at(s) for s in group}) == 1, target
+            values.add(target.enabled_at(group[0]))
+    assert values == {True, False}

@@ -25,7 +25,7 @@ from goalkit.verifier import (
     t_ensures, t_eventually, trap_lasso, verify_agent, wlp,
 )
 
-from helpers import with_actions
+from helpers import micro_agent, with_actions
 
 P, Q = Atom("p"), Atom("q")
 PQ = ("p", "q")
@@ -464,6 +464,28 @@ def test_a_cycle_that_one_action_always_leaves_is_no_trap():
 def test_trap_lasso_absent_when_the_property_holds(shopping):
     agent, graph = shopping
     assert trap_lasso(agent, graph, agent.initial_state, bought_all()) is None
+
+
+def test_trap_lasso_never_starts_at_a_psi_state():
+    # A lasso whose first state satisfies psi does not avoid psi; from such
+    # a start there is none.
+    lassos = 0
+    for seed in range(200):
+        agent = micro_agent(seed)
+        if agent is None:
+            continue
+        graph = reachable(agent)
+        for psi in (Bel(P), Goal(Q), Bel(Q), Not(Bel(P))):
+            avoided = t_always(TState(Not(psi)))
+            for s in graph.nodes:
+                lasso = trap_lasso(agent, graph, s, psi)
+                if eval_msf(s, psi):
+                    assert lasso is None, (seed, psi)
+                elif lasso is not None:
+                    assert lasso.states[0] is s
+                    assert eval_temporal(lasso, avoided) is True, (seed, psi)
+                    lassos += 1
+    assert lassos >= 400
 
 
 # -- whole-agent driver and reports -------------------------------------------
