@@ -13,10 +13,12 @@ are re-exported here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 from .prop_logic import (
-    TRUE, Formula, atoms_of, entails, formula_for_table, render, truth_table,
+    CACHE_SIZE, TRUE, Formula, atoms_of, entails, formula_for_table, render,
+    truth_table,
 )
 from .mental_state import (
     CapabilitySpec, EffectClause, GoalAction, MentalState, apply_T, eval_msf,
@@ -85,21 +87,23 @@ def apply_M(action: Action, state: MentalState) -> Optional[MentalState]:
     return make_state(updated, state.goals)
 
 
-def _weakenings(gamma: Formula, phi: Formula) -> list[Formula]:
+@lru_cache(maxsize=CACHE_SIZE)
+def _weakenings(gamma: Formula, phi: Formula) -> tuple[Formula, ...]:
     """Generators covering the consequences of ``gamma`` that survive drop(phi).
 
     The goal base is closed under consequence, so dropping phi removes only
     the consequences that entail phi; a consequence chi of gamma survives
     exactly when it has a model outside phi.  The strongest survivors are
-    gamma-or-one-extra-model, one per non-phi valuation.
+    gamma-or-one-extra-model, one per non-phi valuation.  Both arguments
+    are interned, so the answer is kept for every later drop.
     """
     vocab = tuple(sorted(atoms_of(gamma) | atoms_of(phi)))
     if not vocab:
-        return []
+        return ()
     g_table = truth_table(gamma, vocab)
     p_table = truth_table(phi, vocab)
-    return [formula_for_table(g_table | (1 << v), vocab)
-            for v in range(1 << len(vocab)) if not (p_table >> v) & 1]
+    return tuple(formula_for_table(g_table | (1 << v), vocab)
+                 for v in range(1 << len(vocab)) if not (p_table >> v) & 1)
 
 
 def enabled_cond(b: ConditionalAction, state: MentalState) -> bool:

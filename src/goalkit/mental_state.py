@@ -18,9 +18,9 @@ from typing import (
 )
 
 from .prop_logic import (
-    And, Atom, Const, Formula, FormulaError, Iff, Imp, Not, Or, TokenStream,
-    atoms_of, consistent, entails, formula_for_table, leaves, map_leaves,
-    parse_prop, render, tautology, tokenize, truth_table,
+    CACHE_SIZE, And, Atom, Const, Formula, FormulaError, Iff, Imp, Not, Or,
+    TokenStream, atoms_of, consistent, entails, formula_for_table, leaves,
+    map_leaves, parse_prop, render, tautology, tokenize, truth_table,
 )
 
 
@@ -235,7 +235,10 @@ class StateSet:
     :func:`generates` holding, which reads only the goal base and so is
     decided once per goal class.  Other leaves are evaluated state by
     state.  A truth value depends only on the formula and the state, so the
-    values computed are kept on the set between calls.
+    values computed are kept on the set between calls, for at most
+    ``CACHE_SIZE`` subformulas: a full memo is emptied and its values are
+    computed again when asked.  :func:`validity_oracle` holds one set per
+    bounded universe for the life of the process.
     """
 
     __slots__ = ("states", "full", "_known", "_same_beliefs", "_same_goals")
@@ -281,6 +284,8 @@ class StateSet:
         if todo:
             holds |= self._at(f, todo)
             done |= todo
+            if len(self._known) >= CACHE_SIZE:
+                self._known.clear()
             self._known[f] = (done, holds)
         return holds & care
 
@@ -509,6 +514,13 @@ def _state_space(voc: tuple[str, ...],
     return tuple(out)
 
 
+@lru_cache(maxsize=16)
+def _universe(voc: tuple[str, ...], max_generators: int) -> StateSet:
+    """The bounded universe as one state set, kept with its memo; an
+    out-of-bounds request raises on every call."""
+    return StateSet(enumerate_states(voc, max_generators))
+
+
 @dataclass(frozen=True, slots=True)
 class OracleVerdict:
     valid: bool
@@ -533,9 +545,12 @@ def validity_oracle(phi: Formula, atoms: Sequence[str],
 
     Refutations are exact (the countermodel is the least in enumeration
     order); the positive verdict claims validity only within the bounds.
+    Every call over the same atoms and generator bound evaluates on one
+    held :class:`StateSet`, so its class indexes and the truth values it
+    has computed serve later calls.
     """
     voc = tuple(sorted(atoms))
-    space = StateSet(enumerate_states(voc, max_generators))
+    space = _universe(voc, max_generators)
     refuted = space.full & ~space.mask(phi)
     if refuted:
         return OracleVerdict(False, space.states[lowest_bit(refuted)], voc,

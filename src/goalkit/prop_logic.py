@@ -239,12 +239,13 @@ CACHE_SIZE = 1 << 13
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _atom_pattern(vocab: tuple[str, ...], name: str) -> int:
-    k = vocab.index(name)
-    pattern = 0
-    for i in range(1 << len(vocab)):
-        if (i >> k) & 1:
-            pattern |= 1 << i
-    return pattern
+    # Atom k is false at the first 2^k valuations of every period of 2·2^k
+    # and true at the next 2^k.  ``block`` is one period; the quotient has a
+    # 1 at the start of every period, so the product repeats the block.
+    run = 1 << vocab.index(name)
+    block = ((1 << run) - 1) << run
+    full = (1 << (1 << len(vocab))) - 1
+    return block * (full // ((1 << 2 * run) - 1))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

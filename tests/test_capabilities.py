@@ -1,7 +1,14 @@
 import pytest
 
-from goalkit.prop_logic import And, Atom, FALSE, Imp, Not, Or, TRUE, equivalent
-from goalkit.mental_state import Bel, Goal, MentalState, eval_msf, goal_holds
+from goalkit import capabilities
+from goalkit.prop_logic import (
+    CACHE_SIZE, And, Atom, FALSE, Imp, Not, Or, TRUE, atoms_of, entails,
+    equivalent, formula_for_table, truth_table,
+)
+from goalkit.mental_state import (
+    Bel, Goal, MentalState, canonical_formulas, enumerate_states, eval_msf,
+    goal_holds, make_state,
+)
 from goalkit.capabilities import (
     CapabilitySpec, ConditionalAction, EffectClause,
     GoalAction, apply_M, apply_T, enabled_cap, enabled_cond, insert, remove,
@@ -173,3 +180,35 @@ def test_named_enabled_leaves_are_bound_when_parsed():
             parse_msformula("enabled(c)", capabilities=capabilities)
     with pytest.raises(TypeError):
         Enabled("c")
+
+
+def weakenings_afresh(gamma, phi):
+    """Reference: the weakenings of ``gamma`` that survive drop(phi), built
+    anew on every call."""
+    vocab = tuple(sorted(atoms_of(gamma) | atoms_of(phi)))
+    if not vocab:
+        return []
+    g_table = truth_table(gamma, vocab)
+    p_table = truth_table(phi, vocab)
+    return [formula_for_table(g_table | (1 << v), vocab)
+            for v in range(1 << len(vocab)) if not (p_table >> v) & 1]
+
+
+def drop_afresh(phi, s):
+    kept = []
+    for g in s.goals:
+        if entails((g,), phi):
+            kept.extend(weakenings_afresh(g, phi))
+        else:
+            kept.append(g)
+    return make_state(s.beliefs, kept)
+
+
+def test_drop_matches_unmemoized_weakenings_on_the_universe():
+    assert capabilities._weakenings.cache_info().maxsize == CACHE_SIZE
+    vocab = ("p", "q")
+    universe = list(enumerate_states(vocab, 2))
+    for phi in canonical_formulas(vocab, include_false=True):
+        action = GoalAction("drop", phi)
+        for s in universe:
+            assert apply_M(action, s) == drop_afresh(phi, s), (phi, s)

@@ -272,6 +272,24 @@ def test_memo_answers_alike_for_every_shape_of_premises(premises, phi):
         assert consistent(shape()) == bool(models)
 
 
+def atom_pattern_by_valuation(vocab, name):
+    """Reference: bit i set for each valuation i that makes ``name`` true."""
+    k = vocab.index(name)
+    pattern = 0
+    for i in range(1 << len(vocab)):
+        if (i >> k) & 1:
+            pattern |= 1 << i
+    return pattern
+
+
+def test_atom_patterns_match_valuation_reference():
+    for n in range(1, 11):
+        vocab = tuple(f"a{k}" for k in range(n))
+        for name in vocab:
+            assert (prop_logic._atom_pattern(vocab, name)
+                    == atom_pattern_by_valuation(vocab, name)), (n, name)
+
+
 def test_formula_caches_stay_within_their_bound():
     for i in range(CACHE_SIZE + 100):
         fresh = Atom(f"memo_bound_{i}")

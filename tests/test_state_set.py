@@ -14,9 +14,9 @@ import random
 
 import pytest
 
-from goalkit import executor, verifier
+from goalkit import executor, mental_state, verifier
 from goalkit.prop_logic import (
-    And, Atom, FALSE, Iff, Imp, Not, Or, TRUE, render,
+    CACHE_SIZE, And, Atom, FALSE, Iff, Imp, Not, Or, TRUE, render,
 )
 from goalkit.mental_state import (
     Bel, BoundsExceeded, Enabled, Goal, MentalStateError, OracleVerdict,
@@ -254,10 +254,82 @@ def test_hoare_basic_matches_statewise_reference_on_reachable_graphs():
     (PQ, 4),
 ])
 def test_oracle_bounds_are_still_enforced(atoms, max_generators):
-    with pytest.raises(BoundsExceeded):
-        validity_oracle(Bel(TRUE), atoms, max_generators)
-    with pytest.raises(BoundsExceeded):
-        list(enumerate_states(atoms, max_generators))
+    # errors are never kept: a repeated call raises again
+    held = mental_state._universe.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(BoundsExceeded):
+            validity_oracle(Bel(TRUE), atoms, max_generators)
+        with pytest.raises(BoundsExceeded):
+            list(enumerate_states(atoms, max_generators))
+    assert mental_state._universe.cache_info().currsize == held
+
+
+def test_held_universe_matches_statewise_reference():
+    # Every call over one bound reuses one set; formulas built from a
+    # growing pool share subformulas, so later calls meet memo entries that
+    # earlier calls made at some states, under either bound.
+    rng = random.Random(0x0F)
+    pool = msf_leaves(rng, PQ, [CAP_A, CAP_B], count=8)
+    outcomes = set()
+    for i in range(320):
+        if rng.random() < 0.2:
+            phi = Not(rng.choice(pool))
+        else:
+            phi = rng.choice((And, Or, Imp, Iff))(rng.choice(pool),
+                                                  rng.choice(pool))
+        pool.append(phi)
+        max_generators = 1 + i % 2
+        got = validity_oracle(phi, PQ, max_generators)
+        want = oracle_by_state(phi, PQ, max_generators)
+        assert got == want, phi
+        assert got.countermodel is want.countermodel
+        outcomes.add(got.valid)
+    assert outcomes == {True, False}
+    for max_generators in (1, 2):
+        space = mental_state._universe(PQ, max_generators)
+        assert space is mental_state._universe(PQ, max_generators)
+        assert 0 < len(space._known) <= CACHE_SIZE
+
+
+def test_a_raising_leaf_leaves_no_value_in_the_held_universe():
+    phi = Or(Bel(P), RAISES)
+    for _ in range(2):
+        with pytest.raises(MentalStateError):
+            validity_oracle(phi, PQ, 2)
+    known = mental_state._universe(PQ, 2)._known
+    assert RAISES not in known and phi not in known
+    for psi in (Or(Bel(P), Not(Bel(P))), Or(Bel(P), Goal(Q)),
+                And(Bel(FALSE), RAISES), Imp(Bel(FALSE), RAISES)):
+        got = validity_oracle(psi, PQ, 2)
+        want = oracle_by_state(psi, PQ, 2)
+        assert got == want
+        assert got.countermodel is want.countermodel
+
+
+def test_a_full_memo_is_emptied_and_its_masks_stay_exact(universe):
+    # More distinct formulas than the memo bound, asked of one set: the memo
+    # never holds more than CACHE_SIZE subformulas, and every mask, before
+    # and after it is emptied, equals the state-by-state one.
+    states = universe[::62]
+    space = StateSet(states)
+    rng = random.Random(0x10)
+    leaves = msf_leaves(rng, PQ, [CAP_A, CAP_B], count=6)
+    asked = []
+    seen = set()
+    emptied = False
+    while len(seen) <= CACHE_SIZE:
+        phi = random_msf(rng, leaves, 3)
+        if phi in seen:
+            continue
+        seen.add(phi)
+        asked.append(phi)
+        before = len(space._known)
+        assert space.mask(phi) == mask_by_state(phi, states), phi
+        assert len(space._known) <= CACHE_SIZE
+        emptied |= len(space._known) < before
+    assert emptied
+    for phi in asked[:200]:
+        assert space.mask(phi) == mask_by_state(phi, states), phi
 
 
 def test_leaves_are_evaluated_only_where_eval_msf_reaches_them(universe):
