@@ -14,18 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional
 
 from .prop_logic import (
     CACHE_SIZE, TRUE, Formula, atoms_of, entails, formula_for_table, render,
     truth_table,
 )
 from .mental_state import (
-    CapabilitySpec, EffectClause, GoalAction, MentalState, apply_T, eval_msf,
-    make_state,
+    Action, CapabilitySpec, EffectClause, GoalAction, MentalState, apply_T,
+    eval_msf, make_state,
 )
-
-Action = Union[CapabilitySpec, GoalAction]
 
 
 @dataclass(frozen=True, slots=True)

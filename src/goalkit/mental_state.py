@@ -112,11 +112,15 @@ def apply_T(cap: CapabilitySpec,
     return None
 
 
+# A basic action: a goal action or a belief capability.
+Action = Union[GoalAction, CapabilitySpec]
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class Enabled(Formula):
     """Enabledness atom of a goal action or of a belief capability."""
 
-    target: Union[GoalAction, CapabilitySpec]
+    target: Action
 
     def __post_init__(self) -> None:
         if not isinstance(self.target, (GoalAction, CapabilitySpec)):
@@ -220,6 +224,11 @@ def eval_msf(state: MentalState, phi: Formula) -> bool:
     raise MentalStateError(f"cannot evaluate {phi!r}")
 
 
+# Image sets held per state set: a constant well above the actions asked
+# about one scope (the oracle benchmark's catalogue has 44).
+HELD_IMAGES = 256
+
+
 class StateSet:
     """A fixed sequence of states over which formulas evaluate as bit masks.
 
@@ -237,11 +246,18 @@ class StateSet:
     state.  A truth value depends only on the formula and the state, so the
     values computed are kept on the set between calls, for at most
     ``CACHE_SIZE`` subformulas: a full memo is emptied and its values are
-    computed again when asked.  :func:`validity_oracle` holds one set per
-    bounded universe for the life of the process.
+    computed again when asked.
+
+    A set also holds, per action, its image set (:meth:`image`), for at
+    most ``HELD_IMAGES`` actions.  :func:`held_set` holds one set per
+    distinct state sequence, so the bounded universe of
+    :func:`validity_oracle` and the scope of
+    :func:`~goalkit.verifier.check_hoare_basic` are one set, whose masks and
+    image sets serve every later call of either.
     """
 
-    __slots__ = ("states", "full", "_known", "_same_beliefs", "_same_goals")
+    __slots__ = ("states", "full", "_known", "_same_beliefs", "_same_goals",
+                 "_images", "_bases")
 
     def __init__(self, states: Iterable[MentalState]):
         self.states: tuple[MentalState, ...] = tuple(states)
@@ -252,6 +268,10 @@ class StateSet:
         # each built when first needed
         self._same_beliefs: Optional[list[int]] = None
         self._same_goals: Optional[list[int]] = None
+        # per action: its image set and the mask where it executes
+        self._images: dict[Action, tuple[StateSet, int]] = {}
+        # the one object kept for each belief or goal base of those images
+        self._bases: dict[frozenset[Formula], frozenset[Formula]] = {}
 
     def _belief_classes(self) -> list[int]:
         if self._same_beliefs is None:
@@ -334,9 +354,60 @@ class StateSet:
             care &= ~members
         return out
 
-    def select(self, mask: int) -> list[MentalState]:
-        """The states whose bits are set in ``mask``, in order."""
-        return [self.states[i] for i in set_bits(mask)]
+    def image(self, action: Action,
+              transform: Callable[[Action, MentalState], Optional[MentalState]]
+              ) -> tuple[StateSet, int]:
+        """The set whose state i is ``transform(action, states[i])``, or
+        ``states[i]`` itself where that is ``None``, and the mask of the
+        positions where it is not ``None``.
+
+        Both are built at every state on the first call for ``action`` and
+        held on this set, so they live no longer than it does.  An image
+        equal to its source is the source object, one equal to another
+        state of this set is that state, other equal images of one action
+        are one object, and equal belief or goal bases among all the images
+        held on this set are one object.  If ``transform`` raises, no image
+        set is kept.
+
+        ``transform`` must give states with equal beliefs images with equal
+        beliefs, as ``capabilities.apply_M`` does (an update, and whether
+        it is defined, read only the beliefs), so the image set uses this
+        set's belief classes instead of building its own.
+        """
+        held = self._images.get(action)
+        if held is not None:
+            return held
+        if len(self._images) >= HELD_IMAGES:
+            self._images.clear()
+            self._bases.clear()
+        kept = {s: s for s in self.states}
+        images: list[MentalState] = []
+        executed = 0
+        for i, s in enumerate(self.states):
+            t = transform(action, s)
+            if t is not None:
+                executed |= 1 << i
+                if t != s:
+                    s = _share(t, kept, self._bases)
+            images.append(s)
+        image_set = StateSet(images)
+        image_set._same_beliefs = self._belief_classes()
+        held = self._images[action] = (image_set, executed)
+        return held
+
+
+def _share(state: MentalState, kept: dict[MentalState, MentalState],
+           bases: dict[frozenset[Formula], frozenset[Formula]]) -> MentalState:
+    """The state ``kept`` holds equal to ``state``; a state new to it
+    shares its belief and goal bases with the equal ones in ``bases``."""
+    found = kept.get(state)
+    if found is None:
+        beliefs = bases.setdefault(state.beliefs, state.beliefs)
+        goals = bases.setdefault(state.goals, state.goals)
+        if beliefs is not state.beliefs or goals is not state.goals:
+            state = MentalState(beliefs, goals)
+        found = kept[state] = state
+    return found
 
 
 def _classes(keys: Sequence[object]) -> list[int]:
@@ -515,10 +586,19 @@ def _state_space(voc: tuple[str, ...],
 
 
 @lru_cache(maxsize=16)
+def held_set(states: tuple[MentalState, ...]) -> StateSet:
+    """One state set per distinct state sequence, held with its memo and
+    image sets for the 16 sequences used last."""
+    return StateSet(states)
+
+
+@lru_cache(maxsize=16)
 def _universe(voc: tuple[str, ...], max_generators: int) -> StateSet:
-    """The bounded universe as one state set, kept with its memo; an
-    out-of-bounds request raises on every call."""
-    return StateSet(enumerate_states(voc, max_generators))
+    """The bounded universe's set, taken from :func:`held_set` when first
+    asked for, so it is the set ``check_hoare_basic`` uses for the same
+    states for as long as :func:`held_set` keeps it too.  An out-of-bounds
+    request raises on every call."""
+    return held_set(tuple(enumerate_states(voc, max_generators)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -546,8 +626,10 @@ def validity_oracle(phi: Formula, atoms: Sequence[str],
     Refutations are exact (the countermodel is the least in enumeration
     order); the positive verdict claims validity only within the bounds.
     Every call over the same atoms and generator bound evaluates on one
-    held :class:`StateSet`, so its class indexes and the truth values it
-    has computed serve later calls.
+    held :class:`StateSet`, the one :func:`held_set` holds for the
+    universe's states, which ``check_hoare_basic`` also evaluates its
+    preconditions on and holds its image sets on; so the class indexes
+    and the truth values either route computed serve later calls of both.
     """
     voc = tuple(sorted(atoms))
     space = _universe(voc, max_generators)

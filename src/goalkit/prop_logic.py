@@ -230,14 +230,13 @@ def atoms_of(phi: Formula) -> frozenset[str]:
 # iff bit k of i is set.  A formula's table is the integer whose bit i is the
 # formula's value under valuation i.
 
-# Entries kept by each of the formula caches below: truth tables, atom
-# patterns and the entailment and consistency memos.  It covers the working
-# set of the bounded-universe oracle (about 2,700 distinct entailment
-# questions) while keeping memory flat when every query brings fresh atoms.
+# Entries kept by each of the formula caches below: truth tables and the
+# entailment and consistency memos.  It covers the working set of the
+# bounded-universe oracle (about 2,700 distinct entailment questions) while
+# keeping memory flat when every query brings fresh atoms.
 CACHE_SIZE = 1 << 13
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _atom_pattern(vocab: tuple[str, ...], name: str) -> int:
     # Atom k is false at the first 2^k valuations of every period of 2·2^k
     # and true at the next 2^k.  ``block`` is one period; the quotient has a

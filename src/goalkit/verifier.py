@@ -18,7 +18,7 @@ from .prop_logic import (
     And, FALSE, Formula, Imp, Not, Or, TRUE, map_leaves, render, tautology,
 )
 from .mental_state import (
-    Bel, Enabled, Goal, MentalState, OracleVerdict, StateSet, eval_msf,
+    Bel, Enabled, Goal, MentalState, OracleVerdict, eval_msf, held_set,
     lowest_bit, map_goal_leaves, msf_leaves, set_bits, validity_oracle,
 )
 from .capabilities import (
@@ -89,21 +89,24 @@ def check_hoare_basic(triple: HoareTriple,
 
     At each in-scope state satisfying the precondition: if the action is
     enabled the postcondition must hold at its result, otherwise at the
-    state itself.  The postcondition is evaluated over the images as one
-    mask.
+    state itself.  The scope is the one set :func:`held_set` holds for
+    this sequence of states, which is also :func:`validity_oracle`'s set
+    when the scope is a bounded universe, and the action's image set is
+    held on it (:meth:`StateSet.image`), so a repeated question is answered
+    from masks kept on both.  The witness is the caller's own state.
     """
     action = triple.statement
     assert not isinstance(action, ConditionalAction)
-    scope = StateSet(states)
-    pre_states = scope.select(scope.mask(triple.pre))
+    given = tuple(states)
+    scope = held_set(given)
+    pre = scope.mask(triple.pre)
     # apply_M is None exactly where the action is not enabled
-    moved = [apply_M(action, s) for s in pre_states]
-    images = StateSet(s if t is None else t for s, t in zip(pre_states, moved))
-    failed = images.full & ~images.mask(triple.post)
+    images, executed = scope.image(action, apply_M)
+    failed = pre & ~images.mask(triple.post, within=pre)
     if not failed:
         return Verdict(True, scope="statewise")
     i = lowest_bit(failed)
-    return _post_fails(pre_states[i], moved[i] is not None, "not enabled")
+    return _post_fails(given[i], bool(executed >> i & 1), "not enabled")
 
 
 def check_hoare_conditional(triple: HoareTriple, graph: StateGraph) -> Verdict:

@@ -1,5 +1,5 @@
-"""Shared test utilities: canonical states, semantic formula pools, and a
-seeded micro-agent generator."""
+"""Shared test utilities: one execution attempt, canonical states, semantic
+formula pools, and a seeded micro-agent generator."""
 
 from __future__ import annotations
 
@@ -12,9 +12,15 @@ from goalkit.prop_logic import (
 )
 from goalkit.mental_state import Bel, Goal, MentalState, canonical_formulas
 from goalkit.capabilities import (
-    CapabilitySpec, ConditionalAction, EffectClause, GoalAction,
+    Action, CapabilitySpec, ConditionalAction, EffectClause, GoalAction,
+    apply_M, enabled_cap,
 )
 from goalkit.agent_program import Agent
+
+
+def attempt(action: Action, state: MentalState) -> MentalState:
+    """One execution attempt: the successor when enabled, else in place."""
+    return apply_M(action, state) if enabled_cap(action, state) else state
 
 
 def canonical_state(state: MentalState, vocab: tuple[str, ...]) -> MentalState:

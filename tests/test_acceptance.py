@@ -23,8 +23,8 @@ from goalkit.mental_state import (
     enumerate_states, eval_msf, goal_holds, validity_oracle,
 )
 from goalkit.capabilities import (
-    CapabilitySpec, ConditionalAction, EffectClause, GoalAction, apply_M,
-    apply_T, enabled_cap, enabled_cond, insert, remove,
+    CapabilitySpec, ConditionalAction, EffectClause, GoalAction, apply_T,
+    enabled_cap, enabled_cond, insert, remove,
 )
 from goalkit.agent_program import ground_shopping_fixture
 from goalkit.executor import (
@@ -38,7 +38,7 @@ from goalkit.verifier import (
     t_ensures, t_unless, trap_lasso, TState, verify_agent, wlp,
 )
 
-from helpers import micro_agent, random_formula, \
+from helpers import attempt, micro_agent, random_formula, \
     random_formula_for_table
 
 P, Q = Atom("p"), Atom("q")
@@ -58,11 +58,6 @@ def universe():
     """The bounded 2-atom universe with up to two goal generators."""
     states = list(enumerate_states(PQ, max_generators=2))
     return states, StateSet(states)
-
-
-def attempt(action, state):
-    """One execution attempt: the successor when enabled, else in place."""
-    return apply_M(action, state) if enabled_cap(action, state) else state
 
 
 MSF_LEAVES = ([Bel(phi) for phi in canonical_formulas(PQ, include_false=True)]

@@ -19,9 +19,9 @@ from goalkit.prop_logic import (
     CACHE_SIZE, And, Atom, FALSE, Iff, Imp, Not, Or, TRUE, render,
 )
 from goalkit.mental_state import (
-    Bel, BoundsExceeded, Enabled, Goal, MentalStateError, OracleVerdict,
-    StateSet,
-    enumerate_states, eval_msf, set_bits, validity_oracle,
+    Bel, BoundsExceeded, Enabled, Goal, MentalState, MentalStateError,
+    OracleVerdict, StateSet, canonical_formulas, enumerate_states, eval_msf,
+    set_bits, validity_oracle,
 )
 from goalkit.capabilities import (
     CapabilitySpec, ConditionalAction, EffectClause,
@@ -34,7 +34,7 @@ from goalkit.verifier import (
     check_hoare_conditional, check_leadsto, check_unless, prove_leadsto,
 )
 
-from helpers import micro_agent, random_formula, with_actions
+from helpers import attempt, micro_agent, random_formula, with_actions
 
 P, Q = Atom("p"), Atom("q")
 PQ = ("p", "q")
@@ -362,6 +362,131 @@ def test_a_leaf_reached_only_after_the_first_countermodel_raises(universe):
     assert not refuted.valid
     with pytest.raises(MentalStateError):
         validity_oracle(phi, PQ, 2)
+
+
+# -- held scopes and image sets -------------------------------------------------
+
+# Every canonical belief update and goal action over p, q.
+CANONICAL_ACTIONS = [make(phi)
+                     for phi in canonical_formulas(PQ, include_false=True)
+                     for make in (insert, remove,
+                                  lambda phi: GoalAction("adopt", phi),
+                                  lambda phi: GoalAction("drop", phi))]
+
+
+def test_hoare_basic_on_a_rebuilt_universe_matches_statewise_reference(
+        universe):
+    # Equal sequences of distinct state objects share one held set, the
+    # one validity_oracle uses, but each caller's witness is its own object.
+    rebuilt = [MentalState(frozenset(s.beliefs), frozenset(s.goals))
+               for s in universe]
+    assert all(a == b and a is not b for a, b in zip(universe, rebuilt))
+    # other tests' scopes may have pushed the universe out of held_set
+    mental_state._universe.cache_clear()
+    scope = mental_state._universe(PQ, 2)
+    assert mental_state.held_set(tuple(universe)) is scope
+    assert mental_state.held_set(tuple(rebuilt)) is scope
+    rng = random.Random(0x11)
+    leaves = msf_leaves(rng, PQ, [CAP_A, CAP_B])
+    statements = [insert(P), remove(P), GoalAction("adopt", Or(P, Q)),
+                  GoalAction("drop", P), CAP_A, CAP_B]
+    triples = [HoareTriple(random_msf(rng, leaves, 2), rng.choice(statements),
+                           random_msf(rng, leaves, 2)) for _ in range(40)]
+    details = set()
+    for _ in range(2):
+        for triple in triples:
+            for states in (rebuilt, universe):
+                got = check_hoare_basic(triple, states)
+                assert_same_verdict(got, hoare_by_state(triple, states))
+                details.add(got.detail)
+    assert details == {"", "post fails after execution",
+                       "post fails in place (not enabled)"}
+
+
+def test_an_action_is_applied_once_per_scope_state(universe, monkeypatch):
+    calls = []
+
+    def counted(action, state):
+        calls.append(state)
+        return apply_M(action, state)
+
+    monkeypatch.setattr(verifier, "apply_M", counted)
+    states = universe[5::9]
+    probe = CapabilitySpec("probe", (EffectClause(Q, (P,), ()),))
+    first = HoareTriple(Bel(Q), probe, Bel(P))
+    assert_same_verdict(check_hoare_basic(first, states),
+                        hoare_by_state(first, states))
+    assert len(calls) == len(states)
+    calls.clear()
+    for triple in (first, HoareTriple(TRUE, probe, Goal(Q)),
+                   HoareTriple(Goal(P), CapabilitySpec("probe", probe.clauses),
+                               Not(Bel(P)))):
+        assert_same_verdict(check_hoare_basic(triple, states),
+                            hoare_by_state(triple, states))
+    assert calls == []
+
+
+def test_held_images_match_attempt_on_the_universe(universe):
+    scope = StateSet(universe)
+    scope_states = {s: s for s in universe}
+    image_bases = []
+    for action in CANONICAL_ACTIONS:
+        images, executed = scope.image(action, apply_M)
+        assert scope.image(action, apply_M) == (images, executed)
+        assert executed == sum(1 << i for i, s in enumerate(universe)
+                               if enabled_cap(action, s))
+        for s, t in zip(universe, images.states):
+            want = attempt(action, s)
+            assert t == want
+            if want == s:
+                assert t is s
+            elif want not in scope_states:
+                image_bases += [t.beliefs, t.goals]
+        # equal images of one action are one object, a state of the scope
+        # where there is an equal one
+        assert len(set(map(id, images.states))) == len(set(images.states))
+        assert all(t is scope_states[t]
+                   for t in images.states if t in scope_states)
+        for leaf in (Bel(P), Goal(Or(P, Q)), Enabled(insert(Not(P)))):
+            assert images.mask(leaf) == mask_by_state(leaf, images.states)
+    # equal bases among the images that are not states of the scope are
+    # one object
+    assert len(set(map(id, image_bases))) == len(set(image_bases))
+
+
+def test_apply_M_never_raises_over_the_universe(universe):
+    # check_hoare_basic applies an action at every state of its scope, not
+    # only where the precondition holds; apply_M is None exactly where the
+    # action is not enabled.
+    for action in CANONICAL_ACTIONS:
+        for s in universe:
+            assert (apply_M(action, s) is None) == (not enabled_cap(action, s))
+
+
+def test_a_raising_post_leaf_leaves_no_value_in_the_held_image_set(universe):
+    action = GoalAction("adopt", And(P, Not(Q)))
+    bad = HoareTriple(TRUE, action, Or(Bel(P), RAISES))
+    for _ in range(2):
+        with pytest.raises(MentalStateError):
+            check_hoare_basic(bad, universe)
+    images, _ = mental_state.held_set(tuple(universe)).image(action, apply_M)
+    assert RAISES not in images._known and bad.post not in images._known
+    for post in (Or(Bel(P), Not(Bel(P))), Or(Bel(P), Goal(Q)),
+                 And(Bel(FALSE), RAISES)):
+        triple = HoareTriple(TRUE, action, post)
+        assert_same_verdict(check_hoare_basic(triple, universe),
+                            hoare_by_state(triple, universe))
+
+
+def test_held_image_sets_stay_within_their_bound(universe):
+    states = universe[::100]
+    scope = mental_state.held_set(tuple(states))
+    for i in range(mental_state.HELD_IMAGES + 20):
+        action = CapabilitySpec(f"bound_{i}", (EffectClause(TRUE, (P,), ()),))
+        triple = HoareTriple(Goal(P), action, Goal(P))
+        assert_same_verdict(check_hoare_basic(triple, states),
+                            hoare_by_state(triple, states))
+        assert len(scope._images) <= mental_state.HELD_IMAGES
 
 
 # -- the verifier over a reachable graph --------------------------------------
