@@ -9,11 +9,10 @@ declared in the vocab section (``book T;``) when the file is loaded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .prop_logic import (
-    Atom, Formula, Token, TokenStream, consistent, entails, leaves,
+    Atom, Formula, Record, Token, TokenStream, consistent, entails, leaves,
     parse_prop, render, tokenize,
 )
 from .mental_state import (
@@ -28,11 +27,10 @@ class AgentParseError(Exception):
     """Raised for malformed agent files and initial-state violations."""
 
 
-@dataclass(frozen=True, slots=True)
-class PropertyDecl:
-    kind: str  # "unless" | "ensures" | "leadsto" | "invariant"
-    left: Formula
-    right: Optional[Formula] = None
+class PropertyDecl(Record):
+    # kind: unless | ensures | leadsto | invariant
+    __slots__ = __match_args__ = ("kind", "left", "right")
+    _defaults = {"right": None}
 
     def __str__(self) -> str:
         if self.right is None:
@@ -40,16 +38,13 @@ class PropertyDecl:
         return f"{self.kind} {render(self.left)}, {render(self.right)}"
 
 
-@dataclass(frozen=True)
-class Agent:
-    vocab: tuple[str, ...]
-    books: tuple[str, ...]
-    capabilities: tuple[CapabilitySpec, ...]
-    program: tuple[ConditionalAction, ...]
-    initial_state: MentalState
-    properties: tuple[PropertyDecl, ...] = ()
-    table: dict[str, CapabilitySpec] = field(init=False, compare=False,
-                                             repr=False)
+class Agent(Record):
+    """A parsed agent; ``table`` (capability name -> capability) is derived."""
+
+    __match_args__ = ("vocab", "books", "capabilities", "program",
+                      "initial_state", "properties")
+    __slots__ = (*__match_args__, "table")
+    _defaults = {"properties": ()}
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "table",

@@ -12,12 +12,11 @@ are re-exported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 from .prop_logic import (
-    CACHE_SIZE, TRUE, Formula, atoms_of, entails, formula_for_table, render,
+    CACHE_SIZE, TRUE, Formula, Record, atoms_of, entails, formula_for_table, render,
     truth_table,
 )
 from .mental_state import (
@@ -26,12 +25,10 @@ from .mental_state import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ConditionalAction:
+class ConditionalAction(Record):
     """A guarded action: the condition is a mental-state formula over B/G."""
 
-    condition: Formula
-    action: Action
+    __slots__ = __match_args__ = ("condition", "action")
 
     def __str__(self) -> str:
         return f"{render(self.condition)} -> do({self.action})"

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .agent_program import Agent
 from .capabilities import ConditionalAction, apply_M, enabled_cond
 from .mental_state import MentalState, StateSet
-from .prop_logic import render
+from .prop_logic import Record, render
 
 DEFAULT_BUDGET = 10_000
 BUDGET_ENV_VAR = "GOAL_BUDGET"
@@ -52,14 +51,10 @@ def default_budget() -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(Record):
     """One attempted conditional action.  Idle steps leave the state fixed."""
 
-    source: MentalState
-    action: ConditionalAction
-    target: MentalState
-    executed: bool
+    __slots__ = __match_args__ = ("source", "action", "target", "executed")
 
     def __post_init__(self) -> None:
         if not self.executed:
@@ -75,16 +70,13 @@ def step(state: MentalState, b: ConditionalAction) -> Step:
     return Step(state, b, state, False)
 
 
-@dataclass(frozen=True)
-class TracePrefix:
+class TracePrefix(Record):
     """A finite prefix of a trace: n+1 states and n attempted actions."""
 
-    agent: Agent
-    states: tuple[MentalState, ...]
-    picks: tuple[int, ...]          # indices into agent.program
-    executed: tuple[bool, ...]
-    scheduler_kind: str             # "rr" | "random" | "unfair" | "manual"
-    seed: Optional[int] = None
+    # picks index agent.program; scheduler_kind: rr | random | unfair | manual
+    __slots__ = __match_args__ = ("agent", "states", "picks", "executed",
+                                  "scheduler_kind", "seed")
+    _defaults = {"seed": None}
 
     def __post_init__(self) -> None:
         assert len(self.states) == len(self.picks) + 1
@@ -235,15 +227,11 @@ def max_omission_streak(picks: Iterable[int], n_actions: int) -> int:
 # Reachable-state graph.
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
-    source: MentalState
-    action_index: int
-    target: MentalState
-    executed: bool
+class Edge(Record):
+    __slots__ = __match_args__ = ("source", "action_index", "target",
+                                  "executed")
 
 
-@dataclass
 class StateGraph:
     """The reachable states of an agent and every attempted step between them.
 
@@ -256,13 +244,16 @@ class StateGraph:
     values.
     """
 
-    agent: Agent
-    nodes: list[MentalState]
-    edges: list[Edge]
-    position: dict[MentalState, int]
-    targets: tuple[tuple[int, ...], ...]
-    executed: tuple[int, ...]
-    states: StateSet
+    def __init__(self, agent: Agent, nodes: list[MentalState], edges: list[Edge],
+                 position: dict[MentalState, int], targets: tuple[tuple[int, ...], ...],
+                 executed: tuple[int, ...], states: StateSet):
+        self.agent = agent
+        self.nodes = nodes
+        self.edges = edges
+        self.position = position
+        self.targets = targets
+        self.executed = executed
+        self.states = states
 
     def to_dot(self) -> str:
         lines = ["digraph reachable {"]

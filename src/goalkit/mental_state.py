@@ -10,7 +10,6 @@ here too: an ``enabled(...)`` leaf holds its action and asks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import (
@@ -19,7 +18,7 @@ from typing import (
 
 from .prop_logic import (
     CACHE_SIZE, And, Atom, Const, Formula, FormulaError, Iff, Imp, Not, Or,
-    TokenStream, atoms_of, consistent, entails, formula_for_table, leaves,
+    Record, TokenStream, atoms_of, consistent, entails, formula_for_table, leaves,
     map_leaves, parse_prop, render, tautology, tokenize, truth_table,
 )
 
@@ -36,9 +35,8 @@ class BoundsExceeded(Exception):
 # Mental-state formula leaves.  Connectives are shared with prop_logic.
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Bel(Formula):
-    arg: Formula
+    __slots__ = __match_args__ = ("arg",)
 
     def __post_init__(self) -> None:
         self._seal(None, self.arg.depth + 1)
@@ -47,9 +45,8 @@ class Bel(Formula):
         return f"B({render(self.arg)})"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Goal(Formula):
-    arg: Formula
+    __slots__ = __match_args__ = ("arg",)
 
     def __post_init__(self) -> None:
         self._seal(None, self.arg.depth + 1)
@@ -58,10 +55,8 @@ class Goal(Formula):
         return f"G({render(self.arg)})"
 
 
-@dataclass(frozen=True, slots=True)
-class GoalAction:
-    kind: str  # "adopt" | "drop"
-    argument: Formula
+class GoalAction(Record):
+    __slots__ = __match_args__ = ("kind", "argument")  # kind: adopt | drop
 
     def __str__(self) -> str:
         return f"{self.kind}({render(self.argument)})"
@@ -75,17 +70,12 @@ class GoalAction:
                 and not state.believes(self.argument))
 
 
-@dataclass(frozen=True, slots=True)
-class EffectClause:
-    guard: Formula
-    add: tuple[Formula, ...]
-    delete: tuple[Formula, ...]
+class EffectClause(Record):
+    __slots__ = __match_args__ = ("guard", "add", "delete")
 
 
-@dataclass(frozen=True, slots=True)
-class CapabilitySpec:
-    name: str
-    clauses: tuple[EffectClause, ...]
+class CapabilitySpec(Record):
+    __slots__ = __match_args__ = ("name", "clauses")
 
     def __str__(self) -> str:
         return self.name
@@ -116,11 +106,10 @@ def apply_T(cap: CapabilitySpec,
 Action = Union[GoalAction, CapabilitySpec]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Enabled(Formula):
     """Enabledness atom of a goal action or of a belief capability."""
 
-    target: Action
+    __slots__ = __match_args__ = ("target",)
 
     def __post_init__(self) -> None:
         if not isinstance(self.target, (GoalAction, CapabilitySpec)):
@@ -136,19 +125,19 @@ class Enabled(Formula):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class MentalState:
+class MentalState(Record):
     """Pair of belief base and goal-generator base.
 
     Invariants (checked on construction): the belief base is consistent,
     every generator is consistent, and no generator is entailed by the
-    beliefs.
+    beliefs.  The hash is kept from construction: scopes hash every state.
     """
 
-    beliefs: frozenset[Formula]
-    goals: frozenset[Formula]
+    __match_args__ = ("beliefs", "goals")
+    __slots__ = (*__match_args__, "_hash")
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.beliefs, self.goals)))
         if not consistent(self.beliefs):
             raise MentalStateError("belief base is inconsistent")
         for gamma in self.goals:
@@ -158,6 +147,9 @@ class MentalState:
             if entails(self.beliefs, gamma):
                 raise MentalStateError(
                     f"goal generator {render(gamma)} is already believed (clause (i))")
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def believes(self, phi: Formula) -> bool:
         return entails(self.beliefs, phi)
@@ -601,12 +593,9 @@ def _universe(voc: tuple[str, ...], max_generators: int) -> StateSet:
     return held_set(tuple(enumerate_states(voc, max_generators)))
 
 
-@dataclass(frozen=True, slots=True)
-class OracleVerdict:
-    valid: bool
-    countermodel: Optional[MentalState]
-    atoms: tuple[str, ...]
-    max_generators: int
+class OracleVerdict(Record):
+    __slots__ = __match_args__ = ("valid", "countermodel", "atoms",
+                                  "max_generators")
 
     def __bool__(self) -> bool:
         return self.valid

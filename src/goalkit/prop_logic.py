@@ -8,13 +8,82 @@ a Python integer, with bit ``i`` giving the formula's value under the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 class FormulaError(Exception):
     """Raised for malformed formula text or out-of-vocabulary atoms."""
+
+
+class Record:
+    """Base of goalkit's immutable records: a subclass names its fields in
+    ``__slots__`` and ``__match_args__``, and ``_defaults`` maps trailing
+    fields to defaults.  Records are built by position or keyword, equal by
+    class and fields, hashed by fields, and print as ``Name(field=value)``;
+    ``__post_init__`` checks or derives once the fields are set.  No code is
+    generated at import, which keeps each run's start-up short."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = _bind(type(self), args, kwargs)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
+        self.__post_init__()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # slot setters for __init__, and one C getter of every field
+        cls._setters = tuple(getattr(cls, name).__set__
+                             for name in cls.__match_args__)
+        if cls.__match_args__:
+            cls._fields = attrgetter(*cls.__match_args__)
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, so nodes intern
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+
+def _bind(cls: type, args: tuple, kwargs: dict) -> tuple:
+    """The field values of ``cls(*args, **kwargs)``, in field order."""
+    names, defaults = cls.__match_args__, cls._defaults
+    try:
+        values = args + tuple([kwargs.pop(n) if n in kwargs else defaults[n]
+                               for n in names[len(args):]])
+    except KeyError:    # a field with neither a value nor a default
+        values = ()
+    if kwargs or len(values) != len(names):
+        raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
+    return values
 
 
 # Formulas nested deeper than this are rejected by the parser.  The structural
@@ -38,10 +107,8 @@ class _HashConsed(type):
     """
 
     def __call__(cls, *args, **kwargs):
-        if kwargs:
-            node = super().__call__(*args, **kwargs)
-            key = (cls, *(getattr(node, name) for name in cls.__match_args__))
-            return _nodes.setdefault(key, node)
+        if kwargs or len(args) != len(cls.__match_args__):
+            args = _bind(cls, args, kwargs)
         key = (cls, *args)
         node = _nodes.get(key)
         if node is None:
@@ -50,24 +117,21 @@ class _HashConsed(type):
         return node
 
 
-class Formula(metaclass=_HashConsed):
+class Formula(Record, metaclass=_HashConsed):
     """Base class of all formula AST nodes (propositional and modal).
 
     Nodes are hash-consed, so equality is identity.  Each node carries its
     nesting ``depth`` and its atom set (``None`` on a node that is not purely
-    propositional), both computed once at construction.
+    propositional), both computed once at construction by ``__post_init__``.
     """
 
     __slots__ = ("_atoms", "depth")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def _seal(self, atoms: Optional[frozenset[str]], depth: int) -> None:
         object.__setattr__(self, "_atoms", atoms)
         object.__setattr__(self, "depth", depth)
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, so they intern too
-        return type(self), tuple(getattr(self, name)
-                                 for name in self.__match_args__)
 
     def render_leaf(self) -> str:
         """The text of a leaf that :func:`render` does not know itself."""
@@ -77,17 +141,15 @@ class Formula(metaclass=_HashConsed):
         return render(self)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Atom(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
     def __post_init__(self) -> None:
         self._seal(frozenset((self.name,)), 1)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Const(Formula):
-    value: bool
+    __slots__ = __match_args__ = ("value",)
 
     def __post_init__(self) -> None:
         self._seal(frozenset(), 1)
@@ -97,18 +159,15 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Not(Formula):
-    operand: Formula
+    __slots__ = __match_args__ = ("operand",)
 
     def __post_init__(self) -> None:
         self._seal(self.operand._atoms, self.operand.depth + 1)
 
 
 class _Binary(Formula):
-    __slots__ = ()
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
     def __post_init__(self) -> None:
         a, b = self.left._atoms, self.right._atoms
@@ -119,28 +178,20 @@ class _Binary(Formula):
         self._seal(atoms, max(self.left.depth, self.right.depth) + 1)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class And(_Binary):
-    left: Formula
-    right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Or(_Binary):
-    left: Formula
-    right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Imp(_Binary):
-    left: Formula
-    right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Iff(_Binary):
-    left: Formula
-    right: Formula
+    __slots__ = ()
 
 
 def conj(parts: Sequence[Formula]) -> Formula:
@@ -411,43 +462,38 @@ def render(phi: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Lexing and parsing.
 
-_PUNCT = ("<->", "->", "(", ")", "{", "}", ";", ",", "!", "&", "|")
-
-
-@dataclass(frozen=True, slots=True)
 class Token:
-    kind: str  # "name", "punct", "eof"
-    text: str
-    pos: int
+    """One lexeme: its kind ("name", "punct" or "eof"), text and position."""
+
+    __slots__ = __match_args__ = ("kind", "text", "pos")
+    __repr__ = Record.__repr__
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind
+        self.text = text
+        self.pos = pos
+
+
+# One lexeme after any white space and comments: a run of word characters,
+# a punctuation mark, any other character (an error), or the end of the
+# text.  \s is exactly str.isspace and \w exactly str.isalnum plus "_"; a
+# name must also start with a letter (str.isalpha) or "_".
+_LEXEME = re.compile(r"(?:\s+|#[^\n]*)*(?:(?P<name>\w+)"
+                     r"|(?P<punct><->|->|[(){};,!&|])|(?P<bad>.)|(?P<eof>\Z))")
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], i))
-            i = j
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(Token("punct", punct, i))
-                i += len(punct)
-                break
-        else:
-            raise FormulaError(f"unexpected character {c!r} at position {i}")
-    tokens.append(Token("eof", "", n))
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        pos = m.start(kind)
+        if kind == "bad" or (kind == "name" and not text[pos].isalpha()
+                             and text[pos] != "_"):
+            raise FormulaError(
+                f"unexpected character {text[pos]!r} at position {pos}")
+        tokens.append(Token(kind, m[kind], pos))
+        if kind == "eof":   # the pattern's last match, at the end of the text
+            break
     return tokens
 
 

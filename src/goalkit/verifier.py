@@ -10,12 +10,10 @@ Hoare obligations; graph-level trace oracles double-check the reductions.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .prop_logic import (
-    And, FALSE, Formula, Imp, Not, Or, TRUE, map_leaves, render, tautology,
+    And, FALSE, Formula, Imp, Not, Or, Record, TRUE, map_leaves, render, tautology,
 )
 from .mental_state import (
     Bel, Enabled, Goal, MentalState, OracleVerdict, eval_msf, held_set,
@@ -43,22 +41,16 @@ class MalformedProof(VerifierError):
 Statement = Union[CapabilitySpec, GoalAction, ConditionalAction]
 
 
-@dataclass(frozen=True, slots=True)
-class HoareTriple:
-    pre: Formula
-    statement: Statement
-    post: Formula
+class HoareTriple(Record):
+    __slots__ = __match_args__ = ("pre", "statement", "post")
 
     def __str__(self) -> str:
         return f"{{{render(self.pre)}}} {self.statement} {{{render(self.post)}}}"
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
-    holds: bool
-    witness: Optional[MentalState] = None
-    scope: str = ""
-    detail: str = ""
+class Verdict(Record):
+    __slots__ = __match_args__ = ("holds", "witness", "scope", "detail")
+    _defaults = {"witness": None, "scope": "", "detail": ""}
 
     def __bool__(self) -> bool:
         return self.holds
@@ -120,10 +112,10 @@ def check_hoare_conditional(triple: HoareTriple, graph: StateGraph) -> Verdict:
     """
     b = triple.statement
     assert isinstance(b, ConditionalAction)
-    program = graph.agent.program
-    if b not in program:
-        raise VerifierError(f"{b} is not an action of the agent's program")
-    a = program.index(b)
+    try:
+        a = graph.agent.program.index(b)
+    except ValueError:
+        raise VerifierError(f"{b} is not an action of the agent's program") from None
     targets = graph.targets[a]
     sources = list(set_bits(graph.states.mask(triple.pre)))
     reached = 0
@@ -295,16 +287,12 @@ def check_ensures(phi: Formula, psi: Formula, agent: Agent,
 # Leads-to proofs.
 
 
-@dataclass(frozen=True)
-class EnsuresLeaf:
-    left: Formula
-    right: Formula
+class EnsuresLeaf(Record):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Trans:
-    first: "LeadsToProof"
-    second: "LeadsToProof"
+class Trans(Record):
+    __slots__ = __match_args__ = ("first", "second")
 
     @property
     def left(self) -> Formula:
@@ -315,11 +303,10 @@ class Trans:
         return self.second.right
 
 
-@dataclass(frozen=True)
-class Disj:
+class Disj(Record):
     """Disjunction: one child per top-level disjunct of ``left``, in order."""
-    left: Formula
-    children: tuple["LeadsToProof", ...]
+
+    __slots__ = __match_args__ = ("left", "children")
 
     @property
     def right(self) -> Formula:
@@ -424,38 +411,31 @@ def prove_leadsto(alpha: Formula, omega: Formula, agent: Agent,
 # Temporal formulas over lasso traces.
 
 
-class Temporal:
-    pass
+class Temporal(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class TState(Temporal):
-    formula: Formula
+    __slots__ = __match_args__ = ("formula",)
 
 
-@dataclass(frozen=True, slots=True)
 class TNot(Temporal):
-    operand: Temporal
+    __slots__ = __match_args__ = ("operand",)
 
 
-@dataclass(frozen=True, slots=True)
 class TAnd(Temporal):
-    left: Temporal
-    right: Temporal
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class TImp(Temporal):
-    left: Temporal
-    right: Temporal
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class TUntil(Temporal):
     """Weak until: either the right side is eventually reached with the
     left side true before it, or the left side holds forever."""
-    left: Temporal
-    right: Temporal
+
+    __slots__ = __match_args__ = ("left", "right")
 
 
 def t_always(a: Temporal) -> Temporal:
@@ -475,13 +455,11 @@ def t_ensures(phi: Formula, psi: Formula) -> Temporal:
                 TImp(TState(phi), t_eventually(TState(psi))))
 
 
-@dataclass(frozen=True)
-class LassoTrace:
+class LassoTrace(Record):
     """An infinite trace: ``states``, after which the suffix from
     ``cycle_start`` repeats forever."""
 
-    states: tuple[MentalState, ...]
-    cycle_start: int
+    __slots__ = __match_args__ = ("states", "cycle_start")
 
     def successor(self, i: int) -> int:
         return i + 1 if i + 1 < len(self.states) else self.cycle_start
@@ -720,13 +698,16 @@ def trap_lasso(agent: Agent, graph: StateGraph, start: MentalState,
 # Whole-agent verification driver and reports.
 
 
-@dataclass
 class Obligation:
-    name: str
-    rule: str
-    verdict: Verdict
+    """One checked obligation of a property, under the rule that checked it."""
+
+    def __init__(self, name: str, rule: str, verdict: Verdict):
+        self.name = name
+        self.rule = rule
+        self.verdict = verdict
 
     def record(self) -> str:
+        import json   # records mode only, so other runs do not load it
         digest = (self.verdict.witness.digest()
                   if self.verdict.witness is not None else None)
         return json.dumps({

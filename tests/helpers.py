@@ -7,8 +7,8 @@ import random
 from typing import Callable, Iterable, Optional, Sequence
 
 from goalkit.prop_logic import (
-    And, Atom, FALSE, Formula, Iff, Imp, Not, Or, TRUE, formula_for_table,
-    truth_table,
+    And, Atom, FALSE, Formula, FormulaError, Iff, Imp, Not, Or, TRUE,
+    formula_for_table, truth_table,
 )
 from goalkit.mental_state import Bel, Goal, MentalState, canonical_formulas
 from goalkit.capabilities import (
@@ -197,3 +197,42 @@ def with_actions(agent: Agent, *actions: ConditionalAction) -> Agent:
     return Agent(agent.vocab, agent.books, agent.capabilities,
                  agent.program + actions, agent.initial_state,
                  agent.properties)
+
+
+# ---------------------------------------------------------------------------
+# The character-by-character lexer that ``prop_logic.tokenize`` replaced,
+# kept as the reference its compiled pattern is checked against.
+
+_PUNCT = ("<->", "->", "(", ")", "{", "}", ";", ",", "!", "&", "|")
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, position) of each token of ``text``, the last one
+    ``("eof", "", len(text))``; raises FormulaError as tokenize does."""
+    tokens: list[tuple[str, str, int]] = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+            continue
+        for punct in _PUNCT:
+            if text.startswith(punct, i):
+                tokens.append(("punct", punct, i))
+                i += len(punct)
+                break
+        else:
+            raise FormulaError(f"unexpected character {c!r} at position {i}")
+    tokens.append(("eof", "", n))
+    return tokens

@@ -1,18 +1,21 @@
 import copy
 import pickle
+import re
 import sys
 import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from goalkit import prop_logic
 from goalkit.prop_logic import (
     CACHE_SIZE, MAX_DEPTH, And, Atom, Const, FALSE, Formula, FormulaError, Iff, Imp, Not,
     Or, TRUE, atoms_of, conj, consistent, disj, entails, equivalent,
     formula_for_table, minterm, parse_formula, render, satisfies, tautology,
-    truth_table, valuations,
+    tokenize, truth_table, valuations,
 )
+
+from helpers import reference_tokenize
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -333,3 +336,48 @@ def test_parse_accepts_nesting_up_to_the_limit():
 def test_parse_rejects_nesting_beyond_the_limit(text):
     with pytest.raises(FormulaError, match="nested more than"):
         parse_formula(text)
+
+
+# -- the lexer ----------------------------------------------------------------
+
+
+def _outcome(lexer, text):
+    """What ``lexer`` makes of ``text``: its tokens or its error message."""
+    try:
+        return lexer(text)
+    except FormulaError as exc:
+        return f"FormulaError: {exc}"
+
+
+def _triples(text):
+    return [(t.kind, t.text, t.pos) for t in tokenize(text)]
+
+
+# Mostly the lexer's own alphabet, with any other character mixed in.
+_lexer_texts = st.text(st.one_of(
+    st.sampled_from(list("pq_x1 \t\n#<->(){};,!&|")), st.characters()))
+
+
+@given(st.one_of(st.text(), _lexer_texts))
+@settings(max_examples=300, deadline=None)
+@example("p1 & !_q -> (r <-> s) # note\n| t;")
+@example("a\u00b2 \u00b2a")           # superscript two: alnum, not alpha
+@example("\u00bd \u2167x \u4e00")      # numerics that are not letters
+@example("p\x1c\u2028q\u00a0r\u3000")  # str.isspace beyond ASCII
+@example("<- -< <> - < #\r\n# x")
+def test_tokenize_matches_the_loop_reference(text):
+    assert _outcome(_triples, text) == _outcome(reference_tokenize, text)
+
+
+def test_lexer_classes_are_the_str_predicates():
+    # tokenize reads \s as str.isspace and \w as str.isalnum plus "_"
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
+    assert re.findall(r"\w", chars) == [c for c in chars
+                                        if c.isalnum() or c == "_"]
+
+
+def test_tokens_are_read_by_attribute():
+    tok = tokenize("  p ->")[1]
+    assert (tok.kind, tok.text, tok.pos) == ("punct", "->", 4)
+    assert repr(tok) == "Token(kind='punct', text='->', pos=4)"
