@@ -12,12 +12,10 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .prop_logic import (
-    Atom, Formula, Record, Token, TokenStream, consistent, entails, leaves,
-    parse_prop, render, tokenize,
+    Formula, Record, Token, consistent, entails, expected, parse_tokens,
+    render, tokenize,
 )
-from .mental_state import (
-    MentalState, MentalStateError, msf_atoms, parse_msf_stream,
-)
+from .mental_state import MentalState, MentalStateError, msf_syntax
 from .capabilities import (
     CapabilitySpec, ConditionalAction, EffectClause, GoalAction,
 )
@@ -73,94 +71,78 @@ def _span_has_schema(tokens: list[Token]) -> bool:
 
 
 def _bind(tokens: list[Token], book: str) -> list[Token]:
-    return [Token(t.kind, _expand_name(t.text, book), t.pos)
+    return [Token((t.kind, _expand_name(t.text, book), t.pos))
             if t.kind == "name" else t for t in tokens]
 
 
-def _stream(tokens: list[Token]) -> TokenStream:
+def _span(tokens: list[Token]) -> tuple[list[str], Callable[[int], int]]:
+    """The token texts of a span, ending in "", and the position of each;
+    the end of a span is placed at its last token."""
     end = tokens[-1].pos if tokens else 0
-    return TokenStream(tokens + [Token("eof", "", end)])
+    return ([t.text for t in tokens] + [""],
+            lambda k: tokens[k].pos if k < len(tokens) else end)
 
 
-# ---------------------------------------------------------------------------
+def _block(tokens: list[Token], at: int,
+           keyword: Optional[str] = None) -> tuple[list[Token], int]:
+    """The tokens inside the brace-balanced ``{ ... }`` block at ``at``,
+    after ``keyword`` when it is given, and the index after the block."""
+    for want in (keyword, "{") if keyword else ("{",):
+        if tokens[at].text != want:
+            raise expected(want, tokens[at].text, tokens[at].pos)
+        at += 1
+    start, depth = at, 1
+    while True:
+        tok = tokens[at]
+        if tok.kind == "eof":
+            raise AgentParseError("unexpected end of file inside a block")
+        at += 1
+        if tok.text == "{":
+            depth += 1
+        elif tok.text == "}":
+            depth -= 1
+            if depth == 0:
+                return tokens[start:at - 1], at
 
 
-class _FileReader:
-    """Splits the token stream into section spans and parses them."""
-
-    def __init__(self, text: str):
-        self.stream = TokenStream(tokenize(text))
-
-    def take_block(self) -> list[Token]:
-        """Consume a brace-balanced ``{ ... }`` block; return inner tokens."""
-        self.stream.expect("{")
-        depth = 1
-        inner: list[Token] = []
-        while True:
-            tok = self.stream.next()
-            if tok.kind == "eof":
-                raise AgentParseError("unexpected end of file inside a block")
-            if tok.text == "{":
-                depth += 1
-            elif tok.text == "}":
-                depth -= 1
-                if depth == 0:
-                    return inner
-            inner.append(tok)
-
-    @staticmethod
-    def split(tokens: list[Token], sep: str) -> list[list[Token]]:
-        """Split ``tokens`` on ``sep`` at brace depth zero; drops empty runs."""
-        parts: list[list[Token]] = []
-        current: list[Token] = []
-        depth = 0
-        for tok in tokens:
-            if tok.text == "{":
-                depth += 1
-            elif tok.text == "}":
-                depth -= 1
-            if tok.text == sep and depth == 0:
-                if current:
-                    parts.append(current)
-                current = []
-            else:
-                current.append(tok)
-        if current:
-            parts.append(current)
-        return parts
+def _split(tokens: list[Token], sep: str) -> list[list[Token]]:
+    """Split ``tokens`` on ``sep`` at brace depth zero; drops empty runs."""
+    parts: list[list[Token]] = [[]]
+    depth = 0
+    for tok in tokens:
+        depth += (tok.text == "{") - (tok.text == "}")
+        if tok.text == sep and depth == 0:
+            parts.append([])
+        else:
+            parts[-1].append(tok)
+    return [part for part in parts if part]
 
 
 def _parse_formula_span(
-        tokens: list[Token],
-        resolve: Optional[Callable[[str], CapabilitySpec]] = None) -> Formula:
-    """A propositional formula, or with ``resolve`` a mental-state formula
-    whose ``enabled(name)`` leaves ``resolve`` binds."""
-    stream = _stream(tokens)
-    msf = resolve is not None
-    phi = parse_msf_stream(stream, resolve) if msf else parse_prop(stream)
-    tail = stream.peek()
-    if tail.kind != "eof":
-        raise AgentParseError(f"unexpected {tail.text!r} at position {tail.pos}")
-    if msf:
-        bare = next((leaf for leaf in leaves(phi) if isinstance(leaf, Atom)),
-                    None)
-        if bare is not None:
-            raise AgentParseError(
-                f"bare atom {bare.name!r}; wrap atoms in B(...) or G(...)")
-    return phi
+        tokens: list[Token], special: Optional[dict[str, Callable]] = None
+        ) -> tuple[Formula, set[str]]:
+    """A propositional formula, or with ``special`` (:func:`msf_syntax`) a
+    mental-state formula, and the names of its atoms."""
+    texts, where = _span(tokens)
+    phi, end, bare, names = parse_tokens(texts, 0, where, special)
+    if texts[end]:
+        raise AgentParseError(
+            f"unexpected {texts[end]!r} at position {where(end)}")
+    if bare is not None:
+        raise AgentParseError(
+            f"bare atom {bare.name!r}; wrap atoms in B(...) or G(...)")
+    return phi, names
 
 
 def parse_agent(text: str) -> Agent:
     """Parse and validate an agent file."""
-    reader = _FileReader(text)
-    stream = reader.stream
+    tokens = tokenize(text)
 
     # vocab
-    stream.expect("vocab")
-    vocab_tokens = reader.take_block()
+    vocab_tokens, at = _block(tokens, 0, "vocab")
     books: list[str] = []
     atom_entries: list[list[Token]] = []
-    for entry in reader.split(vocab_tokens, ";"):
+    for entry in _split(vocab_tokens, ";"):
         if entry[0].text == "book":
             if len(entry) != 2 or entry[1].kind != "name":
                 raise AgentParseError("book declarations have the form 'book NAME;'")
@@ -185,9 +167,9 @@ def parse_agent(text: str) -> Agent:
     vocab_set = set(vocab)
     caps_by_name: dict[str, CapabilitySpec] = {}
 
-    def check_names(phi: Formula, where: str) -> None:
+    def check_names(names: set[str], where: str) -> None:
         """Atoms must be in the vocab."""
-        unknown = msf_atoms(phi) - vocab_set
+        unknown = names - vocab_set
         if unknown:
             raise AgentParseError(
                 f"{where}: undeclared atoms {', '.join(sorted(unknown))}")
@@ -207,32 +189,27 @@ def parse_agent(text: str) -> Agent:
             return [_bind(span, b) for b in books]
         return [span]
 
-    # beliefs
-    stream.expect("beliefs")
-    beliefs: list[Formula] = []
-    for span in reader.split(reader.take_block(), ";"):
-        for bound in expansions(span):
-            phi = _parse_formula_span(bound)
-            check_names(phi, "beliefs")
-            beliefs.append(phi)
+    def bases(section: str) -> list[Formula]:
+        nonlocal at
+        block, at = _block(tokens, at, section)
+        formulas = []
+        for span in _split(block, ";"):
+            for bound in expansions(span):
+                phi, names = _parse_formula_span(bound)
+                check_names(names, section)
+                formulas.append(phi)
+        return formulas
 
-    # goals
-    stream.expect("goals")
-    goals: list[Formula] = []
-    for span in reader.split(reader.take_block(), ";"):
-        for bound in expansions(span):
-            phi = _parse_formula_span(bound)
-            check_names(phi, "goals")
-            goals.append(phi)
+    beliefs = bases("beliefs")
+    goals = bases("goals")
 
     # capabilities
-    while stream.peek().text == "capability":
-        stream.next()
-        name_tok = stream.next()
+    while tokens[at].text == "capability":
+        name_tok = tokens[at + 1]
         if name_tok.kind != "name":
             raise AgentParseError("capability name expected")
-        body = reader.take_block()
-        spans = reader.split(body, ";")
+        body, at = _block(tokens, at + 2)
+        spans = _split(body, ";")
         bindings = ([None] if not (_is_schema(name_tok.text) or _span_has_schema(body))
                     else list(books))
         if bindings == [] :
@@ -245,28 +222,28 @@ def parse_agent(text: str) -> Agent:
             clauses = []
             for span in spans:
                 bound = span if book is None else _bind(span, book)
-                clauses.append(_parse_clause(bound, reader, check_names))
+                clauses.append(_parse_clause(bound, check_names))
             caps_by_name[cap_name] = CapabilitySpec(cap_name, tuple(clauses))
 
     # program
-    stream.expect("program")
+    block, at = _block(tokens, at, "program")
     program: list[ConditionalAction] = []
-    for span in reader.split(reader.take_block(), ";"):
+    for span in _split(block, ";"):
         for bound in expansions(span):
-            program.append(_parse_rule(bound, reader, caps_by_name, check_names))
+            program.append(_parse_rule(bound, caps_by_name, check_names))
     if not program:
         raise AgentParseError("the program section must declare at least one action")
 
     # properties (optional)
     properties: list[PropertyDecl] = []
-    if stream.peek().text == "properties":
-        stream.next()
-        for span in reader.split(reader.take_block(), ";"):
+    if tokens[at].text == "properties":
+        block, at = _block(tokens, at, "properties")
+        for span in _split(block, ";"):
             for bound in expansions(span):
                 properties.append(
-                    _parse_property(bound, reader, check_names, capability))
+                    _parse_property(bound, check_names, capability))
 
-    tail = stream.peek()
+    tail = tokens[at]
     if tail.kind != "eof":
         raise AgentParseError(f"unexpected {tail.text!r} at position {tail.pos}")
 
@@ -289,38 +266,37 @@ def parse_agent(text: str) -> Agent:
                  tuple(program), initial, tuple(properties))
 
 
-def _parse_clause(tokens: list[Token], reader: _FileReader,
-                  check_names) -> EffectClause:
-    stream = _stream(tokens)
-    stream.expect("when")
-    guard = parse_prop(stream)
-    check_names(guard, "capability guard")
+def _parse_clause(tokens: list[Token], check_names) -> EffectClause:
+    texts, where = _span(tokens)
+    if texts[0] != "when":
+        raise expected("when", texts[0], where(0))
+    guard, at, _, names = parse_tokens(texts, 1, where)
+    check_names(names, "capability guard")
     add: list[Formula] = []
     delete: list[Formula] = []
-    while stream.peek().kind != "eof":
-        word = stream.next()
-        if word.text not in ("add", "del"):
+    while texts[at]:
+        word = texts[at]
+        if word not in ("add", "del"):
             raise AgentParseError(
-                f"expected 'add' or 'del' at position {word.pos}")
-        stream.expect("{")
-        inner: list[Token] = []
-        while stream.peek().text != "}":
-            tok = stream.next()
-            if tok.kind == "eof":
+                f"expected 'add' or 'del' at position {where(at)}")
+        if texts[at + 1] != "{":
+            raise expected("{", texts[at + 1], where(at + 1))
+        start = at = at + 2
+        while texts[at] != "}":
+            if not texts[at]:
                 raise AgentParseError("unterminated add/del list")
-            inner.append(tok)
-        stream.expect("}")
+            at += 1
         formulas = []
-        for span in reader.split(inner, ","):
-            phi = _parse_formula_span(span)
-            check_names(phi, f"capability {word.text} list")
+        for span in _split(tokens[start:at], ","):
+            phi, names = _parse_formula_span(span)
+            check_names(names, f"capability {word} list")
             formulas.append(phi)
-        (add if word.text == "add" else delete).extend(formulas)
+        (add if word == "add" else delete).extend(formulas)
+        at += 1
     return EffectClause(guard, tuple(add), tuple(delete))
 
 
-def _parse_rule(tokens: list[Token], reader: _FileReader,
-                caps_by_name: dict[str, CapabilitySpec],
+def _parse_rule(tokens: list[Token], caps_by_name: dict[str, CapabilitySpec],
                 check_names) -> ConditionalAction:
     # The rule shape is "<msformula> -> do(<action>)"; the "->" before
     # "do(" is the separator (the condition itself may contain "->").
@@ -331,39 +307,37 @@ def _parse_rule(tokens: list[Token], reader: _FileReader,
             split_at = i
     if split_at is None:
         raise AgentParseError("program rules have the form '<condition> -> do(<action>)'")
-    condition = _parse_formula_span(tokens[:split_at], _no_enabled)
-    check_names(condition, "program condition")
-    action_tokens = tokens[split_at + 1:]
-    stream = _stream(action_tokens)
-    stream.expect("do")
-    stream.expect("(")
-    head = stream.next()
-    if head.text in ("adopt", "drop"):
-        stream.expect("(")
-        arg_tokens: list[Token] = []
+    condition, names = _parse_formula_span(tokens[:split_at],
+                                           msf_syntax(_no_enabled))
+    check_names(names, "program condition")
+    action_tokens = tokens[split_at + 1:]     # "do" "(" action ")"
+    texts, where = _span(action_tokens)
+    head, at = texts[2], 3
+    if head in ("adopt", "drop"):
+        if texts[at] != "(":
+            raise expected("(", texts[at], where(at))
+        start = at = at + 1
         depth = 1
-        while depth:
-            tok = stream.next()
-            if tok.kind == "eof":
+        while True:
+            if not texts[at]:
                 raise AgentParseError("unterminated adopt/drop argument")
-            if tok.text == "(":
-                depth += 1
-            elif tok.text == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            arg_tokens.append(tok)
-        arg = _parse_formula_span(arg_tokens)
-        check_names(arg, f"{head.text} argument")
-        action = GoalAction(head.text, arg)
-    elif head.kind == "name":
-        if head.text not in caps_by_name:
-            raise AgentParseError(f"undeclared capability {head.text!r}")
-        action = caps_by_name[head.text]
+            depth += (texts[at] == "(") - (texts[at] == ")")
+            if depth == 0:
+                break
+            at += 1
+        arg, names = _parse_formula_span(action_tokens[start:at])
+        check_names(names, f"{head} argument")
+        action = GoalAction(head, arg)
+        at += 1
+    elif len(action_tokens) > 2 and action_tokens[2].kind == "name":
+        if head not in caps_by_name:
+            raise AgentParseError(f"undeclared capability {head!r}")
+        action = caps_by_name[head]
     else:
-        raise AgentParseError(f"bad action at position {head.pos}")
-    stream.expect(")")
-    if stream.peek().kind != "eof":
+        raise AgentParseError(f"bad action at position {where(2)}")
+    if texts[at] != ")":
+        raise expected(")", texts[at], where(at))
+    if texts[at + 1]:
         raise AgentParseError("trailing tokens after program rule")
     return ConditionalAction(condition, action)
 
@@ -373,23 +347,24 @@ def _no_enabled(name: str) -> CapabilitySpec:
         "program conditions range over B and G only (no enabled(...))")
 
 
-def _parse_property(tokens: list[Token], reader: _FileReader, check_names,
+def _parse_property(tokens: list[Token], check_names,
                     capability: Callable[[str], CapabilitySpec]) -> PropertyDecl:
     head = tokens[0]
     if head.text not in ("unless", "ensures", "leadsto", "invariant"):
         raise AgentParseError(f"unknown property kind {head.text!r}")
     rest = tokens[1:]
+    special = msf_syntax(capability)
     if head.text == "invariant":
-        left = _parse_formula_span(rest, capability)
-        check_names(left, "property")
+        left, names = _parse_formula_span(rest, special)
+        check_names(names, "property")
         return PropertyDecl("invariant", left)
-    parts = reader.split(rest, ",")
+    parts = _split(rest, ",")
     if len(parts) != 2:
         raise AgentParseError(f"{head.text} takes two formulas separated by ','")
-    left = _parse_formula_span(parts[0], capability)
-    right = _parse_formula_span(parts[1], capability)
-    check_names(left, "property")
-    check_names(right, "property")
+    left, left_names = _parse_formula_span(parts[0], special)
+    right, right_names = _parse_formula_span(parts[1], special)
+    check_names(left_names, "property")
+    check_names(right_names, "property")
     return PropertyDecl(head.text, left, right)
 
 

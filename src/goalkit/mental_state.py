@@ -18,8 +18,8 @@ from typing import (
 
 from .prop_logic import (
     CACHE_SIZE, And, Atom, Const, Formula, FormulaError, Iff, Imp, Not, Or,
-    Record, TokenStream, atoms_of, consistent, entails, formula_for_table, leaves,
-    map_leaves, parse_prop, render, tautology, tokenize, truth_table,
+    Record, atoms_of, consistent, entails, formula_for_table, leaves,
+    map_leaves, parse_formula, render, tautology, truth_table,
 )
 
 
@@ -453,38 +453,13 @@ def map_goal_leaves(phi: Formula, fn: Callable[[Formula], Formula]) -> Formula:
 # Parsing mental-state formulas.
 
 
-def parse_msf_stream(stream: TokenStream,
-                     resolve: Callable[[str], CapabilitySpec]) -> Formula:
-    """Parse a mental-state formula from ``stream``.
-
-    ``resolve`` binds the name of each ``enabled(name)`` leaf to its
-    capability, and raises for a name it does not accept.
+def msf_syntax(resolve: Callable[[str], CapabilitySpec]) -> dict[str, Callable]:
+    """The leaves :func:`~goalkit.prop_logic.parse_tokens` reads in a
+    mental-state formula: ``B(...)``, ``G(...)``, and ``enabled(name)``
+    bound to ``resolve(name)``, which raises for a name it does not accept.
     """
-
-    def leaf_hook(stream: TokenStream) -> Optional[Formula]:
-        tok = stream.peek()
-        nxt = (stream.tokens[stream.pos + 1]
-               if stream.pos + 1 < len(stream.tokens) else None)
-        if nxt is None or nxt.text != "(":
-            return None
-        if tok.text in ("B", "G"):
-            stream.next()
-            stream.expect("(")
-            inner = parse_prop(stream)
-            stream.expect(")")
-            return Bel(inner) if tok.text == "B" else Goal(inner)
-        if tok.text == "enabled":
-            stream.next()
-            stream.expect("(")
-            name = stream.next()
-            if name.kind != "name":
-                raise FormulaError(
-                    f"expected a capability name at position {name.pos}")
-            stream.expect(")")
-            return Enabled(resolve(name.text))
-        return None
-
-    return parse_prop(stream, leaf_hook)
+    return {"B": Bel, "G": Goal,
+            "enabled": lambda name: Enabled(resolve(name))}
 
 
 def parse_msformula(text: str, vocab: Optional[Iterable[str]] = None,
@@ -502,20 +477,7 @@ def parse_msformula(text: str, vocab: Optional[Iterable[str]] = None,
             raise FormulaError(f"unknown capability {name!r}")
         return capabilities[name]
 
-    stream = TokenStream(tokenize(text))
-    phi = parse_msf_stream(stream, resolve)
-    tail = stream.peek()
-    if tail.kind != "eof":
-        raise FormulaError(f"unexpected {tail.text!r} at position {tail.pos}")
-    bare = next((leaf for leaf in leaves(phi) if isinstance(leaf, Atom)), None)
-    if bare is not None:
-        raise FormulaError(
-            f"bare atom {bare.name!r}; atoms must appear inside B(...) or G(...)")
-    if vocab is not None:
-        unknown = msf_atoms(phi) - set(vocab)
-        if unknown:
-            raise FormulaError(f"unknown atoms: {', '.join(sorted(unknown))}")
-    return phi
+    return parse_formula(text, vocab, msf_syntax(resolve))
 
 
 # ---------------------------------------------------------------------------
@@ -577,20 +539,41 @@ def _state_space(voc: tuple[str, ...],
     return tuple(out)
 
 
-@lru_cache(maxsize=16)
-def held_set(states: tuple[MentalState, ...]) -> StateSet:
+# The held state sets, least recently used first, each with the length and
+# the first and last hashes of its states.
+HELD_SETS = 16
+_held: list[tuple[tuple[int, ...], StateSet]] = []
+
+
+def held_set(states: Sequence[MentalState]) -> StateSet:
     """One state set per distinct state sequence, held with its memo and
-    image sets for the 16 sequences used last."""
-    return StateSet(states)
+    image sets for the :data:`HELD_SETS` sequences used last.  A hit hashes
+    two states and compares ``states`` with the held set's states, which is
+    quick where they are the same objects."""
+    given = tuple(states)
+    mark = (len(given), hash(given[0]), hash(given[-1])) if given else (0,)
+    for k, (held_mark, scope) in enumerate(_held):
+        if held_mark == mark and scope.states == given:
+            _held.append(_held.pop(k))
+            return scope
+    scope = StateSet(given)
+    _held.append((mark, scope))
+    if len(_held) > HELD_SETS:
+        del _held[0]
+    return scope
 
 
 @lru_cache(maxsize=16)
+def _universe_states(voc: tuple[str, ...],
+                     max_generators: int) -> tuple[MentalState, ...]:
+    return tuple(enumerate_states(voc, max_generators))
+
+
 def _universe(voc: tuple[str, ...], max_generators: int) -> StateSet:
-    """The bounded universe's set, taken from :func:`held_set` when first
-    asked for, so it is the set ``check_hoare_basic`` uses for the same
-    states for as long as :func:`held_set` keeps it too.  An out-of-bounds
-    request raises on every call."""
-    return held_set(tuple(enumerate_states(voc, max_generators)))
+    """The bounded universe's set: the one :func:`held_set` holds for its
+    states, which ``check_hoare_basic`` uses for the same states.  An
+    out-of-bounds request raises on every call."""
+    return held_set(_universe_states(voc, max_generators))
 
 
 class OracleVerdict(Record):

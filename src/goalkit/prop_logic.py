@@ -9,9 +9,10 @@ a Python integer, with bit ``i`` giving the formula's value under the
 from __future__ import annotations
 
 import re
-from functools import lru_cache
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from functools import lru_cache, partial
+from itertools import islice
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class FormulaError(Exception):
@@ -462,66 +463,83 @@ def render(phi: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Lexing and parsing.
 
-class Token:
+class Token(tuple):
     """One lexeme: its kind ("name", "punct" or "eof"), text and position."""
 
-    __slots__ = __match_args__ = ("kind", "text", "pos")
+    __slots__ = ()
+    __match_args__ = ("kind", "text", "pos")
     __repr__ = Record.__repr__
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
+    kind = property(itemgetter(0))
+    text = property(itemgetter(1))
+    pos = property(itemgetter(2))
 
 
-# One lexeme after any white space and comments: a run of word characters,
-# a punctuation mark, any other character (an error), or the end of the
-# text.  \s is exactly str.isspace and \w exactly str.isalnum plus "_"; a
-# name must also start with a letter (str.isalpha) or "_".
-_LEXEME = re.compile(r"(?:\s+|#[^\n]*)*(?:(?P<name>\w+)"
-                     r"|(?P<punct><->|->|[(){};,!&|])|(?P<bad>.)|(?P<eof>\Z))")
+# One lexeme, in group 1, and the white space and comments after it (so the
+# end of the text, "", matches once): a name or a punctuation mark.  Any
+# other character matches outside the group and reads as "" too.  \s is
+# str.isspace and \w str.isalnum plus "_".  A name starts with a letter
+# (str.isalpha) or "_": (?!\d) rules out decimal digits, and lex the other
+# numerals, which only text outside ASCII has.
+_SKIP = re.compile(r"(?:\s+|#[^\n]*)*")
+_LEXEME = re.compile(r"(?:((?!\d)\w+|<->|->|[(){};,!&|]|\Z)|.)"
+                     + _SKIP.pattern)
+
+_PUNCT = frozenset(("<->", "->", "(", ")", "{", "}", ";", ",", "!", "&", "|"))
+
+
+def lex(text: str) -> list[str]:
+    """The text of each token of ``text``, the last one "" at its end;
+    :func:`token_start` finds a token's position when a diagnostic needs it.
+    Raises :class:`FormulaError` at the first character no token starts."""
+    texts = _LEXEME.findall(text, _SKIP.match(text).end())
+    bad = texts.index("")
+    if not text.isascii():
+        bad = next(k for k, t in enumerate(texts) if not (
+            t in _PUNCT or t[:1].isalpha() or t[:1] == "_"))
+    if bad != len(texts) - 1:
+        pos = token_start(text, bad)
+        raise FormulaError(
+            f"unexpected character {text[pos]!r} at position {pos}")
+    return texts
+
+
+def token_start(text: str, k: int) -> int:
+    """The position in ``text`` of the start of its token ``k``."""
+    m = next(islice(_lexemes(text), k, None))
+    return m.start(1) if m.start(1) >= 0 else m.start()
+
+
+def _lexemes(text: str) -> Iterator[re.Match]:
+    return _LEXEME.finditer(text, _SKIP.match(text).end())
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    for m in _LEXEME.finditer(text):
-        kind = m.lastgroup
-        pos = m.start(kind)
-        if kind == "bad" or (kind == "name" and not text[pos].isalpha()
-                             and text[pos] != "_"):
-            raise FormulaError(
-                f"unexpected character {text[pos]!r} at position {pos}")
-        tokens.append(Token(kind, m[kind], pos))
-        if kind == "eof":   # the pattern's last match, at the end of the text
-            break
-    return tokens
+    """The tokens of ``text``, the last one of kind "eof" at its end."""
+    return [Token(("punct" if t in _PUNCT else "name" if t else "eof",
+                   t, m.start(1)))
+            for t, m in zip(lex(text), _lexemes(text))]
 
 
-class TokenStream:
-    def __init__(self, tokens: list[Token], pos: int = 0):
-        self.tokens = tokens
-        self.pos = pos
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> Token:
-        tok = self.next()
-        if tok.text != text:
-            raise FormulaError(
-                f"expected {text!r} at position {tok.pos}, found {tok.text or 'end of input'!r}")
-        return tok
+def expected(want: str, found: str, pos: int) -> FormulaError:
+    """The error for token ``found`` at ``pos`` where ``want`` must be."""
+    return FormulaError(f"expected {want!r} at position {pos}, "
+                        f"found {found or 'end of input'!r}")
 
 
-# Connectives by token; precedences are _PREC's, and -> and <-> associate
-# to the right.
-_CONNECTIVES = {"!": Not, "&": And, "|": Or, "->": Imp, "<->": Iff}
+# Binary connectives by token, each with the least precedence (_PREC) an
+# operator on the stack must have to be applied before it is pushed: & and
+# | associate to the left, -> and <-> to the right.
+_BINARY = {"&": (And, 4), "|": (Or, 3), "->": (Imp, 3), "<->": (Iff, 2)}
+
+
+def _reduce(operands: list[Formula], operators: list, least: int) -> None:
+    """Apply the operators above the innermost open group (``None``)
+    whose precedence is at least ``least``."""
+    while operators and operators[-1] and _PREC[operators[-1]] >= least:
+        cls = operators.pop()
+        right = operands.pop()
+        operands.append(_checked(Not(right) if cls is Not
+                                 else cls(operands.pop(), right)))
 
 
 def _checked(phi: Formula) -> Formula:
@@ -530,88 +548,108 @@ def _checked(phi: Formula) -> Formula:
     return phi
 
 
-def parse_prop(stream: TokenStream, leaf_hook=None) -> Formula:
-    """Parse a formula from ``stream`` by operator precedence.
+def parse_tokens(texts: Sequence[str], i: int, where: Callable[[int], int],
+                 special: Optional[Mapping[str, Callable]] = None
+                 ) -> tuple[Formula, int, Optional[Formula], set[str]]:
+    """Parse a formula from the token texts ``texts[i:]``, which end in "".
 
-    ``!`` binds tightest, then ``&``, ``|``, ``->`` and ``<->``.  The parse
-    keeps explicit operand and operator stacks, so deep input costs no
-    Python stack, and it rejects any node nested more than
-    :data:`MAX_DEPTH` levels deep.  ``leaf_hook`` may claim a name token
-    and parse a special leaf from the stream (mental-state formulas use it
-    for ``B(...)``, ``G(...)`` and ``enabled(...)``).
+    ``!`` binds tightest, then ``&``, ``|``, ``->`` and ``<->``.  Explicit
+    operand and operator stacks keep deep input off the Python stack, and a
+    node nested more than :data:`MAX_DEPTH` levels deep is rejected.
+    ``where(k)``, the position of token ``k``, is asked only for an error.
+    With ``special`` it is a mental-state formula, where a name ``special``
+    maps, followed by ``(``, is a leaf: ``"B"`` and ``"G"`` map to the
+    leaf's class, with a propositional argument, and ``"enabled"`` to a
+    function from a capability name to the leaf.  Returns the formula, the
+    index after it, its leftmost atom outside ``B``/``G`` (``None`` without
+    ``special``) and the names of its atoms.
     """
     operands: list[Formula] = []
-    operators: list[str] = []       # "(" or a key of _CONNECTIVES
-    open_groups = 0
-
-    def reduce() -> None:
-        cls = _CONNECTIVES[operators.pop()]
-        if cls is Not:
-            node = Not(operands.pop())
-        else:
-            right = operands.pop()
-            node = cls(operands.pop(), right)
-        operands.append(_checked(node))
-
+    operators: list = []        # a connective class, or None for "("
+    groups = 0                  # open "(" of the formula being read
+    inside = None               # in a B/G argument: its class, outer groups
+    active = special            # None inside a B/G argument
+    bare: Optional[Formula] = None
+    names: set[str] = set()
     while True:
-        while stream.peek().text in ("!", "("):
-            tok = stream.next()
-            operators.append(tok.text)
-            open_groups += tok.text == "("
-        operands.append(_checked(_parse_leaf(stream, leaf_hook)))
-        tok = stream.peek()
-        while tok.text == ")" and open_groups:
-            while operators[-1] != "(":
-                reduce()
-            operators.pop()
-            open_groups -= 1
-            stream.next()
-            tok = stream.peek()
-        cls = _CONNECTIVES.get(tok.text)
-        if cls is None or cls is Not:
-            break
-        prec = _PREC[cls]
-        while operators and operators[-1] != "(":
-            top = _PREC[_CONNECTIVES[operators[-1]]]
-            if top < prec or (top == prec and cls in (Imp, Iff)):
+        t = texts[i]
+        while t == "!" or t == "(":
+            operators.append(Not if t == "!" else None)
+            groups += t == "("
+            i += 1
+            t = texts[i]
+        if not t or t in _PUNCT:
+            raise FormulaError(
+                f"expected a formula at position {where(i)}, found {t!r}")
+        if t == "true":
+            leaf = TRUE
+        elif t == "false":
+            leaf = FALSE
+        elif active is not None and t in active and texts[i + 1] == "(":
+            if t != "enabled":
+                operators.append(None)
+                inside, active, groups = (active[t], groups), None, 0
+                i += 2
+                continue
+            name = texts[i + 2]
+            if not name or name in _PUNCT:
+                raise FormulaError(
+                    f"expected a capability name at position {where(i + 2)}")
+            if texts[i + 3] != ")":
+                raise expected(")", texts[i + 3], where(i + 3))
+            leaf = active[t](name)
+            i += 3
+        else:
+            leaf = Atom(t)
+            names.add(t)
+            if bare is None and active is not None:
+                bare = leaf
+        i += 1
+        operands.append(leaf)
+        while True:
+            t = texts[i]
+            while t == ")" and groups:
+                _reduce(operands, operators, 1)
+                operators.pop()
+                groups -= 1
+                i += 1
+                t = texts[i]
+            binary = _BINARY.get(t)
+            if binary is not None:
+                _reduce(operands, operators, binary[1])
+                operators.append(binary[0])
+                i += 1
                 break
-            reduce()
-        operators.append(stream.next().text)
-    while operators:
-        if operators[-1] == "(":
-            stream.expect(")")  # raises: the group is unclosed
-        reduce()
-    return operands[0]
+            # the formula, or the B/G argument, ends before t
+            _reduce(operands, operators, 1)
+            if groups or (inside is not None and t != ")"):
+                raise expected(")", t, where(i))
+            if inside is None:
+                return operands[0], i, bare, names
+            operators.pop()
+            cls, groups = inside
+            inside, active = None, special
+            operands.append(_checked(cls(operands.pop())))
+            i += 1
 
 
-def _parse_leaf(stream: TokenStream, leaf_hook) -> Formula:
-    tok = stream.peek()
-    if tok.kind == "name":
-        if leaf_hook is not None:
-            special = leaf_hook(stream)
-            if special is not None:
-                return special
-        stream.next()
-        if tok.text == "true":
-            return TRUE
-        if tok.text == "false":
-            return FALSE
-        return Atom(tok.text)
-    raise FormulaError(f"expected a formula at position {tok.pos}, found {tok.text!r}")
-
-
-def parse_formula(text: str, vocab: Optional[Iterable[str]] = None) -> Formula:
-    """Parse ``text`` as a propositional formula.
-
-    When ``vocab`` is given, atoms outside it are rejected.
+def parse_formula(text: str, vocab: Optional[Iterable[str]] = None,
+                  special: Optional[Mapping[str, Callable]] = None) -> Formula:
+    """Parse ``text`` as a propositional formula, or with ``special`` as a
+    mental-state formula, which must have no atom outside B/G leaves (see
+    :func:`parse_tokens`).  When ``vocab`` is given, atoms outside it are
+    rejected.
     """
-    stream = TokenStream(tokenize(text))
-    phi = parse_prop(stream)
-    tail = stream.peek()
-    if tail.kind != "eof":
-        raise FormulaError(f"unexpected {tail.text!r} at position {tail.pos}")
-    if vocab is not None:
-        unknown = atoms_of(phi) - set(vocab)
-        if unknown:
-            raise FormulaError(f"unknown atoms: {', '.join(sorted(unknown))}")
+    texts = lex(text)
+    phi, end, bare, names = parse_tokens(texts, 0, partial(token_start, text),
+                                         special)
+    if texts[end]:
+        raise FormulaError(
+            f"unexpected {texts[end]!r} at position {token_start(text, end)}")
+    if bare is not None:
+        raise FormulaError(
+            f"bare atom {bare.name!r}; atoms must appear inside B(...) or G(...)")
+    unknown = names - set(vocab) if vocab is not None else ()
+    if unknown:
+        raise FormulaError(f"unknown atoms: {', '.join(sorted(unknown))}")
     return phi

@@ -101,21 +101,25 @@ def check_hoare_basic(triple: HoareTriple,
     return _post_fails(given[i], bool(executed >> i & 1), "not enabled")
 
 
-def check_hoare_conditional(triple: HoareTriple, graph: StateGraph) -> Verdict:
+def check_hoare_conditional(triple: HoareTriple, graph: StateGraph,
+                            a: Optional[int] = None) -> Verdict:
     """Conditional-action triple over the agent's reachable states.
 
     Where the precondition holds: an executing step must reach the
     postcondition, an idle step must leave it true in place.  The steps are
     read from the graph's index and the postcondition is evaluated at their
     targets on the graph's state set, so the action must belong to the
-    agent's program; any other raises :class:`VerifierError`.
+    agent's program; any other raises :class:`VerifierError`.  A caller
+    that has the action's position in the program passes it as ``a``.
     """
     b = triple.statement
     assert isinstance(b, ConditionalAction)
-    try:
-        a = graph.agent.program.index(b)
-    except ValueError:
-        raise VerifierError(f"{b} is not an action of the agent's program") from None
+    if a is None:
+        try:
+            a = graph.agent.program.index(b)
+        except ValueError:
+            raise VerifierError(
+                f"{b} is not an action of the agent's program") from None
     targets = graph.targets[a]
     sources = list(set_bits(graph.states.mask(triple.pre)))
     reached = 0
@@ -237,7 +241,7 @@ def check_unless(phi: Formula, psi: Formula, agent: Agent,
     failures = []
     witness = None
     for i, b in enumerate(agent.program):
-        verdict = check_hoare_conditional(HoareTriple(pre, b, post), graph)
+        verdict = check_hoare_conditional(HoareTriple(pre, b, post), graph, i)
         if not verdict.holds:
             failures.append(agent.action_label(i))
             if witness is None:
@@ -270,7 +274,7 @@ def check_ensures(phi: Formula, psi: Formula, agent: Agent,
     pre = And(phi, Not(psi))
     reasons = []
     for i, b in enumerate(agent.program):
-        verdict = check_hoare_conditional(HoareTriple(pre, b, psi), graph)
+        verdict = check_hoare_conditional(HoareTriple(pre, b, psi), graph, i)
         if verdict.holds:
             return Verdict(True,
                            scope=f"reachable, witness {agent.action_label(i)}")

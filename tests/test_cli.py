@@ -440,3 +440,31 @@ def test_random_triples_keep_the_exit_code_contract(tmp_path, pre, post,
     path.write_text(GOOD_AGENT)
     assert_contract(["check-triple", str(path), pre, action, post,
                      "--mode", mode])
+
+
+# One check-triple run on the shopping fixture, its precondition built in
+# the child: 100,000 nested "B(" exceed what one argv string may hold.
+DEEP_TRIPLE = """
+import sys
+from goalkit.cli import main
+depth = 100_000
+pre = {"(": "(" * depth + "B(Am_com)",
+       "!": "!" * depth + "B(Am_com)",
+       "B(": "B(" * depth + "Am_com" + ")" * depth,
+       "enabled(": "B(Am_com) & enabled("}[sys.argv[1]]
+sys.exit(main(["check-triple", "--fixture", "shopping", pre, "goto_Am_com",
+               "B(Am_com)"]))
+"""
+
+
+@pytest.mark.parametrize("opening", ["(", "!", "B(", "enabled("])
+def test_deep_and_unterminated_preconditions_exit_2_with_one_line(opening):
+    proc = subprocess.run([sys.executable, "-c", DEEP_TRIPLE, opening],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_USAGE and not proc.stdout
+    # the runpy warning of ``python -m goalkit.cli`` is not goalkit's own
+    lines = [line for line in proc.stderr.splitlines()
+             if "RuntimeWarning" not in line]
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "RecursionError" not in proc.stderr

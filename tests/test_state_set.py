@@ -71,9 +71,10 @@ def hoare_by_state(triple, states):
     return Verdict(True, scope="statewise")
 
 
-def hoare_conditional_by_state(triple, graph):
+def hoare_conditional_by_state(triple, graph, a=None):
     """Reference: a conditional-action triple, one reachable state at a
-    time, stepping the action afresh at each pre-state."""
+    time, stepping the action afresh at each pre-state (so it has no use
+    for the action's position ``a``)."""
     b = triple.statement
     for s in graph.nodes:
         if not eval_msf(s, triple.pre):
@@ -255,13 +256,13 @@ def test_hoare_basic_matches_statewise_reference_on_reachable_graphs():
 ])
 def test_oracle_bounds_are_still_enforced(atoms, max_generators):
     # errors are never kept: a repeated call raises again
-    held = mental_state._universe.cache_info().currsize
+    held = list(mental_state._held)
     for _ in range(2):
         with pytest.raises(BoundsExceeded):
             validity_oracle(Bel(TRUE), atoms, max_generators)
         with pytest.raises(BoundsExceeded):
             list(enumerate_states(atoms, max_generators))
-    assert mental_state._universe.cache_info().currsize == held
+    assert mental_state._held == held
 
 
 def test_held_universe_matches_statewise_reference():
@@ -381,8 +382,6 @@ def test_hoare_basic_on_a_rebuilt_universe_matches_statewise_reference(
     rebuilt = [MentalState(frozenset(s.beliefs), frozenset(s.goals))
                for s in universe]
     assert all(a == b and a is not b for a, b in zip(universe, rebuilt))
-    # other tests' scopes may have pushed the universe out of held_set
-    mental_state._universe.cache_clear()
     scope = mental_state._universe(PQ, 2)
     assert mental_state.held_set(tuple(universe)) is scope
     assert mental_state.held_set(tuple(rebuilt)) is scope
@@ -872,3 +871,48 @@ def test_enabledness_depends_only_on_the_belief_base(universe):
             assert len({target.enabled_at(s) for s in group}) == 1, target
             values.add(target.enabled_at(group[0]))
     assert values == {True, False}
+
+
+# -- one held-set cache ------------------------------------------------------
+
+
+def test_the_universe_and_sixteen_graph_scopes_share_one_held_cache(universe):
+    # Nothing is cleared: whatever other tests held, 16 graph scopes push the
+    # universe's set out, and then both routes find one set for it again.
+    scopes = []
+    seed = 0
+    while len(scopes) < mental_state.HELD_SETS:
+        agent = micro_agent(seed)
+        seed += 1
+        if agent is not None:
+            nodes = reachable(agent).nodes
+            if all(nodes != other for other in scopes):
+                scopes.append(nodes)
+    validity_oracle(Bel(P), PQ, 2)
+    for nodes in scopes:
+        check_hoare_basic(HoareTriple(TRUE, insert(P), Bel(P)), nodes)
+    space = mental_state._universe(PQ, 2)
+    assert mental_state.held_set(universe) is space
+    assert mental_state.held_set(tuple(universe)) is space
+    assert len(mental_state._held) <= mental_state.HELD_SETS
+
+
+def test_a_scope_list_mutated_between_calls_gets_its_own_set(universe):
+    # Only the middle changes, so the length and the first and last hashes
+    # that find a held set are the same for both lists.
+    triple = HoareTriple(TRUE, insert(P), Bel(Q))
+    good = [s for s in universe if hoare_by_state(triple, [s]).holds]
+    bad = next(s for s in universe if not hoare_by_state(triple, [s]).holds)
+    states = good[:30]
+    first = check_hoare_basic(triple, states)
+    assert first.holds
+    kept = mental_state.held_set(states)
+    states[12] = bad
+    second = check_hoare_basic(triple, states)
+    assert_same_verdict(second, hoare_by_state(triple, states))
+    assert second.witness is bad
+    assert mental_state.held_set(states).states == tuple(states)
+    assert mental_state.held_set(states) is not kept
+    states[12] = good[12]
+    assert mental_state.held_set(states) is kept
+    assert check_hoare_basic(triple, states).holds

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from goalkit.prop_logic import (
-    And, Atom, FALSE, Imp, Not, Or, TRUE, tautology,
+    And, Atom, FALSE, Imp, Not, Or, Record, TRUE, tautology,
 )
 from goalkit.mental_state import (
     Bel, Enabled, Goal, MentalState, enumerate_states, eval_msf, msf_leaves,
@@ -518,3 +518,21 @@ def test_render_report_records(shopping):
         assert set(record) == {"obligation", "rule", "verdict",
                                "witness_state_digest"}
         assert record["verdict"] == "holds"
+
+
+def test_verify_never_searches_the_program_for_an_action(monkeypatch):
+    # check_unless and check_ensures hand each action's position to
+    # check_hoare_conditional, so no action is compared with another.
+    agent = ground_shopping_fixture()
+    compared = []
+    original = Record.__eq__
+
+    def counted(self, other):
+        compared.append(type(self).__name__)
+        return original(self, other)
+
+    monkeypatch.setattr(Record, "__eq__", counted)
+    obligations = verify_agent(agent)
+    assert all(ob.verdict.holds for ob in obligations)
+    assert "ConditionalAction" not in compared
+    assert "CapabilitySpec" not in compared and "GoalAction" not in compared
