@@ -19,8 +19,8 @@ from .agent_program import (
     ground_shopping_fixture, parse_agent, pretty_print,
 )
 from .executor import (
-    BudgetExceeded, RandomFair, RoundRobin, StateGraph, Step, TracePrefix,
-    fairness_check, make_scheduler, reachable, run, step,
+    BudgetExceeded, StateGraph, Step, TracePrefix, fairness_check, reachable,
+    run, schedule, step,
 )
 from .verifier import (
     Disj, EnsuresLeaf, HoareTriple, LassoTrace, MalformedProof, MissingAxiom,

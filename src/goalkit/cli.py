@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import Optional
 
-from .prop_logic import FormulaError, atoms_of, parse_formula
+from .prop_logic import FormulaError, atoms_of, expected, lex, parse_tokens, token_start
 from .mental_state import (
     BoundsExceeded, Enabled, GoalAction, msf_atoms, msf_leaves,
     parse_msformula,
 )
 from .agent_program import Agent, AgentParseError, SHOPPING_SOURCE, parse_agent
 from .executor import (
-    BudgetExceeded, InvalidBudget, fairness_check, make_scheduler, reachable,
-    run,
+    BudgetExceeded, InvalidBudget, fairness_check, reachable, run,
 )
 from .verifier import (
     HoareTriple, MissingAxiom, check_hoare_basic, derive_hoare, render_report,
@@ -106,8 +106,7 @@ def _load_agent(args) -> Agent:
 def _cmd_run(args) -> int:
     agent = _load_agent(args)
     kind = "unfair" if args.unfair else args.sched
-    sched = make_scheduler(kind, len(agent.program), args.seed)
-    prefix = run(agent, sched, args.steps)
+    prefix = run(agent, kind, args.steps, args.seed)
     for line in prefix.dump_lines():
         print(line)
     fair = fairness_check(prefix)
@@ -139,14 +138,24 @@ def _cmd_graph(args) -> int:
 
 
 def _parse_action(agent: Agent, text: str):
-    text = text.strip()
-    for prefix in ("adopt", "drop"):
-        if text.startswith(prefix + "(") and text.endswith(")"):
-            arg = parse_formula(text[len(prefix) + 1:-1], agent.vocab)
-            return GoalAction(prefix, arg)
-    if text in agent.table:
-        return agent.table[text]
-    raise AgentParseError(f"unknown action {text!r}")
+    """A capability of ``agent`` by name, or ``adopt(φ)``/``drop(φ)`` over its
+    atoms; a diagnostic's position counts from the start of ``text``."""
+    name = text.strip()
+    if name in agent.table:
+        return agent.table[name]
+    if not name.startswith(("adopt(", "drop(")):
+        raise AgentParseError(f"unknown action {name!r}")
+    texts, where = lex(text), partial(token_start, text)
+    arg, end, _, names = parse_tokens(texts, 2, where)
+    if texts[end] != ")":
+        raise expected(")", texts[end], where(end))
+    if texts[end + 1]:
+        raise FormulaError(
+            f"unexpected {texts[end + 1]!r} at position {where(end + 1)}")
+    unknown = names - set(agent.vocab)
+    if unknown:
+        raise FormulaError(f"unknown atoms: {', '.join(sorted(unknown))}")
+    return GoalAction(texts[0], arg)
 
 
 def _cmd_check_triple(args) -> int:

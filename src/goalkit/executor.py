@@ -2,20 +2,22 @@
 
 A computation step attempts one conditional action: it executes when the
 condition holds and the underlying action is enabled, and idles (state
-unchanged) otherwise.  Idle steps are recorded, never elided.  Schedulers
-decide only which action is attempted; both shipped kinds are weakly fair
-in the finite-surrogate sense documented on :func:`fairness_check`.
+unchanged) otherwise.  Idle steps are recorded, never elided.  A schedule
+decides only which action is attempted; its ``rr`` and ``random`` kinds are
+weakly fair in the finite-surrogate sense of :func:`fairness_check`.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from typing import Iterable, Optional
+from functools import partial
+from itertools import count, cycle, islice
+from typing import Iterable, Iterator, Optional
 
 from .agent_program import Agent
-from .capabilities import ConditionalAction, apply_M, enabled_cond
-from .mental_state import MentalState, StateSet
+from .capabilities import ConditionalAction, apply_M
+from .mental_state import MentalState, StateSet, eval_msf
 from .prop_logic import Record, render
 
 DEFAULT_BUDGET = 10_000
@@ -62,12 +64,12 @@ class Step(Record):
 
 
 def step(state: MentalState, b: ConditionalAction) -> Step:
-    """Attempt ``b`` at ``state``; executed when selected and enabled."""
-    if enabled_cond(b, state):
-        nxt = apply_M(b.action, state)
-        assert nxt is not None
-        return Step(state, b, nxt, True)
-    return Step(state, b, state, False)
+    """Attempt ``b`` at ``state``.  It executes when its condition holds and
+    its action is enabled, which is exactly when ``apply_M`` is defined."""
+    nxt = apply_M(b.action, state) if eval_msf(state, b.condition) else None
+    if nxt is None:
+        return Step(state, b, state, False)
+    return Step(state, b, nxt, True)
 
 
 class TracePrefix(Record):
@@ -99,98 +101,56 @@ class TracePrefix(Record):
 
 
 # ---------------------------------------------------------------------------
-# Schedulers.
+# Schedules.
 
 
-class RoundRobin:
-    """Attempts actions in program order, cyclically."""
+def schedule(kind: str, n: int, seed: int = 0) -> Iterator[int]:
+    """The action indices a scheduler of ``kind`` attempts over ``n`` actions.
 
-    kind = "rr"
-    seed: Optional[int] = None
-
-    def __init__(self, n_actions: int):
-        self.n = n_actions
-        self._next = 0
-
-    def pick(self) -> int:
-        choice = self._next
-        self._next = (self._next + 1) % self.n
-        return choice
-
-
-class RandomFair:
-    """Seeded random scheduler with constructive fairness.
-
-    The first ``n`` picks are a random permutation of the program (so the
-    per-action omission streaks stay pairwise distinct forever).  After
-    that, any action omitted ``n`` times in a row is force-scheduled; the
-    permutation guarantees at most one action is ever at the threshold, so
-    no streak can exceed ``n``.
+    ``rr`` attempts the actions in program order, cyclically.  ``random`` is
+    seeded and constructively fair: the first ``n`` picks are a random
+    permutation of the program (so the per-action omission streaks stay
+    pairwise distinct forever), and after that any action omitted ``n``
+    times in a row is force-scheduled; the permutation guarantees at most
+    one action is ever at the threshold, so no streak can exceed ``n``.
+    ``unfair`` is plain seeded random choice with no fairness forcing
+    (didactic only; excluded from verification semantics).  An unknown
+    kind raises :class:`ValueError` here, not at the first pick.
     """
-
-    kind = "random"
-
-    def __init__(self, n_actions: int, seed: int):
-        self.n = n_actions
-        self.seed = seed
-        self._rng = random.Random(seed)
-        self._opening = self._rng.sample(range(n_actions), n_actions)
-        self._step = 0
-        self._streaks = [0] * n_actions
-
-    def pick(self) -> int:
-        if self._step < self.n:
-            choice = self._opening[self._step]
-        else:
-            worst = max(range(self.n), key=lambda i: self._streaks[i])
-            if self._streaks[worst] >= self.n:
-                choice = worst
-            else:
-                choice = self._rng.randrange(self.n)
-        self._step += 1
-        for i in range(self.n):
-            self._streaks[i] = 0 if i == choice else self._streaks[i] + 1
-        return choice
-
-
-class UnfairRandom:
-    """Plain seeded random choice with no fairness forcing (didactic only;
-    excluded from verification semantics)."""
-
-    kind = "unfair"
-
-    def __init__(self, n_actions: int, seed: int):
-        self.n = n_actions
-        self.seed = seed
-        self._rng = random.Random(seed)
-
-    def pick(self) -> int:
-        return self._rng.randrange(self.n)
-
-
-def make_scheduler(kind: str, n_actions: int, seed: int = 0):
+    rng = random.Random(seed)
     if kind == "rr":
-        return RoundRobin(n_actions)
+        return cycle(range(n))
     if kind == "random":
-        return RandomFair(n_actions, seed)
+        return _forcing(n, rng)
     if kind == "unfair":
-        return UnfairRandom(n_actions, seed)
+        return iter(partial(rng.randrange, n), None)
     raise ValueError(f"unknown scheduler kind {kind!r}")
 
 
-def run(agent: Agent, sched, steps: int) -> TracePrefix:
-    """Drive ``agent`` for ``steps`` attempts under ``sched``."""
+def _forcing(n: int, rng: random.Random) -> Iterator[int]:
+    opening = rng.sample(range(n), n)
+    streaks = [0] * n
+    for k in count():
+        if k < n:
+            choice = opening[k]
+        else:
+            worst = max(range(n), key=streaks.__getitem__)
+            choice = worst if streaks[worst] >= n else rng.randrange(n)
+        for i in range(n):
+            streaks[i] = 0 if i == choice else streaks[i] + 1
+        yield choice
+
+
+def run(agent: Agent, kind: str, steps: int, seed: int = 0) -> TracePrefix:
+    """Drive ``agent`` for ``steps`` attempts picked by ``schedule(kind)``."""
+    picks = tuple(islice(schedule(kind, len(agent.program), seed), steps))
     states = [agent.initial_state]
-    picks: list[int] = []
     executed: list[bool] = []
-    for _ in range(steps):
-        b = sched.pick()
+    for b in picks:
         st = step(states[-1], agent.program[b])
         states.append(st.target)
-        picks.append(b)
         executed.append(st.executed)
-    return TracePrefix(agent, tuple(states), tuple(picks), tuple(executed),
-                       sched.kind, getattr(sched, "seed", None))
+    return TracePrefix(agent, tuple(states), picks, tuple(executed), kind, seed)
 
 
 def fairness_check(prefix: TracePrefix) -> bool:
@@ -227,43 +187,42 @@ def max_omission_streak(picks: Iterable[int], n_actions: int) -> int:
 # Reachable-state graph.
 
 
-class Edge(Record):
-    __slots__ = __match_args__ = ("source", "action_index", "target",
-                                  "executed")
-
-
 class StateGraph:
     """The reachable states of an agent and every attempted step between them.
 
-    ``edges`` lists the attempted steps node by node, in program order, idle
-    self-loops included.  The graph is indexed by position: ``position[s]``
-    is the index of ``s`` in ``nodes``, ``targets[a][i]`` is the position of
-    the state that action ``a`` leads to from node ``i``, and bit ``i`` of
-    ``executed[a]`` is set where ``a`` executes rather than idles.
-    ``states`` evaluates formulas over the nodes as bit masks and keeps its
-    values.
+    The graph is indexed by position: ``position[s]`` is the index of ``s``
+    in ``nodes``, ``targets[a][i]`` is the position of the state that action
+    ``a`` leads to from node ``i``, and bit ``i`` of ``executed[a]`` is set
+    where ``a`` executes rather than idles.  ``states`` evaluates formulas
+    over the nodes as bit masks and keeps its values.
     """
 
-    def __init__(self, agent: Agent, nodes: list[MentalState], edges: list[Edge],
-                 position: dict[MentalState, int], targets: tuple[tuple[int, ...], ...],
-                 executed: tuple[int, ...], states: StateSet):
+    def __init__(self, agent: Agent, nodes: list[MentalState],
+                 position: dict[MentalState, int],
+                 targets: tuple[tuple[int, ...], ...], executed: tuple[int, ...]):
         self.agent = agent
         self.nodes = nodes
-        self.edges = edges
         self.position = position
         self.targets = targets
         self.executed = executed
-        self.states = states
+        self.states = StateSet(nodes)
+
+    @property
+    def edges(self) -> list[tuple[int, int, int, bool]]:
+        """Every attempted step as ``(source, action, target, executed)``
+        positions, node by node in program order, idle self-loops included."""
+        return [(i, a, row[i], bool(self.executed[a] >> i & 1))
+                for i in range(len(self.nodes))
+                for a, row in enumerate(self.targets)]
 
     def to_dot(self) -> str:
         lines = ["digraph reachable {"]
         for i, node in enumerate(self.nodes):
             lines.append(f'  n{i} [label="{node.digest()}"];')
-        for edge in self.edges:
-            style = "" if edge.executed else ", style=dashed"
-            lines.append(
-                f'  n{self.position[edge.source]} -> n{self.position[edge.target]} '
-                f'[label="{self.agent.action_label(edge.action_index)}"{style}];')
+        for i, a, target, executed in self.edges:
+            style = "" if executed else ", style=dashed"
+            lines.append(f'  n{i} -> n{target} '
+                         f'[label="{self.agent.action_label(a)}"{style}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -272,19 +231,17 @@ def reachable(agent: Agent, budget: Optional[int] = None) -> StateGraph:
     """BFS over the step relation from the initial state.
 
     Every action is expanded at every node; idle attempts are recorded as
-    self-loop edges.  Raises :class:`BudgetExceeded` past the node budget.
+    self-loops.  Raises :class:`BudgetExceeded` past the node budget.
     """
     if budget is None:
         budget = default_budget()
     nodes = [agent.initial_state]
     position = {agent.initial_state: 0}
-    edges: list[Edge] = []
     targets: list[list[int]] = [[] for _ in agent.program]
     executed = [0] * len(agent.program)
     for i, state in enumerate(nodes):   # nodes grows as the BFS finds states
         for a, b in enumerate(agent.program):
             st = step(state, b)
-            edges.append(Edge(state, a, st.target, st.executed))
             if st.target not in position:
                 if len(position) >= budget:
                     raise BudgetExceeded(
@@ -293,6 +250,5 @@ def reachable(agent: Agent, budget: Optional[int] = None) -> StateGraph:
                 nodes.append(st.target)
             targets[a].append(position[st.target])
             executed[a] |= st.executed << i
-    return StateGraph(agent, nodes, edges, position,
-                      tuple(map(tuple, targets)), tuple(executed),
-                      StateSet(nodes))
+    return StateGraph(agent, nodes, position, tuple(map(tuple, targets)),
+                      tuple(executed))

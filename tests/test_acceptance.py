@@ -12,6 +12,7 @@ deep formulas is verified end-to-end as corroboration.
 
 import random
 import time
+from itertools import islice
 
 import pytest
 
@@ -28,8 +29,7 @@ from goalkit.capabilities import (
 )
 from goalkit.agent_program import ground_shopping_fixture
 from goalkit.executor import (
-    RandomFair, RoundRobin, fairness_check, make_scheduler,
-    max_omission_streak, reachable, run,
+    fairness_check, max_omission_streak, reachable, run, schedule,
 )
 from goalkit.verifier import (
     HoareTriple, _subst_adopt, _subst_drop, check_ensures, check_hoare_basic,
@@ -102,10 +102,9 @@ def test_criterion_01_shopping_agent_leadsto_and_traces(shopping):
     def reaches(prefix):
         return any(eval_msf(s, BOUGHT) for s in prefix.states)
 
-    n = len(agent.program)
-    assert reaches(run(agent, RoundRobin(n), 64))
+    assert reaches(run(agent, "rr", 64))
     for seed in range(100):
-        prefix = run(agent, make_scheduler("random", n, seed), 64)
+        prefix = run(agent, "random", 64, seed)
         assert reaches(prefix), seed
     assert time.monotonic() - started < 10.0
 
@@ -426,16 +425,14 @@ def test_criterion_10_fairness_surrogate(micro_agents):
     the number of actions."""
     shopping = ground_shopping_fixture()
     for steps in (8, 16, 64):
-        assert fairness_check(run(shopping, RoundRobin(len(shopping.program)),
-                                  steps))
+        assert fairness_check(run(shopping, "rr", steps))
     for _, agent, _ in micro_agents[:40]:
         n = len(agent.program)
-        assert fairness_check(run(agent, RoundRobin(n), 6 * n))
+        assert fairness_check(run(agent, "rr", 6 * n))
     for n in range(2, 9):
         for seed in range(40):
-            sched = RandomFair(n, seed)
-            picks = [sched.pick() for _ in range(50 * n)]
+            picks = list(islice(schedule("random", n, seed), 50 * n))
             assert max_omission_streak(picks, n) <= n, (n, seed)
     for seed in range(20):
         n = len(shopping.program)
-        assert fairness_check(run(shopping, RandomFair(n, seed), 10 * n))
+        assert fairness_check(run(shopping, "random", 10 * n, seed))

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -58,6 +59,35 @@ def test_run_seeded_random_is_deterministic(capsys):
     _, out3, _ = invoke(capsys, "run", "--fixture", "shopping", "--sched",
                         "random", "--seed", "10", "--steps", "40")
     assert out3 != out1
+
+
+# The sha256 of the stdout of ``run --fixture shopping --steps 64`` with each
+# scheduler option, recorded from the per-kind scheduler classes that
+# ``executor.schedule`` replaced: every pick of every kind must stay the same.
+RUN_DIGESTS = {
+    "--sched rr":
+        "1749d62a6ba8e1aad718932a5d4e7bf7a0d168778db55504a6d3352f4c17faf1",
+    "--sched random --seed 0":
+        "1929f71e83e1c9f56f3cba21a0f17cab942775a26bcd4e9b55a6ffc5ab240e00",
+    "--sched random --seed 1":
+        "2b6322a20c4d6193ff523022a548ae98b86650d7606b95e398b134323ed76b6c",
+    "--sched random --seed 2":
+        "bee5bceb91b73317b36e7787bbcd754d9220a55f920b90d8a2a4764ec338117c",
+    "--sched random --seed 3":
+        "ba1d39d8f831dda04639ede401327ca6b4821720d36b45c16e7579759f9401e8",
+    "--sched random --seed 4":
+        "d88d2253e75b8a9452e8062b442b3da2b2742aea386b6378796d15e23abeeb03",
+    "--unfair --sched random --seed 3":
+        "a2186b56588a201d98aee7b0059e20ca5f726fbb1d62546bd21c95176d38067c",
+}
+
+
+@pytest.mark.parametrize("options", RUN_DIGESTS)
+def test_run_reproduces_the_recorded_pick_sequences(capsys, options):
+    code, out, err = invoke(capsys, "run", "--fixture", "shopping",
+                            "--steps", "64", *options.split())
+    assert code == EXIT_OK and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == RUN_DIGESTS[options]
 
 
 def test_run_unfair_flag(capsys):
@@ -215,6 +245,32 @@ def test_check_triple_unknown_action(capsys):
     code, _, err = invoke(capsys, "check-triple", "--fixture", "shopping",
                           "B(true)", "warp_drive", "B(true)")
     assert code == EXIT_USAGE and "warp_drive" in err
+
+
+@pytest.mark.parametrize("action, message", [
+    ("adopt(Am_com &)", "expected a formula at position 14, found ')'"),
+    ("adopt(Am_com))", "unexpected ')' at position 13"),
+    ("drop((Am_com)", "expected ')' at position 13, found 'end of input'"),
+    ("  drop(&)", "expected a formula at position 7, found '&'"),
+    ("adopt()", "expected a formula at position 6, found ')'"),
+    ("adopt(nosuch | Am_com)", "unknown atoms: nosuch"),
+])
+def test_check_triple_goal_action_diagnostics_count_from_the_action(
+        capsys, action, message):
+    for mode in ("semantic", "wlp"):
+        code, out, err = invoke(capsys, "check-triple", "--fixture",
+                                "shopping", "B(Am_com)", action, "B(Am_com)",
+                                "--mode", mode)
+        assert code == EXIT_USAGE and not out
+        assert err == f"error: {message}\n"
+
+
+def test_check_triple_goal_action_may_be_spaced(capsys):
+    _, spaced, _ = invoke(capsys, "check-triple", "--fixture", "shopping",
+                          "true", " drop( Am_com | bought_T ) ", "true")
+    _, plain, _ = invoke(capsys, "check-triple", "--fixture", "shopping",
+                         "true", "drop(Am_com|bought_T)", "true")
+    assert spaced == plain and "drop(Am_com | bought_T)" in plain
 
 
 @pytest.mark.parametrize("pre, post", [

@@ -1,15 +1,20 @@
+from itertools import islice
+
 import pytest
 
 from goalkit.prop_logic import Atom, TRUE
 from goalkit.mental_state import Bel, Goal, MentalState, parse_msformula
 from goalkit.capabilities import (
-    CapabilitySpec, ConditionalAction, EffectClause, GoalAction, insert,
+    CapabilitySpec, ConditionalAction, EffectClause, GoalAction, apply_M,
+    enabled_cond, insert,
 )
 from goalkit.agent_program import Agent, ground_shopping_fixture
 from goalkit.executor import (
-    BudgetExceeded, RandomFair, RoundRobin, TracePrefix, UnfairRandom,
-    fairness_check, make_scheduler, max_omission_streak, reachable, run, step,
+    BudgetExceeded, TracePrefix, fairness_check, max_omission_streak,
+    reachable, run, schedule, step,
 )
+
+from helpers import micro_agent
 
 P, Q = Atom("p"), Atom("q")
 
@@ -34,6 +39,30 @@ def test_step_executed_and_idle():
     assert not idle.executed and idle.target == s0
 
 
+def test_step_matches_the_condition_and_enabledness_reference():
+    # step applies the transformer once and reads None as idle; the
+    # reference checks the condition and enabledness, then applies it.
+    # Shopping and the 500 micro agents of the acceptance suite.
+    agents = [ground_shopping_fixture()]
+    seed = 0
+    while len(agents) < 501:
+        agent = micro_agent(seed)
+        seed += 1
+        if agent is not None:
+            agents.append(agent)
+    attempts = idle = 0
+    for agent in agents:
+        for s in reachable(agent).nodes:
+            for b in agent.program:
+                st = step(s, b)
+                assert st.executed == enabled_cond(b, s), (agent, s, b)
+                assert st.target == (apply_M(b.action, s) if st.executed
+                                     else s), (agent, s, b)
+                attempts += 1
+                idle += not st.executed
+    assert attempts > 1500 and 0 < idle < attempts
+
+
 def test_drop_with_true_condition_always_executes():
     drop = GoalAction("drop", P)
     rule = ConditionalAction(TRUE, drop)
@@ -44,7 +73,7 @@ def test_drop_with_true_condition_always_executes():
 
 def test_run_zero_steps():
     agent = tiny_agent()
-    prefix = run(agent, RoundRobin(1), 0)
+    prefix = run(agent, "rr", 0)
     assert prefix.states == (agent.initial_state,)
     assert len(prefix) == 0
 
@@ -54,7 +83,7 @@ def test_run_never_enabled_action_idles_forever():
     rule = ConditionalAction(TRUE, blocked)
     initial = MentalState(frozenset({P}), frozenset())
     agent = Agent(("p", "q"), (), (blocked,), (rule,), initial, ())
-    prefix = run(agent, RoundRobin(1), 5)
+    prefix = run(agent, "rr", 5)
     assert not any(prefix.executed)
     assert all(s == initial for s in prefix.states)
 
@@ -62,28 +91,26 @@ def test_run_never_enabled_action_idles_forever():
 def test_run_is_deterministic():
     agent = ground_shopping_fixture()
     for kind, seed in (("rr", 0), ("random", 7), ("unfair", 3)):
-        p1 = run(agent, make_scheduler(kind, len(agent.program), seed), 40)
-        p2 = run(agent, make_scheduler(kind, len(agent.program), seed), 40)
+        p1 = run(agent, kind, 40, seed)
+        p2 = run(agent, kind, 40, seed)
         assert p1.picks == p2.picks
         assert p1.states == p2.states
 
 
 def test_round_robin_order():
-    sched = RoundRobin(3)
-    assert [sched.pick() for _ in range(7)] == [0, 1, 2, 0, 1, 2, 0]
+    assert list(islice(schedule("rr", 3), 7)) == [0, 1, 2, 0, 1, 2, 0]
 
 
 def test_random_fair_streak_bound():
     for n in (2, 3, 8):
         for seed in range(30):
-            sched = RandomFair(n, seed)
-            picks = [sched.pick() for _ in range(40 * n)]
+            picks = list(islice(schedule("random", n, seed), 40 * n))
             assert max_omission_streak(picks, n) <= n, (n, seed)
 
 
 def test_fairness_check_round_robin():
     agent = ground_shopping_fixture()
-    prefix = run(agent, RoundRobin(len(agent.program)), 64)
+    prefix = run(agent, "rr", 64)
     assert fairness_check(prefix)
 
 
@@ -99,18 +126,25 @@ def test_fairness_check_rejects_starvation():
 def test_fairness_check_seeded_random_window():
     agent = ground_shopping_fixture()
     n = len(agent.program)
-    prefix = run(agent, RandomFair(n, 11), 10 * n)
+    prefix = run(agent, "random", 10 * n, 11)
     assert fairness_check(prefix)
 
 
 def test_unfair_scheduler_flagged():
-    sched = UnfairRandom(4, 0)
-    assert sched.kind == "unfair"
+    prefix = run(ground_shopping_fixture(), "unfair", 4, 5)
+    assert (prefix.scheduler_kind, prefix.seed) == ("unfair", 5)
+
+
+def test_unknown_kind_raises_before_the_first_pick():
+    with pytest.raises(ValueError, match="unknown scheduler kind 'fifo'"):
+        schedule("fifo", 3)
+    with pytest.raises(ValueError):
+        run(ground_shopping_fixture(), "fifo", 0)
 
 
 def test_trace_dump_format():
     agent = ground_shopping_fixture()
-    prefix = run(agent, RoundRobin(len(agent.program)), 3)
+    prefix = run(agent, "rr", 3)
     lines = prefix.dump_lines()
     assert lines[0].startswith("step 0 | b0:goto_Am_com | executed | beliefs: ")
     assert " | goals: " in lines[0]
@@ -125,20 +159,20 @@ def test_reachable_shopping_graph():
     # closed under successors, idle self-loops included; the edges list
     # each node's attempts in program order, as the position index does
     n = len(agent.program)
-    for k, edge in enumerate(graph.edges):
-        i, a = divmod(k, n)
-        assert edge.source == graph.nodes[i] and edge.action_index == a
-        assert graph.position[edge.target] == graph.targets[a][i]
-        assert edge.executed == bool(graph.executed[a] >> i & 1)
-        if not edge.executed:
-            assert edge.target == edge.source
+    for k, (i, a, target, executed) in enumerate(graph.edges):
+        assert (i, a) == divmod(k, n)
+        st = step(graph.nodes[i], agent.program[a])
+        assert graph.position[st.target] == target == graph.targets[a][i]
+        assert executed == st.executed == bool(graph.executed[a] >> i & 1)
+        if not executed:
+            assert target == i
 
 
 def test_reachable_matches_traces():
     agent = ground_shopping_fixture()
     graph = reachable(agent)
     node_set = set(graph.nodes)
-    prefix = run(agent, make_scheduler("random", len(agent.program), 5), 64)
+    prefix = run(agent, "random", 64, 5)
     assert set(prefix.states) <= node_set
 
 

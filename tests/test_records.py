@@ -18,7 +18,7 @@ from goalkit.mental_state import (
     OracleVerdict, enumerate_states, held_set,
 )
 from goalkit.capabilities import ConditionalAction
-from goalkit.executor import Edge, Step, TracePrefix
+from goalkit.executor import Step, TracePrefix
 from goalkit.agent_program import Agent, PropertyDecl
 from goalkit.verifier import (
     Disj, EnsuresLeaf, HoareTriple, LassoTrace, TAnd, TImp, TNot, TState,
@@ -48,7 +48,6 @@ RECORDS = [
     (OracleVerdict, (False, S0, ("p", "q"), 2)),
     (ConditionalAction, (Bel(P), CAP)),
     (Step, (S0, RULE, S1, True)),
-    (Edge, (S0, 0, S1, True)),
     (TracePrefix, (AGENT, (S0, S1), (0,), (True,), "rr", 7)),
     (Verdict, (False, S0, "reachable", "post fails")),
     (HoareTriple, (Bel(P), CAP, Bel(Q))),
@@ -116,7 +115,7 @@ def test_records_are_equal_by_class_and_fields(cls, values):
     (TAnd(P, Q), TImp(P, Q)),
     (TImp(P, Q), TUntil(P, Q)),
     (EnsuresLeaf(P, Q), TAnd(P, Q)),
-    (Edge(S0, 0, S1, True), Step(S0, 0, S1, True)),
+    (OracleVerdict(False, S0, "", 2), Verdict(False, S0, "", 2)),
     (And(P, Q), Or(P, Q)),
     (Bel(P), Goal(P)),
 ])

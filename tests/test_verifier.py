@@ -14,8 +14,7 @@ from goalkit.capabilities import (
     remove,
 )
 from goalkit.agent_program import Agent, ground_shopping_fixture
-from goalkit.executor import Edge, StateGraph, reachable
-from goalkit.mental_state import StateSet
+from goalkit.executor import StateGraph, reachable
 from goalkit.verifier import (
     Disj, EnsuresLeaf, HoareTriple, MalformedProof, MissingAxiom, TState,
     Trans, VerifierError, check_ensures, check_hoare_basic,
@@ -434,13 +433,10 @@ def hand_built_graph(targets):
              MentalState(frozenset({P}), frozenset()),
              MentalState(frozenset({Q}), frozenset())]
     agent = Agent(PQ, (), (noop,), rules, nodes[0], ())
-    edges = [Edge(s, a, nodes[row[i]], row[i] != i)
-             for i, s in enumerate(nodes) for a, row in enumerate(targets)]
     executed = tuple(sum(1 << i for i, t in enumerate(row) if t != i)
                      for row in targets)
-    return agent, StateGraph(agent, nodes, edges,
-                             {s: i for i, s in enumerate(nodes)},
-                             targets, executed, StateSet(nodes))
+    return agent, StateGraph(agent, nodes, {s: i for i, s in enumerate(nodes)},
+                             targets, executed)
 
 
 def test_a_cycle_that_one_action_always_leaves_is_no_trap():
