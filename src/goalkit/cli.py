@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 from typing import Optional
 
-from .prop_logic import FormulaError, atoms_of, expected, lex, parse_tokens, token_start
+from .prop_logic import FormulaError, atoms_of, parse_formula
 from .mental_state import (
     BoundsExceeded, Enabled, GoalAction, msf_atoms, msf_leaves,
     parse_msformula,
@@ -145,17 +144,8 @@ def _parse_action(agent: Agent, text: str):
         return agent.table[name]
     if not name.startswith(("adopt(", "drop(")):
         raise AgentParseError(f"unknown action {name!r}")
-    texts, where = lex(text), partial(token_start, text)
-    arg, end, _, names = parse_tokens(texts, 2, where)
-    if texts[end] != ")":
-        raise expected(")", texts[end], where(end))
-    if texts[end + 1]:
-        raise FormulaError(
-            f"unexpected {texts[end + 1]!r} at position {where(end + 1)}")
-    unknown = names - set(agent.vocab)
-    if unknown:
-        raise FormulaError(f"unknown atoms: {', '.join(sorted(unknown))}")
-    return GoalAction(texts[0], arg)
+    arg = parse_formula(text, agent.vocab, start=2, close=")")
+    return GoalAction(name[:name.index("(")], arg)
 
 
 def _cmd_check_triple(args) -> int:

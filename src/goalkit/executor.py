@@ -75,7 +75,8 @@ def step(state: MentalState, b: ConditionalAction) -> Step:
 class TracePrefix(Record):
     """A finite prefix of a trace: n+1 states and n attempted actions."""
 
-    # picks index agent.program; scheduler_kind: rr | random | unfair | manual
+    # picks index agent.program; scheduler_kind: rr | random | unfair | manual;
+    # seed: the one run() gave schedule() (rr ignores it), None if hand-built
     __slots__ = __match_args__ = ("agent", "states", "picks", "executed",
                                   "scheduler_kind", "seed")
     _defaults = {"seed": None}
@@ -117,13 +118,12 @@ def schedule(kind: str, n: int, seed: int = 0) -> Iterator[int]:
     (didactic only; excluded from verification semantics).  An unknown
     kind raises :class:`ValueError` here, not at the first pick.
     """
-    rng = random.Random(seed)
     if kind == "rr":
         return cycle(range(n))
     if kind == "random":
-        return _forcing(n, rng)
+        return _forcing(n, random.Random(seed))
     if kind == "unfair":
-        return iter(partial(rng.randrange, n), None)
+        return iter(partial(random.Random(seed).randrange, n), None)
     raise ValueError(f"unknown scheduler kind {kind!r}")
 
 

@@ -508,18 +508,17 @@ def enumerate_states(vocab: Sequence[str],
     per state, skipping candidates the beliefs entail.  The order is fixed,
     so "first countermodel" is well defined.
     """
-    yield from _state_space(tuple(sorted(vocab)), max_generators)
+    voc = tuple(sorted(vocab))
+    if len(voc) > MAX_ORACLE_ATOMS:
+        raise BoundsExceeded(f"at most {MAX_ORACLE_ATOMS} atoms supported")
+    if max_generators > MAX_ORACLE_GENERATORS:
+        raise BoundsExceeded(f"at most {MAX_ORACLE_GENERATORS} generators supported")
+    yield from _state_space(voc, max_generators)
 
 
 @lru_cache(maxsize=16)
 def _state_space(voc: tuple[str, ...],
                  max_generators: int) -> tuple[MentalState, ...]:
-    """The states :func:`enumerate_states` yields.  An out-of-bounds request
-    raises on every call, since a raise is not cached."""
-    if len(voc) > MAX_ORACLE_ATOMS:
-        raise BoundsExceeded(f"at most {MAX_ORACLE_ATOMS} atoms supported")
-    if max_generators > MAX_ORACLE_GENERATORS:
-        raise BoundsExceeded(f"at most {MAX_ORACLE_GENERATORS} generators supported")
     n_vals = 1 << len(voc)
     full = (1 << n_vals) - 1
     candidates = canonical_formulas(voc)
@@ -564,10 +563,17 @@ def held_set(states: Sequence[MentalState]) -> StateSet:
     return scope
 
 
+@lru_cache(maxsize=16)
+def _universe_states(voc: tuple[str, ...],
+                     max_generators: int) -> tuple[MentalState, ...]:
+    return tuple(enumerate_states(voc, max_generators))
+
+
 def _universe(voc: tuple[str, ...], max_generators: int) -> StateSet:
     """The bounded universe's set: the one :func:`held_set` holds for its
-    states, which ``check_hoare_basic`` uses for the same states."""
-    return held_set(_state_space(voc, max_generators))
+    states, which ``check_hoare_basic`` uses for the same states.  An
+    out-of-bounds request raises on every call."""
+    return held_set(_universe_states(voc, max_generators))
 
 
 class OracleVerdict(Record):

@@ -634,18 +634,23 @@ def parse_tokens(texts: Sequence[str], i: int, where: Callable[[int], int],
 
 
 def parse_formula(text: str, vocab: Optional[Iterable[str]] = None,
-                  special: Optional[Mapping[str, Callable]] = None) -> Formula:
+                  special: Optional[Mapping[str, Callable]] = None, *,
+                  start: int = 0, close: str = "") -> Formula:
     """Parse ``text`` as a propositional formula, or with ``special`` as a
     mental-state formula, which must have no atom outside B/G leaves (see
     :func:`parse_tokens`).  When ``vocab`` is given, atoms outside it are
-    rejected.
+    rejected.  The formula starts at token ``start`` and is followed by the
+    token ``close``, if one is given, and then the end of the text; error
+    positions count from the start of ``text``.
     """
-    texts = lex(text)
-    phi, end, bare, names = parse_tokens(texts, 0, partial(token_start, text),
-                                         special)
+    texts, where = lex(text), partial(token_start, text)
+    phi, end, bare, names = parse_tokens(texts, start, where, special)
+    if close:
+        if texts[end] != close:
+            raise expected(close, texts[end], where(end))
+        end += 1
     if texts[end]:
-        raise FormulaError(
-            f"unexpected {texts[end]!r} at position {token_start(text, end)}")
+        raise FormulaError(f"unexpected {texts[end]!r} at position {where(end)}")
     if bare is not None:
         raise FormulaError(
             f"bare atom {bare.name!r}; atoms must appear inside B(...) or G(...)")

@@ -94,6 +94,17 @@ def test_parse_vocab_guard():
         parse_formula("p & r", vocab=("p", "q"))
 
 
+def test_parse_from_a_token_up_to_a_closing_token():
+    # positions count from the start of the whole text
+    assert parse_formula("f(p & q)", start=2, close=")") == And(P, Q)
+    with pytest.raises(FormulaError, match="expected '\\)' at position 7"):
+        parse_formula("f(p & q", start=2, close=")")
+    with pytest.raises(FormulaError, match="unexpected 'r' at position 9"):
+        parse_formula("f(p & q) r", start=2, close=")")
+    with pytest.raises(FormulaError, match="unknown atoms: r"):
+        parse_formula("f(p & r)", ("p", "q"), start=2, close=")")
+
+
 def test_render_parse_roundtrip_examples():
     for text in ("p & q | r", "!(p -> q)", "p <-> q <-> r",
                  "!(p & (q | !r))", "true -> p"):

@@ -265,17 +265,6 @@ def test_oracle_bounds_are_still_enforced(atoms, max_generators):
     assert mental_state._held == held
 
 
-def test_the_universe_holds_the_enumerated_states_themselves():
-    # one cache keeps the universe's states: the oracle's set is built on
-    # the tuple enumerate_states yields from, not on a copy of it
-    verdict = validity_oracle(Bel(Atom("u")), ("u",), 1)
-    assert not verdict and verdict.countermodel is not None
-    space = mental_state._state_space(("u",), 1)
-    assert mental_state._universe(("u",), 1).states is space
-    assert all(a is b for a, b in zip(enumerate_states(("u",), 1), space,
-                                      strict=True))
-
-
 def test_held_universe_matches_statewise_reference():
     # Every call over one bound reuses one set; formulas built from a
     # growing pool share subformulas, so later calls meet memo entries that
