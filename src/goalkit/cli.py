@@ -103,6 +103,10 @@ def _load_agent(args) -> Agent:
 
 
 def _cmd_run(args) -> int:
+    if args.steps > sys.maxsize:    # no sequence of picks can be that long
+        print(f"error: --steps must be at most {sys.maxsize}, "
+              f"got {args.steps}", file=sys.stderr)
+        return EXIT_USAGE
     agent = _load_agent(args)
     kind = "unfair" if args.unfair else args.sched
     prefix = run(agent, kind, args.steps, args.seed)

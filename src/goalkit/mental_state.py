@@ -462,6 +462,14 @@ def msf_syntax(resolve: Callable[[str], CapabilitySpec]) -> dict[str, Callable]:
             "enabled": lambda name: Enabled(resolve(name))}
 
 
+def _unknown_capability(name: str) -> CapabilitySpec:
+    raise FormulaError(f"unknown capability {name!r}")
+
+
+# The leaves of a formula read without capabilities.
+_NO_CAPABILITIES = msf_syntax(_unknown_capability)
+
+
 def parse_msformula(text: str, vocab: Optional[Iterable[str]] = None,
                     capabilities: Optional[Mapping[str, CapabilitySpec]] = None
                     ) -> Formula:
@@ -471,13 +479,9 @@ def parse_msformula(text: str, vocab: Optional[Iterable[str]] = None,
     leaf is bound to ``capabilities[name]``; a name outside
     ``capabilities``, or any name when it is not given, is rejected.
     """
-
-    def resolve(name: str) -> CapabilitySpec:
-        if capabilities is None or name not in capabilities:
-            raise FormulaError(f"unknown capability {name!r}")
-        return capabilities[name]
-
-    return parse_formula(text, vocab, msf_syntax(resolve))
+    return parse_formula(text, vocab, _NO_CAPABILITIES if capabilities is None
+                         else msf_syntax(lambda name: capabilities.get(name)
+                                         or _unknown_capability(name)))
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +553,11 @@ def held_set(states: Sequence[MentalState]) -> StateSet:
     """One state set per distinct state sequence, held with its memo and
     image sets for the :data:`HELD_SETS` sequences used last.  A hit hashes
     two states and compares ``states`` with the held set's states, which is
-    quick where they are the same objects."""
+    quick where they are the same objects, and none when ``states`` is the
+    very tuple the set used last holds."""
     given = tuple(states)
+    if _held and _held[-1][1].states is given:
+        return _held[-1][1]
     mark = (len(given), hash(given[0]), hash(given[-1])) if given else (0,)
     for k, (held_mark, scope) in enumerate(_held):
         if held_mark == mark and scope.states == given:

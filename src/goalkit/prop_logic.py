@@ -89,7 +89,7 @@ def _bind(cls: type, args: tuple, kwargs: dict) -> tuple:
 
 # Formulas nested deeper than this are rejected by the parser.  The structural
 # walkers (leaves, map_leaves) keep their own stacks, but the evaluators
-# (truth_table, satisfies, render, eval_msf, StateSet.mask) recurse once per
+# (truth_table, render, eval_msf, StateSet.mask) recurse once per
 # level, and the limit keeps them well inside Python's recursion limit.
 MAX_DEPTH = 200
 
@@ -214,13 +214,12 @@ def disj(parts: Sequence[Formula]) -> Formula:
     return out
 
 
-def _operands(node: Formula) -> tuple[Formula, ...]:
-    """The operands of a connective; empty for every other node."""
-    if isinstance(node, Not):
-        return (node.operand,)
-    if isinstance(node, _Binary):
-        return (node.left, node.right)
-    return ()
+# The operands of each connective class, read by one getter; a node whose
+# class has none is a leaf.
+_OPERANDS: dict[type, Callable[[Formula], tuple[Formula, ...]]] = {
+    Not: lambda node: (node.operand,),
+    **dict.fromkeys((And, Or, Imp, Iff), attrgetter("left", "right")),
+}
 
 
 def leaves(phi: Formula) -> Iterator[Formula]:
@@ -236,19 +235,20 @@ def leaves(phi: Formula) -> Iterator[Formula]:
         if node in seen:
             continue
         seen.add(node)
-        parts = _operands(node)
-        if parts:
-            stack.extend(reversed(parts))
-        else:
+        operands = _OPERANDS.get(type(node))
+        if operands is None:
             yield node
+        else:
+            stack.extend(reversed(operands(node)))
 
 
 def map_leaves(phi: Formula, fn: Callable[[Formula], Formula]) -> Formula:
     """``phi`` with each non-connective node ``leaf`` replaced by ``fn(leaf)``.
 
-    The connectives are rebuilt over the rewritten operands, so the result
-    is the interned node a recursive rewrite would build.  Like
-    :func:`leaves` it keeps its own stack and meets each distinct node once.
+    The connectives are rebuilt over the rewritten operands, each looked up
+    in the intern table first, so the result is the interned node a
+    recursive rewrite would build.  Like :func:`leaves` it keeps its own
+    stack and meets each distinct node once.
     """
     done: dict[Formula, Formula] = {}
     stack = [phi]
@@ -256,14 +256,18 @@ def map_leaves(phi: Formula, fn: Callable[[Formula], Formula]) -> Formula:
         node = stack.pop()
         if node in done:
             continue
-        parts = _operands(node)
-        todo = [p for p in parts if p not in done]
-        if todo:
+        cls = type(node)
+        operands = _OPERANDS.get(cls)
+        if operands is None:
+            done[node] = fn(node)
+            continue
+        parts = operands(node)
+        if all(map(done.__contains__, parts)):
+            key = (cls, *map(done.__getitem__, parts))
+            done[node] = _nodes.get(key) or cls(*key[1:])
+        else:               # operands done already are skipped when popped
             stack.append(node)
-            stack.extend(reversed(todo))
-        else:
-            done[node] = (type(node)(*map(done.__getitem__, parts)) if parts
-                          else fn(node))
+            stack.extend(reversed(parts))
     return done[phi]
 
 
@@ -379,32 +383,6 @@ def equivalent(phi: Formula, psi: Formula) -> bool:
     return tautology(Iff(phi, psi))
 
 
-def valuations(vocab: Sequence[str]) -> Iterator[frozenset[str]]:
-    """All valuations of ``vocab``, as sets of true atoms, in index order."""
-    voc = tuple(vocab)
-    for i in range(1 << len(voc)):
-        yield frozenset(a for k, a in enumerate(voc) if (i >> k) & 1)
-
-
-def satisfies(valuation: frozenset[str], phi: Formula) -> bool:
-    match phi:
-        case Atom(name):
-            return name in valuation
-        case Const(value):
-            return value
-        case Not(operand):
-            return not satisfies(valuation, operand)
-        case And(a, b):
-            return satisfies(valuation, a) and satisfies(valuation, b)
-        case Or(a, b):
-            return satisfies(valuation, a) or satisfies(valuation, b)
-        case Imp(a, b):
-            return (not satisfies(valuation, a)) or satisfies(valuation, b)
-        case Iff(a, b):
-            return satisfies(valuation, a) == satisfies(valuation, b)
-    raise FormulaError(f"not a propositional formula: {phi!r}")
-
-
 def minterm(index: int, vocab: tuple[str, ...]) -> Formula:
     """The conjunction of literals picking out valuation ``index``."""
     lits: list[Formula] = []
@@ -475,13 +453,13 @@ class Token(tuple):
 
 
 # One lexeme, in group 1, and the white space and comments after it (so the
-# end of the text, "", matches once): a name or a punctuation mark.  Any
+# end of the text, "", matches once): a punctuation mark or a name.  Any
 # other character matches outside the group and reads as "" too.  \s is
 # str.isspace and \w str.isalnum plus "_".  A name starts with a letter
-# (str.isalpha) or "_": (?!\d) rules out decimal digits, and lex the other
+# (str.isalpha) or "_": [^\W\d] rules out decimal digits, and lex the other
 # numerals, which only text outside ASCII has.
 _SKIP = re.compile(r"(?:\s+|#[^\n]*)*")
-_LEXEME = re.compile(r"(?:((?!\d)\w+|<->|->|[(){};,!&|]|\Z)|.)"
+_LEXEME = re.compile(r"(?:(<->|->|[(){};,!&|]|[^\W\d]\w*|\Z)|.)"
                      + _SKIP.pattern)
 
 _PUNCT = frozenset(("<->", "->", "(", ")", "{", "}", ";", ",", "!", "&", "|"))
@@ -491,7 +469,12 @@ def lex(text: str) -> list[str]:
     """The text of each token of ``text``, the last one "" at its end;
     :func:`token_start` finds a token's position when a diagnostic needs it.
     Raises :class:`FormulaError` at the first character no token starts."""
-    texts = _LEXEME.findall(text, _SKIP.match(text).end())
+    return _lexed(text, _LEXEME.findall(text, _SKIP.match(text).end()))
+
+
+def _lexed(text: str, texts: list[str]) -> list[str]:
+    """``texts``, once no token of ``text`` but the last is "" (a character
+    outside every token) or, outside ASCII, a name starting with a numeral."""
     bad = texts.index("")
     if not text.isascii():
         bad = next(k for k, t in enumerate(texts) if not (
@@ -505,19 +488,18 @@ def lex(text: str) -> list[str]:
 
 def token_start(text: str, k: int) -> int:
     """The position in ``text`` of the start of its token ``k``."""
-    m = next(islice(_lexemes(text), k, None))
+    m = next(islice(_LEXEME.finditer(text, _SKIP.match(text).end()), k, None))
     return m.start(1) if m.start(1) >= 0 else m.start()
 
 
-def _lexemes(text: str) -> Iterator[re.Match]:
-    return _LEXEME.finditer(text, _SKIP.match(text).end())
-
-
 def tokenize(text: str) -> list[Token]:
-    """The tokens of ``text``, the last one of kind "eof" at its end."""
+    """The tokens of ``text``, the last one of kind "eof" at its end, from
+    one pass of the pattern :func:`lex` uses."""
+    matches = list(_LEXEME.finditer(text, _SKIP.match(text).end()))
+    texts = _lexed(text, [m[1] or "" for m in matches])
     return [Token(("punct" if t in _PUNCT else "name" if t else "eof",
                    t, m.start(1)))
-            for t, m in zip(lex(text), _lexemes(text))]
+            for t, m in zip(texts, matches)]
 
 
 def expected(want: str, found: str, pos: int) -> FormulaError:
@@ -526,26 +508,20 @@ def expected(want: str, found: str, pos: int) -> FormulaError:
                         f"found {found or 'end of input'!r}")
 
 
-# Binary connectives by token, each with the least precedence (_PREC) an
-# operator on the stack must have to be applied before it is pushed: & and
-# | associate to the left, -> and <-> to the right.
-_BINARY = {"&": (And, 4), "|": (Or, 3), "->": (Imp, 3), "<->": (Iff, 2)}
-
-
-def _reduce(operands: list[Formula], operators: list, least: int) -> None:
-    """Apply the operators above the innermost open group (``None``)
-    whose precedence is at least ``least``."""
-    while operators and operators[-1] and _PREC[operators[-1]] >= least:
-        cls = operators.pop()
-        right = operands.pop()
-        operands.append(_checked(Not(right) if cls is Not
-                                 else cls(operands.pop(), right)))
-
-
-def _checked(phi: Formula) -> Formula:
-    if phi.depth > MAX_DEPTH:
-        raise FormulaError(f"formula nested more than {MAX_DEPTH} levels deep")
-    return phi
+# The operator stack holds (precedence, class) entries.  "(" and "B(" / "G("
+# push a precedence-0 marker, and one sits at the bottom, so applying
+# operators stops at either with no test of its own.  ! (5) is unary, and so
+# is a B/G marker once its argument is read: it becomes its class's entry (6).
+_OPEN = (0, None)
+_PREFIX = {"(": _OPEN, "!": (5, Not)}
+_CONSTANTS = {"true": TRUE, "false": FALSE}
+# What the token after an operand asks for: the least precedence an
+# operator on the stack must have to be applied now, and the entry to push.
+# & and | associate to the left, -> and <-> to the right; any other token
+# ends a group, a B/G argument or the formula.
+_BINARY = {"&": (4, (4, And)), "|": (3, (3, Or)), "->": (3, (2, Imp)),
+           "<->": (2, (1, Iff))}
+_END = (1, None)
 
 
 def parse_tokens(texts: Sequence[str], i: int, where: Callable[[int], int],
@@ -554,18 +530,20 @@ def parse_tokens(texts: Sequence[str], i: int, where: Callable[[int], int],
     """Parse a formula from the token texts ``texts[i:]``, which end in "".
 
     ``!`` binds tightest, then ``&``, ``|``, ``->`` and ``<->``.  Explicit
-    operand and operator stacks keep deep input off the Python stack, and a
-    node nested more than :data:`MAX_DEPTH` levels deep is rejected.
-    ``where(k)``, the position of token ``k``, is asked only for an error.
-    With ``special`` it is a mental-state formula, where a name ``special``
-    maps, followed by ``(``, is a leaf: ``"B"`` and ``"G"`` map to the
-    leaf's class, with a propositional argument, and ``"enabled"`` to a
-    function from a capability name to the leaf.  Returns the formula, the
+    operand and operator stacks keep deep input off the Python stack.  An
+    operator is applied when the token after its operands calls for it:
+    its node is taken from the intern table, built only when it is new, and
+    rejected, found or built, when nested more than :data:`MAX_DEPTH` levels
+    deep.  ``where(k)``, the position of token ``k``, is asked only for an
+    error.  With ``special`` it is a mental-state formula, where a name
+    ``special`` maps, followed by ``(``, is a leaf: ``"B"`` and ``"G"`` map
+    to the leaf's class, with a propositional argument, and ``"enabled"`` to
+    a function from a capability name to the leaf.  Returns the formula, the
     index after it, its leftmost atom outside ``B``/``G`` (``None`` without
     ``special``) and the names of its atoms.
     """
     operands: list[Formula] = []
-    operators: list = []        # a connective class, or None for "("
+    operators: list = [_OPEN]
     groups = 0                  # open "(" of the formula being read
     inside = None               # in a B/G argument: its class, outer groups
     active = special            # None inside a B/G argument
@@ -573,21 +551,19 @@ def parse_tokens(texts: Sequence[str], i: int, where: Callable[[int], int],
     names: set[str] = set()
     while True:
         t = texts[i]
-        while t == "!" or t == "(":
-            operators.append(Not if t == "!" else None)
+        while t in _PREFIX:
+            operators.append(_PREFIX[t])
             groups += t == "("
             i += 1
             t = texts[i]
         if not t or t in _PUNCT:
             raise FormulaError(
                 f"expected a formula at position {where(i)}, found {t!r}")
-        if t == "true":
-            leaf = TRUE
-        elif t == "false":
-            leaf = FALSE
+        if t in _CONSTANTS:
+            leaf = _CONSTANTS[t]
         elif active is not None and t in active and texts[i + 1] == "(":
             if t != "enabled":
-                operators.append(None)
+                operators.append(_OPEN)
                 inside, active, groups = (active[t], groups), None, 0
                 i += 2
                 continue
@@ -600,7 +576,7 @@ def parse_tokens(texts: Sequence[str], i: int, where: Callable[[int], int],
             leaf = active[t](name)
             i += 3
         else:
-            leaf = Atom(t)
+            leaf = _nodes.get((Atom, t)) or Atom(t)
             names.add(t)
             if bare is None and active is not None:
                 bare = leaf
@@ -608,28 +584,31 @@ def parse_tokens(texts: Sequence[str], i: int, where: Callable[[int], int],
         operands.append(leaf)
         while True:
             t = texts[i]
-            while t == ")" and groups:
-                _reduce(operands, operators, 1)
-                operators.pop()
-                groups -= 1
-                i += 1
-                t = texts[i]
-            binary = _BINARY.get(t)
-            if binary is not None:
-                _reduce(operands, operators, binary[1])
-                operators.append(binary[0])
+            least, entry = _BINARY.get(t, _END)
+            while operators[-1][0] >= least:
+                prec, cls = operators.pop()
+                key = ((cls, operands[-1]) if prec > 4
+                       else (cls, operands[-2], operands.pop()))
+                node = _nodes.get(key) or cls(*key[1:])
+                if node.depth > MAX_DEPTH:
+                    raise FormulaError(
+                        f"formula nested more than {MAX_DEPTH} levels deep")
+                operands[-1] = node
+            if entry is not None:
+                operators.append(entry)
                 i += 1
                 break
-            # the formula, or the B/G argument, ends before t
-            _reduce(operands, operators, 1)
-            if groups or (inside is not None and t != ")"):
+            if t == ")" and groups:
+                operators.pop()
+                groups -= 1
+            elif groups or (inside is not None and t != ")"):
                 raise expected(")", t, where(i))
-            if inside is None:
-                return operands[0], i, bare, names
-            operators.pop()
-            cls, groups = inside
-            inside, active = None, special
-            operands.append(_checked(cls(operands.pop())))
+            elif inside is None:
+                return operands.pop(), i, bare, names
+            else:               # B/G's entry is applied at the next token
+                cls, groups = inside
+                inside, active = None, special
+                operators[-1] = (6, cls)
             i += 1
 
 

@@ -5,11 +5,11 @@ parsers."""
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from goalkit.prop_logic import (
-    And, Atom, FALSE, Formula, FormulaError, Iff, Imp, MAX_DEPTH, Not, Or,
-    TRUE, atoms_of, consistent, entails, formula_for_table, leaves, render,
+    And, Atom, Const, FALSE, Formula, FormulaError, Iff, Imp, MAX_DEPTH, Not,
+    Or, TRUE, atoms_of, consistent, entails, formula_for_table, leaves, render,
     truth_table,
 )
 from goalkit.mental_state import (
@@ -204,6 +204,36 @@ def with_actions(agent: Agent, *actions: ConditionalAction) -> Agent:
     return Agent(agent.vocab, agent.books, agent.capabilities,
                  agent.program + actions, agent.initial_state,
                  agent.properties)
+
+
+# ---------------------------------------------------------------------------
+# The valuation-by-valuation evaluator that ``prop_logic.truth_table`` and
+# the entailment memos are checked against.
+
+def valuations(vocab: Sequence[str]) -> Iterator[frozenset[str]]:
+    """All valuations of ``vocab``, as sets of true atoms, in index order."""
+    voc = tuple(vocab)
+    for i in range(1 << len(voc)):
+        yield frozenset(a for k, a in enumerate(voc) if (i >> k) & 1)
+
+
+def satisfies(valuation: frozenset[str], phi: Formula) -> bool:
+    match phi:
+        case Atom(name):
+            return name in valuation
+        case Const(value):
+            return value
+        case Not(operand):
+            return not satisfies(valuation, operand)
+        case And(a, b):
+            return satisfies(valuation, a) and satisfies(valuation, b)
+        case Or(a, b):
+            return satisfies(valuation, a) or satisfies(valuation, b)
+        case Imp(a, b):
+            return (not satisfies(valuation, a)) or satisfies(valuation, b)
+        case Iff(a, b):
+            return satisfies(valuation, a) == satisfies(valuation, b)
+    raise FormulaError(f"not a propositional formula: {phi!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -429,6 +429,15 @@ def test_negative_counts_exit_2(capsys, argv):
     assert "non-negative integer" in err
 
 
+def test_a_step_count_past_the_largest_sequence_exits_2(capsys):
+    # only invalid counts: run keeps every pick of a valid one in memory
+    for steps in (2 ** 63, 10 ** 23):
+        code, out, err = invoke(capsys, "run", "--fixture", "shopping",
+                                "--steps", str(steps))
+        assert code == EXIT_USAGE and not out
+        assert err.startswith("error: --steps") and err.count("\n") == 1
+
+
 # -- the exit-code contract under random input --------------------------------
 
 

@@ -265,15 +265,17 @@ def test_walkers_enter_a_shared_subformula_once(monkeypatch):
     """A walk that re-entered shared subformulas would visit 2**60 nodes."""
     phi = doubled(Goal(P), 60)
     budget = [4 * 61]
-    operands = prop_logic._operands
 
-    def counted(node):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise AssertionError("a shared subformula was entered twice")
-        return operands(node)
+    def counted(operands):
+        def read(node):
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise AssertionError("a shared subformula was entered twice")
+            return operands(node)
+        return read
 
-    monkeypatch.setattr(prop_logic, "_operands", counted)
+    for cls, operands in list(prop_logic._OPERANDS.items()):
+        monkeypatch.setitem(prop_logic._OPERANDS, cls, counted(operands))
     assert list(leaves(phi)) == [Goal(P)]
     budget[0] = 4 * 61
     assert list(msf_leaves(phi)) == [Goal(P)]

@@ -15,10 +15,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from goalkit import prop_logic
 from goalkit.prop_logic import (
-    MAX_DEPTH, TRUE, Atom, lex, parse_formula, token_start,
+    MAX_DEPTH, TRUE, And, Atom, FormulaError, Not, conj, lex, parse_formula,
+    render, token_start,
 )
-from goalkit.mental_state import CapabilitySpec, EffectClause, parse_msformula
+from goalkit.mental_state import (
+    Bel, CapabilitySpec, EffectClause, parse_msformula,
+)
 from goalkit.agent_program import SHOPPING_SOURCE, parse_agent, pretty_print
 
 from helpers import (
@@ -185,6 +189,24 @@ def test_the_depth_limit_holds_on_both_sides_of_it():
         parse_msformula("B(" + "!" * (MAX_DEPTH - 1) + "p)")
 
 
+def test_an_interned_node_too_deep_to_parse_is_still_rejected():
+    """The parser takes a node from the intern table when it is there and
+    builds it only when it is not; a node found is held to the depth limit
+    as one built is."""
+    chain = Atom("p")                       # MAX_DEPTH levels deep
+    for _ in range(MAX_DEPTH - 1):
+        chain = Not(chain)
+    wide = conj([Atom(f"a{k}") for k in range(MAX_DEPTH)])
+    for phi in (Not(chain), Bel(chain), And(TRUE, wide), Bel(wide)):
+        key = (type(phi), *(getattr(phi, f) for f in phi.__match_args__))
+        assert prop_logic._nodes[key] is phi and phi.depth > MAX_DEPTH
+        with pytest.raises(FormulaError, match="nested more than"):
+            parse_msformula(render(phi))
+        if phi._atoms is not None:
+            with pytest.raises(FormulaError, match="nested more than"):
+                parse_formula(render(phi))
+
+
 def test_a_syntax_error_after_a_bare_atom_wins():
     for text in ("p & B(q) & (", "B(q) | r -> )", "r & enabled(flip"):
         got = outcome(parse_msformula, text, VOCAB, CAPS)
@@ -240,6 +262,18 @@ def test_benchmark_triples_match_the_reference():
         arg = case.statement[1]
         assert (parse_formula(arg, gen.ORACLE_ATOMS)
                 is ref_parse_formula(arg, gen.ORACLE_ATOMS))
+
+
+def test_msformulas_read_alike_with_and_without_capabilities():
+    gen = load_generators()
+    for i in range(gen.ORACLE_CATALOGUE):
+        case = gen.oracle_case(1, i)
+        for text in (case.pre, case.post):
+            assert (parse_msformula(text, gen.ORACLE_ATOMS)
+                    is parse_msformula(text, gen.ORACLE_ATOMS, CAPS))
+    for caps in (None, {}, CAPS):
+        assert outcome(parse_msformula, "B(p) & enabled(x)", VOCAB, caps) == (
+            "FormulaError", "unknown capability 'x'")
 
 
 AGENT_TOKENS = [t for _, t, _ in reference_tokenize(SHOPPING_SOURCE)[:-1]]

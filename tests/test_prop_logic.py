@@ -11,11 +11,11 @@ from goalkit import prop_logic
 from goalkit.prop_logic import (
     CACHE_SIZE, MAX_DEPTH, And, Atom, Const, FALSE, Formula, FormulaError, Iff, Imp, Not,
     Or, TRUE, atoms_of, conj, consistent, disj, entails, equivalent,
-    formula_for_table, minterm, parse_formula, render, satisfies, tautology,
-    tokenize, truth_table, valuations,
+    formula_for_table, minterm, parse_formula, render, tautology,
+    tokenize, truth_table,
 )
 
-from helpers import reference_tokenize
+from helpers import reference_tokenize, satisfies, valuations
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
