@@ -20,15 +20,15 @@ from .agent_program import (
 )
 from .executor import (
     BudgetExceeded, StateGraph, Step, TracePrefix, fairness_check, reachable,
-    run, schedule, step,
+    run, schedule, step, trace,
 )
 from .verifier import (
     Disj, EnsuresLeaf, HoareTriple, LassoTrace, MalformedProof, MissingAxiom,
     Trans, Verdict, check_ensures, check_hoare_basic, check_hoare_conditional,
     check_leadsto, check_unless, derive_hoare, eval_temporal, fair_lasso,
     fair_lasso_from, graph_ensures, graph_eventuality, graph_unless,
-    prove_leadsto, t_always, t_ensures, t_eventually, t_unless, trap_lasso,
-    verify_agent, wlp,
+    prove_leadsto, render_report, t_always, t_ensures, t_eventually, t_unless,
+    trap_lasso, verify_agent, wlp,
 )
 from .cli import main
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .prop_logic import (
-    Formula, Record, Token, consistent, entails, expected, parse_tokens,
-    render, tokenize,
+    PUNCT, Formula, Record, consistent, entails, expected, lex, parse_tokens,
+    render, token_start,
 )
 from .mental_state import MentalState, MentalStateError, msf_syntax
 from .capabilities import (
@@ -53,7 +53,10 @@ class Agent(Record):
 
 
 # ---------------------------------------------------------------------------
-# Schema expansion helpers.
+# Reading.  The reader indexes the token texts that ``lex`` gives: a span is
+# a ``range`` of token indices, and a token's position is found only for a
+# diagnostic.  Names with the placeholder segment ``book`` are bound to a
+# book when a span is read.
 
 _PLACEHOLDER = "book"
 
@@ -66,95 +69,207 @@ def _expand_name(name: str, book: str) -> str:
     return "_".join(book if p == _PLACEHOLDER else p for p in name.split("_"))
 
 
-def _span_has_schema(tokens: list[Token]) -> bool:
-    return any(t.kind == "name" and _is_schema(t.text) for t in tokens)
+def _is_name(text: str) -> bool:
+    return bool(text) and text not in PUNCT
 
 
-def _bind(tokens: list[Token], book: str) -> list[Token]:
-    return [Token((t.kind, _expand_name(t.text, book), t.pos))
-            if t.kind == "name" else t for t in tokens]
+class _Reader:
+    """The token texts of an agent file, read span by span."""
 
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = lex(text)
 
-def _span(tokens: list[Token]) -> tuple[list[str], Callable[[int], int]]:
-    """The token texts of a span, ending in "", and the position of each;
-    the end of a span is placed at its last token."""
-    end = tokens[-1].pos if tokens else 0
-    return ([t.text for t in tokens] + [""],
-            lambda k: tokens[k].pos if k < len(tokens) else end)
+    def pos(self, k: int) -> int:
+        return token_start(self.text, k)
 
+    def has_schema(self, span: range) -> bool:
+        return any(_is_schema(self.toks[k]) for k in span)
 
-def _block(tokens: list[Token], at: int,
-           keyword: Optional[str] = None) -> tuple[list[Token], int]:
-    """The tokens inside the brace-balanced ``{ ... }`` block at ``at``,
-    after ``keyword`` when it is given, and the index after the block."""
-    for want in (keyword, "{") if keyword else ("{",):
-        if tokens[at].text != want:
-            raise expected(want, tokens[at].text, tokens[at].pos)
-        at += 1
-    start, depth = at, 1
-    while True:
-        tok = tokens[at]
-        if tok.kind == "eof":
-            raise AgentParseError("unexpected end of file inside a block")
-        at += 1
-        if tok.text == "{":
-            depth += 1
-        elif tok.text == "}":
-            depth -= 1
-            if depth == 0:
-                return tokens[start:at - 1], at
+    def read(self, span: range, book: Optional[str] = None
+             ) -> tuple[list[str], Callable[[int], int]]:
+        """The texts of ``span``, names bound to ``book``, ending in "", and
+        the position of each; the end of a span is placed at its last token."""
+        texts = self.toks[span.start:span.stop]
+        if book is not None:
+            texts = [_expand_name(t, book) for t in texts]
+        texts.append("")
+        last = len(span) - 1
+        return texts, lambda k: self.pos(span[min(k, last)]) if span else 0
 
+    def block(self, at: int,
+              keyword: Optional[str] = None) -> tuple[range, int]:
+        """The tokens inside the brace-balanced ``{ ... }`` block at ``at``,
+        after ``keyword`` when it is given, and the index after the block."""
+        toks = self.toks
+        for want in (keyword, "{") if keyword else ("{",):
+            if toks[at] != want:
+                raise expected(want, toks[at], self.pos(at))
+            at += 1
+        start, depth = at, 1
+        while True:
+            tok = toks[at]
+            if not tok:
+                raise AgentParseError("unexpected end of file inside a block")
+            at += 1
+            if tok == "{":
+                depth += 1
+            elif tok == "}":
+                depth -= 1
+                if depth == 0:
+                    return range(start, at - 1), at
 
-def _split(tokens: list[Token], sep: str) -> list[list[Token]]:
-    """Split ``tokens`` on ``sep`` at brace depth zero; drops empty runs."""
-    parts: list[list[Token]] = [[]]
-    depth = 0
-    for tok in tokens:
-        depth += (tok.text == "{") - (tok.text == "}")
-        if tok.text == sep and depth == 0:
-            parts.append([])
+    def split(self, span: range, sep: str) -> list[range]:
+        """Split ``span`` on ``sep`` at brace depth zero; drops empty runs."""
+        parts: list[range] = []
+        start, depth = span.start, 0
+        for k in span:
+            tok = self.toks[k]
+            depth += (tok == "{") - (tok == "}")
+            if tok == sep and depth == 0:
+                parts.append(range(start, k))
+                start = k + 1
+        parts.append(range(start, span.stop))
+        return [part for part in parts if part]
+
+    def formula(self, span: range, book: Optional[str] = None,
+                special: Optional[dict[str, Callable]] = None
+                ) -> tuple[Formula, set[str]]:
+        """A propositional formula, or with ``special`` (:func:`msf_syntax`)
+        a mental-state formula, and the names of its atoms."""
+        texts, where = self.read(span, book)
+        phi, end, bare, names = parse_tokens(texts, 0, where, special)
+        if texts[end]:
+            raise AgentParseError(
+                f"unexpected {texts[end]!r} at position {where(end)}")
+        if bare is not None:
+            raise AgentParseError(
+                f"bare atom {bare.name!r}; wrap atoms in B(...) or G(...)")
+        return phi, names
+
+    def clause(self, span: range, book: Optional[str],
+               check_names) -> EffectClause:
+        texts, where = self.read(span, book)
+        if texts[0] != "when":
+            raise expected("when", texts[0], where(0))
+        guard, at, _, names = parse_tokens(texts, 1, where)
+        check_names(names, "capability guard")
+        add: list[Formula] = []
+        delete: list[Formula] = []
+        while texts[at]:
+            word = texts[at]
+            if word not in ("add", "del"):
+                raise AgentParseError(
+                    f"expected 'add' or 'del' at position {where(at)}")
+            if texts[at + 1] != "{":
+                raise expected("{", texts[at + 1], where(at + 1))
+            start = at = at + 2
+            while texts[at] != "}":
+                if not texts[at]:
+                    raise AgentParseError("unterminated add/del list")
+                at += 1
+            listed = add if word == "add" else delete
+            for part in self.split(span[start:at], ","):
+                phi, names = self.formula(part, book)
+                check_names(names, f"capability {word} list")
+                listed.append(phi)
+            at += 1
+        return EffectClause(guard, tuple(add), tuple(delete))
+
+    def rule(self, span: range, book: Optional[str],
+             caps_by_name: dict[str, CapabilitySpec],
+             check_names) -> ConditionalAction:
+        # The rule shape is "<msformula> -> do(<action>)"; the last "->"
+        # before "do(" is the separator (the condition may contain "->").
+        toks = self.toks
+        split_at = next((k for k in reversed(span[:-2]) if toks[k] == "->"
+                         and toks[k + 1] == "do" and toks[k + 2] == "("), None)
+        if split_at is None:
+            raise AgentParseError("program rules have the form '<condition> -> do(<action>)'")
+        condition, names = self.formula(range(span.start, split_at), book,
+                                        msf_syntax(_no_enabled))
+        check_names(names, "program condition")
+        action_span = range(split_at + 1, span.stop)   # "do" "(" action ")"
+        texts, where = self.read(action_span, book)
+        head, at = texts[2], 3
+        if head in ("adopt", "drop"):
+            if texts[at] != "(":
+                raise expected("(", texts[at], where(at))
+            start = at = at + 1
+            depth = 1
+            while True:
+                if not texts[at]:
+                    raise AgentParseError("unterminated adopt/drop argument")
+                depth += (texts[at] == "(") - (texts[at] == ")")
+                if depth == 0:
+                    break
+                at += 1
+            arg, names = self.formula(action_span[start:at], book)
+            check_names(names, f"{head} argument")
+            action = GoalAction(head, arg)
+            at += 1
+        elif _is_name(head):
+            if head not in caps_by_name:
+                raise AgentParseError(f"undeclared capability {head!r}")
+            action = caps_by_name[head]
         else:
-            parts[-1].append(tok)
-    return [part for part in parts if part]
+            raise AgentParseError(f"bad action at position {where(2)}")
+        if texts[at] != ")":
+            raise expected(")", texts[at], where(at))
+        if texts[at + 1]:
+            raise AgentParseError("trailing tokens after program rule")
+        return ConditionalAction(condition, action)
+
+    def property(self, span: range, book: Optional[str], check_names,
+                 capability: Callable[[str], CapabilitySpec]) -> PropertyDecl:
+        kind = self.toks[span[0]]
+        if book is not None:
+            kind = _expand_name(kind, book)
+        if kind not in ("unless", "ensures", "leadsto", "invariant"):
+            raise AgentParseError(f"unknown property kind {kind!r}")
+        rest = span[1:]
+        special = msf_syntax(capability)
+        if kind == "invariant":
+            left, names = self.formula(rest, book, special)
+            check_names(names, "property")
+            return PropertyDecl("invariant", left)
+        parts = self.split(rest, ",")
+        if len(parts) != 2:
+            raise AgentParseError(f"{kind} takes two formulas separated by ','")
+        left, left_names = self.formula(parts[0], book, special)
+        right, right_names = self.formula(parts[1], book, special)
+        check_names(left_names, "property")
+        check_names(right_names, "property")
+        return PropertyDecl(kind, left, right)
 
 
-def _parse_formula_span(
-        tokens: list[Token], special: Optional[dict[str, Callable]] = None
-        ) -> tuple[Formula, set[str]]:
-    """A propositional formula, or with ``special`` (:func:`msf_syntax`) a
-    mental-state formula, and the names of its atoms."""
-    texts, where = _span(tokens)
-    phi, end, bare, names = parse_tokens(texts, 0, where, special)
-    if texts[end]:
-        raise AgentParseError(
-            f"unexpected {texts[end]!r} at position {where(end)}")
-    if bare is not None:
-        raise AgentParseError(
-            f"bare atom {bare.name!r}; wrap atoms in B(...) or G(...)")
-    return phi, names
+def _no_enabled(name: str) -> CapabilitySpec:
+    raise AgentParseError(
+        "program conditions range over B and G only (no enabled(...))")
 
 
 def parse_agent(text: str) -> Agent:
     """Parse and validate an agent file."""
-    tokens = tokenize(text)
+    src = _Reader(text)
+    toks = src.toks
 
     # vocab
-    vocab_tokens, at = _block(tokens, 0, "vocab")
+    vocab_span, at = src.block(0, "vocab")
     books: list[str] = []
-    atom_entries: list[list[Token]] = []
-    for entry in _split(vocab_tokens, ";"):
-        if entry[0].text == "book":
-            if len(entry) != 2 or entry[1].kind != "name":
+    atom_entries: list[range] = []
+    for entry in src.split(vocab_span, ";"):
+        if toks[entry[0]] == "book":
+            if len(entry) != 2 or not _is_name(toks[entry[1]]):
                 raise AgentParseError("book declarations have the form 'book NAME;'")
-            books.append(entry[1].text)
+            books.append(toks[entry[1]])
         else:
             atom_entries.append(entry)
     vocab: list[str] = []
     for entry in atom_entries:
-        if len(entry) != 1 or entry[0].kind != "name":
+        if len(entry) != 1 or not _is_name(toks[entry[0]]):
             raise AgentParseError(
-                f"bad vocab entry near position {entry[0].pos}")
-        name = entry[0].text
+                f"bad vocab entry near position {src.pos(entry[0])}")
+        name = toks[entry[0]]
         if _is_schema(name) and not books:
             raise AgentParseError(
                 f"atom {name!r} uses the 'book' placeholder but no books are declared")
@@ -181,21 +296,22 @@ def parse_agent(text: str) -> Agent:
             raise AgentParseError(f"property: unknown capability {name!r}")
         return caps_by_name[name]
 
-    def expansions(span: list[Token]) -> list[list[Token]]:
-        if _span_has_schema(span):
-            if not books:
-                raise AgentParseError(
-                    "schema uses the 'book' placeholder but no books are declared")
-            return [_bind(span, b) for b in books]
-        return [span]
+    def expansions(span: range) -> list[Optional[str]]:
+        """The books ``span`` is bound to, ``[None]`` without schema names."""
+        if not src.has_schema(span):
+            return [None]
+        if not books:
+            raise AgentParseError(
+                "schema uses the 'book' placeholder but no books are declared")
+        return books
 
     def bases(section: str) -> list[Formula]:
         nonlocal at
-        block, at = _block(tokens, at, section)
+        block, at = src.block(at, section)
         formulas = []
-        for span in _split(block, ";"):
-            for bound in expansions(span):
-                phi, names = _parse_formula_span(bound)
+        for span in src.split(block, ";"):
+            for book in expansions(span):
+                phi, names = src.formula(span, book)
                 check_names(names, section)
                 formulas.append(phi)
         return formulas
@@ -204,48 +320,41 @@ def parse_agent(text: str) -> Agent:
     goals = bases("goals")
 
     # capabilities
-    while tokens[at].text == "capability":
-        name_tok = tokens[at + 1]
-        if name_tok.kind != "name":
+    while toks[at] == "capability":
+        name = toks[at + 1]
+        if not _is_name(name):
             raise AgentParseError("capability name expected")
-        body, at = _block(tokens, at + 2)
-        spans = _split(body, ";")
-        bindings = ([None] if not (_is_schema(name_tok.text) or _span_has_schema(body))
-                    else list(books))
-        if bindings == [] :
+        body, at = src.block(at + 2)
+        spans = src.split(body, ";")
+        bindings = ([None] if not (_is_schema(name) or src.has_schema(body))
+                    else books)
+        if not bindings:
             raise AgentParseError("schema capability needs declared books")
         for book in bindings:
-            cap_name = (name_tok.text if book is None
-                        else _expand_name(name_tok.text, book))
+            cap_name = name if book is None else _expand_name(name, book)
             if cap_name in caps_by_name:
                 raise AgentParseError(f"duplicate capability {cap_name!r}")
-            clauses = []
-            for span in spans:
-                bound = span if book is None else _bind(span, book)
-                clauses.append(_parse_clause(bound, check_names))
+            clauses = [src.clause(span, book, check_names) for span in spans]
             caps_by_name[cap_name] = CapabilitySpec(cap_name, tuple(clauses))
 
     # program
-    block, at = _block(tokens, at, "program")
-    program: list[ConditionalAction] = []
-    for span in _split(block, ";"):
-        for bound in expansions(span):
-            program.append(_parse_rule(bound, caps_by_name, check_names))
+    block, at = src.block(at, "program")
+    program = [src.rule(span, book, caps_by_name, check_names)
+               for span in src.split(block, ";") for book in expansions(span)]
     if not program:
         raise AgentParseError("the program section must declare at least one action")
 
     # properties (optional)
     properties: list[PropertyDecl] = []
-    if tokens[at].text == "properties":
-        block, at = _block(tokens, at, "properties")
-        for span in _split(block, ";"):
-            for bound in expansions(span):
-                properties.append(
-                    _parse_property(bound, check_names, capability))
+    if toks[at] == "properties":
+        block, at = src.block(at, "properties")
+        properties = [src.property(span, book, check_names, capability)
+                      for span in src.split(block, ";")
+                      for book in expansions(span)]
 
-    tail = tokens[at]
-    if tail.kind != "eof":
-        raise AgentParseError(f"unexpected {tail.text!r} at position {tail.pos}")
+    if toks[at]:
+        raise AgentParseError(
+            f"unexpected {toks[at]!r} at position {src.pos(at)}")
 
     if not consistent(beliefs):
         raise AgentParseError("initial beliefs are inconsistent")
@@ -264,108 +373,6 @@ def parse_agent(text: str) -> Agent:
 
     return Agent(tuple(vocab), tuple(books), tuple(caps_by_name.values()),
                  tuple(program), initial, tuple(properties))
-
-
-def _parse_clause(tokens: list[Token], check_names) -> EffectClause:
-    texts, where = _span(tokens)
-    if texts[0] != "when":
-        raise expected("when", texts[0], where(0))
-    guard, at, _, names = parse_tokens(texts, 1, where)
-    check_names(names, "capability guard")
-    add: list[Formula] = []
-    delete: list[Formula] = []
-    while texts[at]:
-        word = texts[at]
-        if word not in ("add", "del"):
-            raise AgentParseError(
-                f"expected 'add' or 'del' at position {where(at)}")
-        if texts[at + 1] != "{":
-            raise expected("{", texts[at + 1], where(at + 1))
-        start = at = at + 2
-        while texts[at] != "}":
-            if not texts[at]:
-                raise AgentParseError("unterminated add/del list")
-            at += 1
-        formulas = []
-        for span in _split(tokens[start:at], ","):
-            phi, names = _parse_formula_span(span)
-            check_names(names, f"capability {word} list")
-            formulas.append(phi)
-        (add if word == "add" else delete).extend(formulas)
-        at += 1
-    return EffectClause(guard, tuple(add), tuple(delete))
-
-
-def _parse_rule(tokens: list[Token], caps_by_name: dict[str, CapabilitySpec],
-                check_names) -> ConditionalAction:
-    # The rule shape is "<msformula> -> do(<action>)"; the "->" before
-    # "do(" is the separator (the condition itself may contain "->").
-    split_at = None
-    for i in range(len(tokens) - 2):
-        if (tokens[i].text == "->" and tokens[i + 1].text == "do"
-                and tokens[i + 2].text == "("):
-            split_at = i
-    if split_at is None:
-        raise AgentParseError("program rules have the form '<condition> -> do(<action>)'")
-    condition, names = _parse_formula_span(tokens[:split_at],
-                                           msf_syntax(_no_enabled))
-    check_names(names, "program condition")
-    action_tokens = tokens[split_at + 1:]     # "do" "(" action ")"
-    texts, where = _span(action_tokens)
-    head, at = texts[2], 3
-    if head in ("adopt", "drop"):
-        if texts[at] != "(":
-            raise expected("(", texts[at], where(at))
-        start = at = at + 1
-        depth = 1
-        while True:
-            if not texts[at]:
-                raise AgentParseError("unterminated adopt/drop argument")
-            depth += (texts[at] == "(") - (texts[at] == ")")
-            if depth == 0:
-                break
-            at += 1
-        arg, names = _parse_formula_span(action_tokens[start:at])
-        check_names(names, f"{head} argument")
-        action = GoalAction(head, arg)
-        at += 1
-    elif len(action_tokens) > 2 and action_tokens[2].kind == "name":
-        if head not in caps_by_name:
-            raise AgentParseError(f"undeclared capability {head!r}")
-        action = caps_by_name[head]
-    else:
-        raise AgentParseError(f"bad action at position {where(2)}")
-    if texts[at] != ")":
-        raise expected(")", texts[at], where(at))
-    if texts[at + 1]:
-        raise AgentParseError("trailing tokens after program rule")
-    return ConditionalAction(condition, action)
-
-
-def _no_enabled(name: str) -> CapabilitySpec:
-    raise AgentParseError(
-        "program conditions range over B and G only (no enabled(...))")
-
-
-def _parse_property(tokens: list[Token], check_names,
-                    capability: Callable[[str], CapabilitySpec]) -> PropertyDecl:
-    head = tokens[0]
-    if head.text not in ("unless", "ensures", "leadsto", "invariant"):
-        raise AgentParseError(f"unknown property kind {head.text!r}")
-    rest = tokens[1:]
-    special = msf_syntax(capability)
-    if head.text == "invariant":
-        left, names = _parse_formula_span(rest, special)
-        check_names(names, "property")
-        return PropertyDecl("invariant", left)
-    parts = _split(rest, ",")
-    if len(parts) != 2:
-        raise AgentParseError(f"{head.text} takes two formulas separated by ','")
-    left, left_names = _parse_formula_span(parts[0], special)
-    right, right_names = _parse_formula_span(parts[1], special)
-    check_names(left_names, "property")
-    check_names(right_names, "property")
-    return PropertyDecl(head.text, left, right)
 
 
 # ---------------------------------------------------------------------------

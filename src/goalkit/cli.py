@@ -19,7 +19,7 @@ from .mental_state import (
 )
 from .agent_program import Agent, AgentParseError, SHOPPING_SOURCE, parse_agent
 from .executor import (
-    BudgetExceeded, InvalidBudget, fairness_check, reachable, run,
+    BudgetExceeded, InvalidBudget, fair_picks, reachable, trace,
 )
 from .verifier import (
     HoareTriple, MissingAxiom, check_hoare_basic, derive_hoare, render_report,
@@ -99,7 +99,12 @@ def _load_agent(args) -> Agent:
     if not args.agent:
         raise AgentParseError("an agent file (or --fixture) is required")
     with open(args.agent, encoding="utf-8") as handle:
-        return parse_agent(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise AgentParseError(f"{args.agent}: not UTF-8 text ({exc.reason} "
+                                  f"at byte {exc.start})") from exc
+    return parse_agent(text)
 
 
 def _cmd_run(args) -> int:
@@ -109,10 +114,15 @@ def _cmd_run(args) -> int:
         return EXIT_USAGE
     agent = _load_agent(args)
     kind = "unfair" if args.unfair else args.sched
-    prefix = run(agent, kind, args.steps, args.seed)
-    for line in prefix.dump_lines():
-        print(line)
-    fair = fairness_check(prefix)
+
+    def printed():
+        """Each pick, once its step line is printed."""
+        for i, (pick, st) in enumerate(
+                trace(agent, kind, args.steps, args.seed)):
+            print(st.line(i, agent.action_label(pick)))
+            yield pick
+
+    fair = fair_picks(printed(), len(agent.program), kind)
     print(f"scheduler: {kind} | steps: {args.steps} | "
           f"fairness surrogate: {'pass' if fair else 'fail'}")
     return EXIT_OK

@@ -4,7 +4,7 @@ A computation step attempts one conditional action: it executes when the
 condition holds and the underlying action is enabled, and idles (state
 unchanged) otherwise.  Idle steps are recorded, never elided.  A schedule
 decides only which action is attempted; its ``rr`` and ``random`` kinds are
-weakly fair in the finite-surrogate sense of :func:`fairness_check`.
+weakly fair in the finite-surrogate sense of :func:`fair_picks`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional
 from .agent_program import Agent
 from .capabilities import ConditionalAction, apply_M
 from .mental_state import MentalState, StateSet, eval_msf
-from .prop_logic import Record, render
+from .prop_logic import Record
 
 DEFAULT_BUDGET = 10_000
 BUDGET_ENV_VAR = "GOAL_BUDGET"
@@ -62,6 +62,12 @@ class Step(Record):
         if not self.executed:
             assert self.target == self.source
 
+    def line(self, i: int, label: str) -> str:
+        """This step's trace line, as attempt ``i`` of action ``label``."""
+        return (f"step {i} | {label} | "
+                f"{'executed' if self.executed else 'idle'} | "
+                f"{self.target.describe()}")
+
 
 def step(state: MentalState, b: ConditionalAction) -> Step:
     """Attempt ``b`` at ``state``.  It executes when its condition holds and
@@ -87,18 +93,6 @@ class TracePrefix(Record):
 
     def __len__(self) -> int:
         return len(self.picks)
-
-    def dump_lines(self) -> list[str]:
-        lines = []
-        for i, (pick, done) in enumerate(zip(self.picks, self.executed)):
-            state = self.states[i + 1]
-            bels = ", ".join(sorted(render(f) for f in state.beliefs)) or "-"
-            gens = ", ".join(sorted(render(g) for g in state.goals)) or "-"
-            lines.append(
-                f"step {i} | {self.agent.action_label(pick)} | "
-                f"{'executed' if done else 'idle'} | "
-                f"beliefs: {bels} | goals: {gens}")
-        return lines
 
 
 # ---------------------------------------------------------------------------
@@ -141,46 +135,56 @@ def _forcing(n: int, rng: random.Random) -> Iterator[int]:
         yield choice
 
 
+def trace(agent: Agent, kind: str, steps: int,
+          seed: int = 0) -> Iterator[tuple[int, Step]]:
+    """The first ``steps`` attempts of ``agent`` under ``schedule(kind)``, as
+    (pick, step) pairs, each attempted when it is asked for.  The schedule is
+    built here, so an unknown kind raises before the first pick."""
+    picks = islice(schedule(kind, len(agent.program), seed), steps)
+    return _attempts(agent, picks)
+
+
+def _attempts(agent: Agent,
+              picks: Iterator[int]) -> Iterator[tuple[int, Step]]:
+    state = agent.initial_state
+    for b in picks:
+        st = step(state, agent.program[b])
+        state = st.target
+        yield b, st
+
+
 def run(agent: Agent, kind: str, steps: int, seed: int = 0) -> TracePrefix:
     """Drive ``agent`` for ``steps`` attempts picked by ``schedule(kind)``."""
-    picks = tuple(islice(schedule(kind, len(agent.program), seed), steps))
-    states = [agent.initial_state]
-    executed: list[bool] = []
-    for b in picks:
-        st = step(states[-1], agent.program[b])
-        states.append(st.target)
-        executed.append(st.executed)
-    return TracePrefix(agent, tuple(states), picks, tuple(executed), kind, seed)
+    pairs = tuple(trace(agent, kind, steps, seed))
+    return TracePrefix(agent,
+                       (agent.initial_state, *(st.target for _, st in pairs)),
+                       tuple(b for b, _ in pairs),
+                       tuple(st.executed for _, st in pairs), kind, seed)
 
 
 def fairness_check(prefix: TracePrefix) -> bool:
-    """Finite surrogate for "every action is scheduled infinitely often".
+    """:func:`fair_picks` of the picks of ``prefix``."""
+    return fair_picks(prefix.picks, len(prefix.agent.program),
+                      prefix.scheduler_kind)
 
-    Round-robin prefixes must cover the whole program in every window of
-    |program| consecutive picks; the forcing random scheduler is checked
-    against its omission-streak bound (no streak above |program|).  Unfair
-    prefixes are held to the window criterion, which they generally fail.
-    """
-    n = len(prefix.agent.program)
-    if len(prefix) < n:
-        return True
-    if prefix.scheduler_kind == "random":
-        return max_omission_streak(prefix.picks, n) <= n
-    for start in range(len(prefix) - n + 1):
-        if set(prefix.picks[start:start + n]) != set(range(n)):
-            return False
-    return True
+
+def fair_picks(picks: Iterable[int], n: int, kind: str) -> bool:
+    """Finite surrogate for "every action is scheduled infinitely often":
+    no action is omitted more than ``n - 1`` picks in a row, so any ``n``
+    consecutive picks cover the program; ``random`` is held to its forcing
+    bound ``n`` instead.  ``unfair`` picks generally fail."""
+    return max_omission_streak(picks, n) <= (n if kind == "random" else n - 1)
 
 
 def max_omission_streak(picks: Iterable[int], n_actions: int) -> int:
-    """The longest run of consecutive picks omitting some single action."""
-    streaks = [0] * n_actions
-    worst = 0
-    for pick in picks:
-        for i in range(n_actions):
-            streaks[i] = 0 if i == pick else streaks[i] + 1
-        worst = max(worst, max(streaks))
-    return worst
+    """The longest run of consecutive picks omitting some single action: the
+    longest gap around any action's picks, from one pass over ``picks``."""
+    last = [-1] * n_actions     # the index of each action's latest pick
+    worst, t = 0, -1
+    for t, pick in enumerate(picks):
+        worst = max(worst, t - last[pick] - 1)
+        last[pick] = t
+    return max(worst, t - min(last, default=t))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache, partial
 from itertools import islice
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -441,17 +441,6 @@ def render(phi: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Lexing and parsing.
 
-class Token(tuple):
-    """One lexeme: its kind ("name", "punct" or "eof"), text and position."""
-
-    __slots__ = ()
-    __match_args__ = ("kind", "text", "pos")
-    __repr__ = Record.__repr__
-    kind = property(itemgetter(0))
-    text = property(itemgetter(1))
-    pos = property(itemgetter(2))
-
-
 # One lexeme, in group 1, and the white space and comments after it (so the
 # end of the text, "", matches once): a punctuation mark or a name.  Any
 # other character matches outside the group and reads as "" too.  \s is
@@ -462,23 +451,20 @@ _SKIP = re.compile(r"(?:\s+|#[^\n]*)*")
 _LEXEME = re.compile(r"(?:(<->|->|[(){};,!&|]|[^\W\d]\w*|\Z)|.)"
                      + _SKIP.pattern)
 
-_PUNCT = frozenset(("<->", "->", "(", ")", "{", "}", ";", ",", "!", "&", "|"))
+PUNCT = frozenset(("<->", "->", "(", ")", "{", "}", ";", ",", "!", "&", "|"))
 
 
 def lex(text: str) -> list[str]:
     """The text of each token of ``text``, the last one "" at its end;
     :func:`token_start` finds a token's position when a diagnostic needs it.
-    Raises :class:`FormulaError` at the first character no token starts."""
-    return _lexed(text, _LEXEME.findall(text, _SKIP.match(text).end()))
-
-
-def _lexed(text: str, texts: list[str]) -> list[str]:
-    """``texts``, once no token of ``text`` but the last is "" (a character
-    outside every token) or, outside ASCII, a name starting with a numeral."""
+    Raises :class:`FormulaError` at the first character no token starts:
+    one that reads as "" before the end or, outside ASCII, a name starting
+    with a numeral."""
+    texts = _LEXEME.findall(text, _SKIP.match(text).end())
     bad = texts.index("")
     if not text.isascii():
         bad = next(k for k, t in enumerate(texts) if not (
-            t in _PUNCT or t[:1].isalpha() or t[:1] == "_"))
+            t in PUNCT or t[:1].isalpha() or t[:1] == "_"))
     if bad != len(texts) - 1:
         pos = token_start(text, bad)
         raise FormulaError(
@@ -490,16 +476,6 @@ def token_start(text: str, k: int) -> int:
     """The position in ``text`` of the start of its token ``k``."""
     m = next(islice(_LEXEME.finditer(text, _SKIP.match(text).end()), k, None))
     return m.start(1) if m.start(1) >= 0 else m.start()
-
-
-def tokenize(text: str) -> list[Token]:
-    """The tokens of ``text``, the last one of kind "eof" at its end, from
-    one pass of the pattern :func:`lex` uses."""
-    matches = list(_LEXEME.finditer(text, _SKIP.match(text).end()))
-    texts = _lexed(text, [m[1] or "" for m in matches])
-    return [Token(("punct" if t in _PUNCT else "name" if t else "eof",
-                   t, m.start(1)))
-            for t, m in zip(texts, matches)]
 
 
 def expected(want: str, found: str, pos: int) -> FormulaError:
@@ -556,7 +532,7 @@ def parse_tokens(texts: Sequence[str], i: int, where: Callable[[int], int],
             groups += t == "("
             i += 1
             t = texts[i]
-        if not t or t in _PUNCT:
+        if not t or t in PUNCT:
             raise FormulaError(
                 f"expected a formula at position {where(i)}, found {t!r}")
         if t in _CONSTANTS:
@@ -568,7 +544,7 @@ def parse_tokens(texts: Sequence[str], i: int, where: Callable[[int], int],
                 i += 2
                 continue
             name = texts[i + 2]
-            if not name or name in _PUNCT:
+            if not name or name in PUNCT:
                 raise FormulaError(
                     f"expected a capability name at position {where(i + 2)}")
             if texts[i + 3] != ")":

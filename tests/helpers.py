@@ -207,6 +207,33 @@ def with_actions(agent: Agent, *actions: ConditionalAction) -> Agent:
 
 
 # ---------------------------------------------------------------------------
+# The fairness rules that ``executor.fairness_check`` and
+# ``executor.max_omission_streak`` replaced, kept as their reference.
+
+def window_fair(picks: Sequence[int], n: int) -> bool:
+    """Every ``n`` consecutive picks cover all ``n`` actions; fewer than
+    ``n`` picks always pass."""
+    if len(picks) < n:
+        return True
+    for start in range(len(picks) - n + 1):
+        if set(picks[start:start + n]) != set(range(n)):
+            return False
+    return True
+
+
+def reference_omission_streak(picks: Iterable[int], n_actions: int) -> int:
+    """The longest run of consecutive picks omitting some single action,
+    with one streak counter per action updated at every pick."""
+    streaks = [0] * n_actions
+    worst = 0
+    for pick in picks:
+        for i in range(n_actions):
+            streaks[i] = 0 if i == pick else streaks[i] + 1
+        worst = max(worst, max(streaks))
+    return worst
+
+
+# ---------------------------------------------------------------------------
 # The valuation-by-valuation evaluator that ``prop_logic.truth_table`` and
 # the entailment memos are checked against.
 
@@ -237,15 +264,15 @@ def satisfies(valuation: frozenset[str], phi: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The character-by-character lexer that ``prop_logic.tokenize`` replaced,
-# kept as the reference its compiled pattern is checked against.
+# The character-by-character lexer that ``prop_logic.lex`` replaced, kept as
+# the reference its compiled pattern and ``token_start`` are checked against.
 
 _PUNCT = ("<->", "->", "(", ")", "{", "}", ";", ",", "!", "&", "|")
 
 
 def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
     """The (kind, text, position) of each token of ``text``, the last one
-    ``("eof", "", len(text))``; raises FormulaError as tokenize does."""
+    ``("eof", "", len(text))``; raises FormulaError as lex does."""
     tokens: list[tuple[str, str, int]] = []
     i, n = 0, len(text)
     while i < n:

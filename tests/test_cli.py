@@ -13,7 +13,7 @@ from goalkit.agent_program import SHOPPING_SOURCE
 from goalkit.cli import (
     EXIT_BUDGET, EXIT_OK, EXIT_PROPERTY_FAILED, EXIT_USAGE, main,
 )
-from goalkit.prop_logic import tokenize
+from goalkit.prop_logic import lex
 
 GOOD_AGENT = """
 vocab { p; q; }
@@ -430,12 +430,55 @@ def test_negative_counts_exit_2(capsys, argv):
 
 
 def test_a_step_count_past_the_largest_sequence_exits_2(capsys):
-    # only invalid counts: run keeps every pick of a valid one in memory
+    # only invalid counts here: a valid one this large would never finish
     for steps in (2 ** 63, 10 ** 23):
         code, out, err = invoke(capsys, "run", "--fixture", "shopping",
                                 "--steps", str(steps))
         assert code == EXIT_USAGE and not out
         assert err.startswith("error: --steps") and err.count("\n") == 1
+
+
+def test_an_agent_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.agent"
+    path.write_bytes(b"vocab { p\xff; }\n")
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert code == EXIT_USAGE and not out
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "not UTF-8 text" in err
+
+
+def _cli(*argv):
+    return [sys.executable, "-m", "goalkit.cli", *argv]
+
+
+def test_run_streams_in_memory_independent_of_the_step_count():
+    # 100,000 steps under a 32 MB address space: a trace kept whole until
+    # it is printed ran out of memory here, where 2,000 steps did not
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (32 << 20, 32 << 20))
+
+    proc = subprocess.run(
+        _cli("run", "--fixture", "shopping", "--steps", "100000"),
+        capture_output=True, preexec_fn=limit, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr[-500:]
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "51d4d0dab1514eb40505dafc029e6d2b3d06db75e4cd93c4a2242a87b3bc45ac")
+
+
+def test_a_closed_pipe_ends_run_with_one_error_line():
+    proc = subprocess.Popen(
+        _cli("run", "--fixture", "shopping", "--steps", "100000"),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=300) == EXIT_USAGE
+    assert first.startswith(b"step 0 | b0:goto_Am_com | executed | ")
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, err
+    assert "Exception ignored" not in err and "Traceback" not in err
 
 
 # -- the exit-code contract under random input --------------------------------
@@ -458,7 +501,7 @@ def assert_contract(argv):
     assert run_quietly(argv)[:2] == (code, out)
 
 
-SHOPPING_TOKENS = [t.text for t in tokenize(SHOPPING_SOURCE)[:-1]]
+SHOPPING_TOKENS = lex(SHOPPING_SOURCE)[:-1]
 EXTRA_TOKENS = sorted(set(SHOPPING_TOKENS)) + [
     "enabled", "nosuch", "book", "X", "0", ";", ",", "(", ")", "{", "}"]
 EDITS = st.lists(st.tuples(st.booleans(),

@@ -1,6 +1,7 @@
 from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from goalkit.prop_logic import Atom, TRUE
 from goalkit.mental_state import Bel, Goal, MentalState, parse_msformula
@@ -11,10 +12,10 @@ from goalkit.capabilities import (
 from goalkit.agent_program import Agent, ground_shopping_fixture
 from goalkit.executor import (
     BudgetExceeded, TracePrefix, fairness_check, max_omission_streak,
-    reachable, run, schedule, step,
+    reachable, run, schedule, step, trace,
 )
 
-from helpers import micro_agent
+from helpers import micro_agent, reference_omission_streak, window_fair
 
 P, Q = Atom("p"), Atom("q")
 
@@ -130,6 +131,39 @@ def test_fairness_check_seeded_random_window():
     assert fairness_check(prefix)
 
 
+def _pick_sequences(n):
+    """Any picks over ``n`` actions, or runs of permutations of them, cut
+    anywhere: these keep every streak below ``2n - 1``, near both bounds."""
+    any_picks = st.lists(st.integers(0, n - 1), max_size=50)
+    runs = st.lists(st.permutations(range(n)), max_size=50).map(
+        lambda perms: [b for perm in perms for b in perm])
+    return st.tuples(st.just(n), st.one_of(any_picks, runs),
+                     st.integers(0, 50))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 6).flatmap(_pick_sequences))
+@example((1, [], 0))
+@example((3, [0, 1, 2, 0, 1, 2], 6))     # every window of 3 covers 0, 1, 2
+@example((3, [0, 1, 2, 1, 0, 2], 6))     # 0 left out 3 times: random only
+def test_fairness_check_is_one_streak_rule(case):
+    # rr and unfair prefixes obey the window rule exactly; random ones the
+    # forcing scheduler's bound of n
+    n, picks, cut = case
+    picks = picks[:cut]
+    agent = tiny_agent()
+    agent = Agent(agent.vocab, (), agent.capabilities, agent.program * n,
+                  agent.initial_state, ())
+    streak = reference_omission_streak(picks, n)
+    assert max_omission_streak(picks, n) == streak
+    for kind, fair in (("rr", window_fair(picks, n)),
+                       ("unfair", window_fair(picks, n)),
+                       ("random", streak <= n)):
+        prefix = TracePrefix(agent, (agent.initial_state,) * (len(picks) + 1),
+                             tuple(picks), (False,) * len(picks), kind)
+        assert fairness_check(prefix) == fair, kind
+
+
 def test_unfair_scheduler_flagged():
     prefix = run(ground_shopping_fixture(), "unfair", 4, 5)
     assert (prefix.scheduler_kind, prefix.seed) == ("unfair", 5)
@@ -144,8 +178,8 @@ def test_unknown_kind_raises_before_the_first_pick():
 
 def test_trace_dump_format():
     agent = ground_shopping_fixture()
-    prefix = run(agent, "rr", 3)
-    lines = prefix.dump_lines()
+    lines = [st.line(i, agent.action_label(pick))
+             for i, (pick, st) in enumerate(trace(agent, "rr", 3))]
     assert lines[0].startswith("step 0 | b0:goto_Am_com | executed | beliefs: ")
     assert " | goals: " in lines[0]
     assert lines[1].split(" | ")[2] in ("executed", "idle")

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from goalkit import prop_logic
+from goalkit import agent_program, prop_logic
 from goalkit.prop_logic import (
     MAX_DEPTH, TRUE, And, Atom, FormulaError, Not, conj, lex, parse_formula,
     render, token_start,
@@ -250,6 +250,17 @@ def agent_sources():
 def test_fixture_and_test_agents_match_the_reference():
     for text in agent_sources():
         assert parse_agent(text) == ref_parse_agent(text)
+
+
+def test_the_agent_reader_finds_positions_only_for_a_diagnostic(monkeypatch):
+    def refuse(text, k):
+        raise AssertionError(f"position of token {k} asked for")
+
+    monkeypatch.setattr(agent_program, "token_start", refuse)
+    for text in agent_sources():
+        parse_agent(text)
+    with pytest.raises(AssertionError, match="token 2 asked for"):
+        parse_agent("vocab { p q; }")
 
 
 def test_benchmark_triples_match_the_reference():

@@ -11,8 +11,8 @@ from goalkit import prop_logic
 from goalkit.prop_logic import (
     CACHE_SIZE, MAX_DEPTH, And, Atom, Const, FALSE, Formula, FormulaError, Iff, Imp, Not,
     Or, TRUE, atoms_of, conj, consistent, disj, entails, equivalent,
-    formula_for_table, minterm, parse_formula, render, tautology,
-    tokenize, truth_table,
+    PUNCT, formula_for_table, lex, minterm, parse_formula, render, tautology,
+    token_start, truth_table,
 )
 
 from helpers import reference_tokenize, satisfies, valuations
@@ -361,7 +361,10 @@ def _outcome(lexer, text):
 
 
 def _triples(text):
-    return [(t.kind, t.text, t.pos) for t in tokenize(text)]
+    """The reference's (kind, text, position) of each token, from lex's
+    texts and token_start's positions."""
+    return [("punct" if t in PUNCT else "name" if t else "eof", t,
+             token_start(text, k)) for k, t in enumerate(lex(text))]
 
 
 # Mostly the lexer's own alphabet, with any other character mixed in.
@@ -376,19 +379,14 @@ _lexer_texts = st.text(st.one_of(
 @example("\u00bd \u2167x \u4e00")      # numerics that are not letters
 @example("p\x1c\u2028q\u00a0r\u3000")  # str.isspace beyond ASCII
 @example("<- -< <> - < #\r\n# x")
-def test_tokenize_matches_the_loop_reference(text):
+def test_lex_and_token_start_match_the_loop_reference(text):
     assert _outcome(_triples, text) == _outcome(reference_tokenize, text)
 
 
 def test_lexer_classes_are_the_str_predicates():
-    # tokenize reads \s as str.isspace and \w as str.isalnum plus "_"
+    # lex reads \s as str.isspace and \w as str.isalnum plus "_"
     chars = "".join(map(chr, range(sys.maxunicode + 1)))
     assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
     assert re.findall(r"\w", chars) == [c for c in chars
                                         if c.isalnum() or c == "_"]
 
-
-def test_tokens_are_read_by_attribute():
-    tok = tokenize("  p ->")[1]
-    assert (tok.kind, tok.text, tok.pos) == ("punct", "->", 4)
-    assert repr(tok) == "Token(kind='punct', text='->', pos=4)"
