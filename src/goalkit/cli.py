@@ -100,7 +100,9 @@ def _load_agent(args) -> Agent:
         raise AgentParseError("an agent file (or --fixture) is required")
     with open(args.agent, encoding="utf-8") as handle:
         try:
-            text = handle.read()
+            # a leading byte-order mark is dropped after decoding, so that
+            # the byte positions of a diagnostic count from the file's start
+            text = handle.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise AgentParseError(f"{args.agent}: not UTF-8 text ({exc.reason} "
                                   f"at byte {exc.start})") from exc

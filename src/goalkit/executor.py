@@ -122,16 +122,18 @@ def schedule(kind: str, n: int, seed: int = 0) -> Iterator[int]:
 
 
 def _forcing(n: int, rng: random.Random) -> Iterator[int]:
-    opening = rng.sample(range(n), n)
-    streaks = [0] * n
-    for k in count():
-        if k < n:
-            choice = opening[k]
-        else:
-            worst = max(range(n), key=streaks.__getitem__)
-            choice = worst if streaks[worst] >= n else rng.randrange(n)
-        for i in range(n):
-            streaks[i] = 0 if i == choice else streaks[i] + 1
+    # The omission streaks stay distinct after the opening permutation, so
+    # the longest is the least recently picked action's: the first key of
+    # ``last``, which maps each action to its latest pick, oldest first.
+    last: dict[int, int] = {}
+    for k, choice in enumerate(rng.sample(range(n), n)):
+        last[choice] = k
+        yield choice
+    for k in count(n):
+        oldest = next(iter(last))
+        choice = oldest if k - last[oldest] > n else rng.randrange(n)
+        del last[choice]
+        last[choice] = k
         yield choice
 
 

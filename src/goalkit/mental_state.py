@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import (
     Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union,
 )
 
 from .prop_logic import (
     CACHE_SIZE, And, Atom, Const, Formula, FormulaError, Iff, Imp, Not, Or,
-    Record, atoms_of, consistent, entails, formula_for_table, leaves,
+    Record, TRUE, atoms_of, consistent, entails, formula_for_table, leaves,
     map_leaves, parse_formula, render, tautology, truth_table,
 )
 
@@ -161,10 +162,33 @@ class MentalState(Record):
              ";".join(sorted(render(g) for g in self.goals))))
         return hashlib.sha1(text.encode()).hexdigest()[:12]
 
+    # a run prints the state after every step but visits few distinct ones
+    @lru_cache(maxsize=CACHE_SIZE)
     def describe(self) -> str:
         bels = ", ".join(sorted(render(f) for f in self.beliefs)) or "-"
         gens = ", ".join(sorted(render(g) for g in self.goals)) or "-"
         return f"beliefs: {bels} | goals: {gens}"
+
+
+class Verdict(Record):
+    """The answer of a check: whether it holds, a state where it fails, the
+    scope it was decided over, and what failed."""
+
+    __slots__ = __match_args__ = ("holds", "witness", "scope", "detail")
+    _defaults = {"witness": None, "scope": "", "detail": ""}
+
+    def __bool__(self) -> bool:
+        return self.holds
+
+    def describe(self) -> str:
+        if self.holds:
+            return f"holds ({self.scope})" if self.scope else "holds"
+        parts = ["fails"]
+        if self.detail:
+            parts.append(self.detail)
+        if self.witness is not None:
+            parts.append(f"witness {self.witness.digest()} [{self.witness.describe()}]")
+        return "; ".join(parts)
 
 
 def make_state(beliefs: Iterable[Formula], goals: Iterable[Formula]) -> MentalState:
@@ -489,6 +513,10 @@ def parse_msformula(text: str, vocab: Optional[Iterable[str]] = None,
 
 MAX_ORACLE_ATOMS = 4
 MAX_ORACLE_GENERATORS = 3
+# The work of building a universe: its states plus the theory x candidate
+# checks.  Twice the largest universe decided, 3 atoms with 1 generator
+# (124,000); the next larger one, 3 atoms with 2 generators, has 6.9 M states.
+MAX_ORACLE_WORK = 250_000
 
 
 def canonical_formulas(vocab: tuple[str, ...],
@@ -510,33 +538,47 @@ def enumerate_states(vocab: Sequence[str],
     Belief bases range over nonempty valuation sets (weakest theory first);
     generators over canonical consistent formulas, up to ``max_generators``
     per state, skipping candidates the beliefs entail.  The order is fixed,
-    so "first countermodel" is well defined.
+    so "first countermodel" is well defined.  A universe whose states and
+    theory x candidate checks exceed :data:`MAX_ORACLE_WORK` is refused
+    with :class:`BoundsExceeded` before it is built.
     """
     voc = tuple(sorted(vocab))
     if len(voc) > MAX_ORACLE_ATOMS:
         raise BoundsExceeded(f"at most {MAX_ORACLE_ATOMS} atoms supported")
     if max_generators > MAX_ORACLE_GENERATORS:
         raise BoundsExceeded(f"at most {MAX_ORACLE_GENERATORS} generators supported")
+    work = (universe_size(len(voc), max_generators)
+            + ((1 << (1 << len(voc))) - 1) ** 2)
+    if work > MAX_ORACLE_WORK:
+        raise BoundsExceeded(
+            f"the universe over {len(voc)} atoms and {max_generators} "
+            f"generators is too large ({work:,} units of work, at most "
+            f"{MAX_ORACLE_WORK:,} supported)")
     yield from _state_space(voc, max_generators)
+
+
+def universe_size(n_atoms: int, max_generators: int) -> int:
+    """The number of states :func:`enumerate_states` gives over ``n_atoms``
+    atoms.  With V = 2^n_atoms valuations, a theory true at m of them leaves
+    the 2^V - 1 - 2^(V-m) canonical formulas it does not entail as
+    generators, and a state takes at most ``max_generators`` of them."""
+    v = 1 << n_atoms
+    return sum(comb(v, m) * sum(comb((1 << v) - 1 - (1 << v - m), k)
+                                for k in range(max_generators + 1))
+               for m in range(1, v + 1))
 
 
 @lru_cache(maxsize=16)
 def _state_space(voc: tuple[str, ...],
                  max_generators: int) -> tuple[MentalState, ...]:
-    n_vals = 1 << len(voc)
-    full = (1 << n_vals) - 1
+    # the theories are the canonical formulas too, in the same order
     candidates = canonical_formulas(voc)
-    theory_tables = sorted(range(1, 1 << n_vals),
-                           key=lambda t: (-bin(t).count("1"), t))
+    tables = [truth_table(g, voc) for g in candidates]
     out = []
-    for sigma_table in theory_tables:
-        beliefs: frozenset[Formula]
-        if sigma_table == full:
-            beliefs = frozenset()
-        else:
-            beliefs = frozenset((formula_for_table(sigma_table, voc),))
-        usable = [g for g in candidates
-                  if sigma_table & ~truth_table(g, voc) != 0]
+    for sigma, sigma_table in zip(candidates, tables):
+        beliefs = frozenset() if sigma is TRUE else frozenset((sigma,))
+        usable = [g for g, table in zip(candidates, tables)
+                  if sigma_table & ~table]
         for size in range(max_generators + 1):
             for gens in combinations(usable, size):
                 out.append(MentalState(beliefs, frozenset(gens)))
@@ -583,27 +625,13 @@ def _universe(voc: tuple[str, ...], max_generators: int) -> StateSet:
     return held_set(_universe_states(voc, max_generators))
 
 
-class OracleVerdict(Record):
-    __slots__ = __match_args__ = ("valid", "countermodel", "atoms",
-                                  "max_generators")
-
-    def __bool__(self) -> bool:
-        return self.valid
-
-    def describe(self) -> str:
-        if self.valid:
-            return (f"valid-within-bounds (atoms={','.join(self.atoms)}, "
-                    f"generators<={self.max_generators})")
-        assert self.countermodel is not None
-        return f"countermodel: {self.countermodel.describe()}"
-
-
 def validity_oracle(phi: Formula, atoms: Sequence[str],
-                    max_generators: int = 2) -> OracleVerdict:
+                    max_generators: int = 2) -> Verdict:
     """Decide ``phi`` over all bounded mental states.
 
-    Refutations are exact (the countermodel is the least in enumeration
-    order); the positive verdict claims validity only within the bounds.
+    A refutation is exact: its witness is the least countermodel in
+    enumeration order.  A holding verdict claims validity only within the
+    bounds, which its scope names.
     Every call over the same atoms and generator bound evaluates on one
     held :class:`StateSet`, the one :func:`held_set` holds for the
     universe's states, which ``check_hoare_basic`` also evaluates its
@@ -614,6 +642,6 @@ def validity_oracle(phi: Formula, atoms: Sequence[str],
     space = _universe(voc, max_generators)
     refuted = space.full & ~space.mask(phi)
     if refuted:
-        return OracleVerdict(False, space.states[lowest_bit(refuted)], voc,
-                             max_generators)
-    return OracleVerdict(True, None, voc, max_generators)
+        return Verdict(False, space.states[lowest_bit(refuted)])
+    return Verdict(True, scope=f"valid-within-bounds (atoms={','.join(voc)}, "
+                               f"generators<={max_generators})")

@@ -13,11 +13,12 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Union
 
 from .prop_logic import (
-    And, FALSE, Formula, Imp, Not, Or, Record, TRUE, map_leaves, render, tautology,
+    And, FALSE, Formula, Iff, Imp, Not, Or, Record, TRUE, map_leaves, render,
+    tautology,
 )
 from .mental_state import (
-    Bel, Enabled, Goal, MentalState, OracleVerdict, eval_msf, held_set,
-    lowest_bit, map_goal_leaves, msf_leaves, set_bits, validity_oracle,
+    Bel, Enabled, Goal, MentalState, Verdict, eval_msf, held_set, lowest_bit,
+    map_goal_leaves, msf_leaves, set_bits, validity_oracle,
 )
 from .capabilities import (
     CapabilitySpec, ConditionalAction, GoalAction, apply_M,
@@ -46,24 +47,6 @@ class HoareTriple(Record):
 
     def __str__(self) -> str:
         return f"{{{render(self.pre)}}} {self.statement} {{{render(self.post)}}}"
-
-
-class Verdict(Record):
-    __slots__ = __match_args__ = ("holds", "witness", "scope", "detail")
-    _defaults = {"witness": None, "scope": "", "detail": ""}
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-    def describe(self) -> str:
-        if self.holds:
-            return f"holds ({self.scope})" if self.scope else "holds"
-        parts = ["fails"]
-        if self.detail:
-            parts.append(self.detail)
-        if self.witness is not None:
-            parts.append(f"witness {self.witness.digest()} [{self.witness.describe()}]")
-        return "; ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +201,10 @@ def derive_hoare(triple: HoareTriple, atoms: Sequence[str],
                  max_generators: int = 2) -> Verdict:
     """Syntactic route: is pre -> wlp(statement, post) valid in bounds?"""
     weakest = wlp(triple.statement, triple.post)
-    oracle: OracleVerdict = validity_oracle(
-        Imp(triple.pre, weakest), atoms, max_generators)
-    if oracle.valid:
-        return Verdict(True, scope=oracle.describe())
-    return Verdict(False, oracle.countermodel,
+    verdict = validity_oracle(Imp(triple.pre, weakest), atoms, max_generators)
+    if verdict.holds:
+        return verdict
+    return Verdict(False, verdict.witness,
                    detail="pre does not entail the weakest precondition")
 
 
@@ -415,48 +397,30 @@ def prove_leadsto(alpha: Formula, omega: Formula, agent: Agent,
 # Temporal formulas over lasso traces.
 
 
-class Temporal(Record):
-    __slots__ = ()
-
-
-class TState(Temporal):
-    __slots__ = __match_args__ = ("formula",)
-
-
-class TNot(Temporal):
-    __slots__ = __match_args__ = ("operand",)
-
-
-class TAnd(Temporal):
-    __slots__ = __match_args__ = ("left", "right")
-
-
-class TImp(Temporal):
-    __slots__ = __match_args__ = ("left", "right")
-
-
-class TUntil(Temporal):
+class Until(Formula):
     """Weak until: either the right side is eventually reached with the
     left side true before it, or the left side holds forever."""
 
     __slots__ = __match_args__ = ("left", "right")
 
-
-def t_always(a: Temporal) -> Temporal:
-    return TUntil(a, TState(FALSE))
-
-
-def t_eventually(a: Temporal) -> Temporal:
-    return TNot(t_always(TNot(a)))
+    def __post_init__(self) -> None:
+        self._seal(None, max(self.left.depth, self.right.depth) + 1)
 
 
-def t_unless(phi: Formula, psi: Formula) -> Temporal:
-    return TImp(TState(phi), TUntil(TState(phi), TState(psi)))
+def t_always(a: Formula) -> Formula:
+    return Until(a, FALSE)
 
 
-def t_ensures(phi: Formula, psi: Formula) -> Temporal:
-    return TAnd(t_unless(phi, psi),
-                TImp(TState(phi), t_eventually(TState(psi))))
+def t_eventually(a: Formula) -> Formula:
+    return Not(t_always(Not(a)))
+
+
+def t_unless(phi: Formula, psi: Formula) -> Formula:
+    return Imp(phi, Until(phi, psi))
+
+
+def t_ensures(phi: Formula, psi: Formula) -> Formula:
+    return And(t_unless(phi, psi), Imp(phi, t_eventually(psi)))
 
 
 class LassoTrace(Record):
@@ -469,32 +433,36 @@ class LassoTrace(Record):
         return i + 1 if i + 1 < len(self.states) else self.cycle_start
 
 
-def eval_temporal(trace: LassoTrace, phi: Temporal, position: int = 0) -> bool:
+def eval_temporal(trace: LassoTrace, phi: Formula, position: int = 0) -> bool:
     """Whether ``phi`` holds at index ``position`` of the lasso.
 
-    Every position of a lasso has a successor, so the evaluation is
-    two-valued: a weak until walks positions until one repeats, and holds
-    if its left side held at each of them.
+    The connectives and :class:`Until` are read here; every other node is a
+    state formula, which :func:`eval_msf` decides at the state.  Every
+    position of a lasso has a successor, so the evaluation is two-valued: a
+    weak until walks positions until one repeats, and holds if its left
+    side held at each of them.
     """
-    memo: dict[tuple[int, int], bool] = {}
+    memo: dict[tuple[Formula, int], bool] = {}
 
-    def ev(f: Temporal, i: int) -> bool:
-        key = (id(f), i)
+    def ev(f: Formula, i: int) -> bool:
+        key = (f, i)
         if key not in memo:
             memo[key] = _ev(f, i)
         return memo[key]
 
-    def _ev(f: Temporal, i: int) -> bool:
+    def _ev(f: Formula, i: int) -> bool:
         match f:
-            case TState(formula):
-                return eval_msf(trace.states[i], formula)
-            case TNot(operand):
+            case Not(operand):
                 return not ev(operand, i)
-            case TAnd(a, b):
+            case And(a, b):
                 return ev(a, i) and ev(b, i)
-            case TImp(a, b):
+            case Or(a, b):
+                return ev(a, i) or ev(b, i)
+            case Imp(a, b):
                 return not ev(a, i) or ev(b, i)
-            case TUntil(a, b):
+            case Iff(a, b):
+                return ev(a, i) == ev(b, i)
+            case Until(a, b):
                 seen = set()
                 while i not in seen:
                     if ev(b, i):
@@ -504,7 +472,7 @@ def eval_temporal(trace: LassoTrace, phi: Temporal, position: int = 0) -> bool:
                     seen.add(i)
                     i = trace.successor(i)
                 return True
-        raise VerifierError(f"not a temporal formula: {f!r}")
+        return eval_msf(trace.states[i], f)
 
     return ev(phi, position)
 
@@ -702,13 +670,10 @@ def trap_lasso(agent: Agent, graph: StateGraph, start: MentalState,
 # Whole-agent verification driver and reports.
 
 
-class Obligation:
+class Obligation(Record):
     """One checked obligation of a property, under the rule that checked it."""
 
-    def __init__(self, name: str, rule: str, verdict: Verdict):
-        self.name = name
-        self.rule = rule
-        self.verdict = verdict
+    __slots__ = __match_args__ = ("name", "rule", "verdict")
 
     def record(self) -> str:
         import json   # records mode only, so other runs do not load it

@@ -5,6 +5,7 @@ parsers."""
 from __future__ import annotations
 
 import random
+from itertools import count
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from goalkit.prop_logic import (
@@ -208,7 +209,8 @@ def with_actions(agent: Agent, *actions: ConditionalAction) -> Agent:
 
 # ---------------------------------------------------------------------------
 # The fairness rules that ``executor.fairness_check`` and
-# ``executor.max_omission_streak`` replaced, kept as their reference.
+# ``executor.max_omission_streak`` replaced, and the streak loop that the
+# ``random`` schedule replaced, kept as their reference.
 
 def window_fair(picks: Sequence[int], n: int) -> bool:
     """Every ``n`` consecutive picks cover all ``n`` actions; fewer than
@@ -231,6 +233,22 @@ def reference_omission_streak(picks: Iterable[int], n_actions: int) -> int:
             streaks[i] = 0 if i == pick else streaks[i] + 1
         worst = max(worst, max(streaks))
     return worst
+
+
+def reference_forcing(n: int, rng: random.Random) -> Iterator[int]:
+    """The ``random`` schedule with one omission-streak counter per action,
+    all updated at every pick, and an argmax over them."""
+    opening = rng.sample(range(n), n)
+    streaks = [0] * n
+    for k in count():
+        if k < n:
+            choice = opening[k]
+        else:
+            worst = max(range(n), key=streaks.__getitem__)
+            choice = worst if streaks[worst] >= n else rng.randrange(n)
+        for i in range(n):
+            streaks[i] = 0 if i == choice else streaks[i] + 1
+        yield choice
 
 
 # ---------------------------------------------------------------------------

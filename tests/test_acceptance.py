@@ -35,7 +35,7 @@ from goalkit.verifier import (
     HoareTriple, _subst_adopt, _subst_drop, check_ensures, check_hoare_basic,
     check_unless, derive_hoare, eval_temporal, fair_lasso, fair_lasso_from,
     graph_ensures, graph_unless, shortest_path, subst_insert, t_always,
-    t_ensures, t_unless, trap_lasso, TState, verify_agent, wlp,
+    t_ensures, t_unless, trap_lasso, verify_agent, wlp,
 )
 
 from helpers import attempt, micro_agent, random_formula, \
@@ -185,8 +185,8 @@ def test_criterion_03_goal_operator_weakness():
     ]
     for phi in non_validities:
         verdict = validity_oracle(phi, PQ)
-        assert not verdict.valid, phi
-        assert not eval_msf(verdict.countermodel, phi)
+        assert not verdict.holds, phi
+        assert not eval_msf(verdict.witness, phi)
 
     rng = random.Random(0xC3)
     for _ in range(1000):
@@ -194,7 +194,7 @@ def test_criterion_03_goal_operator_weakness():
         phi = random_formula_for_table(rng, table, PQ)
         psi = random_formula_for_table(rng, table, PQ)
         claim = And(Iff(Goal(phi), Goal(psi)), Iff(Bel(phi), Bel(psi)))
-        assert validity_oracle(claim, PQ, max_generators=1).valid, (phi, psi)
+        assert validity_oracle(claim, PQ, max_generators=1).holds, (phi, psi)
 
 
 def test_criterion_04_axiom_suites(universe):

@@ -9,10 +9,12 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from goalkit.agent_program import SHOPPING_SOURCE
+from goalkit.agent_program import SHOPPING_SOURCE, parse_agent
 from goalkit.cli import (
     EXIT_BUDGET, EXIT_OK, EXIT_PROPERTY_FAILED, EXIT_USAGE, main,
 )
+from goalkit.executor import reachable
+from goalkit.mental_state import MentalState
 from goalkit.prop_logic import lex
 
 GOOD_AGENT = """
@@ -445,6 +447,68 @@ def test_an_agent_file_that_is_not_utf8_exits_2(capsys, tmp_path):
     assert code == EXIT_USAGE and not out
     assert err.startswith("error:") and err.count("\n") == 1
     assert "not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("command, options", [
+    ("verify", ()), ("run", ("--steps", "12")), ("graph", ()),
+    ("check-triple", ("B(p)", "adopt(q)", "G(q)", "--mode", "wlp")),
+])
+def test_an_agent_file_with_a_byte_order_mark_reads_as_without(
+        capsys, tmp_path, command, options):
+    plain, marked = tmp_path / "plain.agent", tmp_path / "marked.agent"
+    plain.write_bytes(GOOD_AGENT.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + GOOD_AGENT.encode())
+    want = invoke(capsys, command, str(plain), *options)
+    assert want[0] in (EXIT_OK, EXIT_PROPERTY_FAILED) and want[1]
+    assert invoke(capsys, command, str(marked), *options) == want
+
+
+def test_a_byte_order_mark_counts_in_the_not_utf8_position(capsys, tmp_path):
+    marked = tmp_path / "marked.agent"
+    marked.write_bytes(b"\xef\xbb\xbfvocab { p\xff; }\n")
+    code, out, err = invoke(capsys, "verify", str(marked))
+    assert code == EXIT_USAGE and not out
+    assert err == (f"error: {marked}: not UTF-8 text "
+                   f"(invalid start byte at byte 12)\n")
+
+
+def test_run_renders_each_visited_state_once(capsys):
+    describe = MentalState.describe
+    describe.cache_clear()
+    code, out, _ = invoke(capsys, "run", "--fixture", "shopping",
+                          "--steps", "2000")
+    assert code == EXIT_OK and out.count("\n") == 2001
+    info = describe.cache_info()
+    assert info.hits + info.misses == 2000
+    assert info.misses <= len(reachable(parse_agent(SHOPPING_SOURCE)).nodes)
+
+
+# A 3-atom triple at the default generator bound (6,875,072 states) and a
+# 4-atom one with none (65,535 x 65,535 theory-candidate checks): refused
+# before any state is built.  Never run them without a memory limit.
+TOO_LARGE = [("B(p)", "adopt(q)", "B(r)"),
+             ("B(p)", "adopt(q)", "B(r | s)", "--max-generators", "0")]
+
+
+@pytest.mark.parametrize("triple", TOO_LARGE)
+def test_a_universe_too_large_to_build_exits_3_with_one_line(tmp_path,
+                                                            triple):
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    path = tmp_path / "four.agent"
+    path.write_text(GOOD_AGENT.replace("vocab { p; q; }",
+                                       "vocab { p; q; r; s; }"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from goalkit.cli import main; sys.exit(main())",
+         "check-triple", str(path), *triple, "--mode", "wlp"],
+        capture_output=True, text=True, preexec_fn=limit, timeout=120)
+    assert proc.returncode == EXIT_BUDGET and not proc.stdout
+    assert proc.stderr.startswith("error: the universe over ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def _cli(*argv):

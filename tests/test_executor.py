@@ -1,3 +1,4 @@
+import random
 from itertools import islice
 
 import pytest
@@ -15,7 +16,9 @@ from goalkit.executor import (
     reachable, run, schedule, step, trace,
 )
 
-from helpers import micro_agent, reference_omission_streak, window_fair
+from helpers import (
+    micro_agent, reference_forcing, reference_omission_streak, window_fair,
+)
 
 P, Q = Atom("p"), Atom("q")
 
@@ -162,6 +165,15 @@ def test_fairness_check_is_one_streak_rule(case):
         prefix = TracePrefix(agent, (agent.initial_state,) * (len(picks) + 1),
                              tuple(picks), (False,) * len(picks), kind)
         assert fairness_check(prefix) == fair, kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 300), st.integers(0, 2 ** 32 - 1))
+@example(8, 300, 0)
+def test_random_schedule_picks_as_the_streak_reference(n, picks, seed):
+    got = islice(schedule("random", n, seed), picks)
+    want = islice(reference_forcing(n, random.Random(seed)), picks)
+    assert list(got) == list(want)
 
 
 def test_unfair_scheduler_flagged():

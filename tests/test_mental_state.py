@@ -6,9 +6,10 @@ from goalkit.prop_logic import (
     render, truth_table,
 )
 from goalkit.mental_state import (
-    Bel, BoundsExceeded, Enabled, Goal, MentalState, MentalStateError,
-    canonical_formulas, enumerate_states, eval_msf, goal_holds, make_state,
-    msf_leaves, parse_msformula, validity_oracle,
+    MAX_ORACLE_GENERATORS, MAX_ORACLE_WORK, Bel, BoundsExceeded, Enabled,
+    Goal, MentalState, MentalStateError, canonical_formulas, enumerate_states,
+    eval_msf, goal_holds, make_state, msf_leaves, parse_msformula,
+    universe_size, validity_oracle,
 )
 from goalkit.capabilities import CapabilitySpec, EffectClause, GoalAction
 
@@ -129,19 +130,40 @@ def test_enumerate_states_bounds():
         list(enumerate_states(("p",), max_generators=9))
 
 
+# The universes within the work bound: up to 2 atoms with up to 3
+# generators, and 3 atoms with at most 1.  The others are refused before
+# any state is built (test_cli runs two of them under a memory limit).
+BUILT = [(n, g) for n in range(3) for g in range(4)] + [(3, 0), (3, 1)]
+
+
+@pytest.mark.parametrize("n, g", [(n, g) for n in range(5)
+                                  for g in range(MAX_ORACLE_GENERATORS + 1)])
+def test_universe_size_counts_the_enumerated_states(n, g):
+    work = universe_size(n, g) + ((1 << (1 << n)) - 1) ** 2
+    assert (work <= MAX_ORACLE_WORK) == ((n, g) in BUILT)
+    if (n, g) in BUILT:
+        states = enumerate_states(("p", "q", "r", "s")[:n], g)
+        assert sum(1 for _ in states) == universe_size(n, g)
+
+
+def test_universe_sizes_at_the_bounds():
+    assert (universe_size(2, 2), universe_size(2, 3), universe_size(3, 1),
+            universe_size(3, 2)) == (992, 3630, 58975, 6875072)
+
+
 def test_validity_oracle_accepts_axiom():
     verdict = validity_oracle(Imp(Bel(P), Not(Goal(P))), ("p", "q"))
-    assert verdict.valid
-    assert verdict.countermodel is None
+    assert verdict.holds
+    assert verdict.witness is None
 
 
 def test_validity_oracle_finds_first_countermodel_deterministically():
     phi = Imp(Goal(P), Goal(And(P, Q)))
     v1 = validity_oracle(phi, ("p", "q"))
     v2 = validity_oracle(phi, ("p", "q"))
-    assert not v1.valid
-    assert v1.countermodel == v2.countermodel
-    s = v1.countermodel
+    assert not v1.holds
+    assert v1.witness == v2.witness
+    s = v1.witness
     assert eval_msf(s, Goal(P)) and not eval_msf(s, Goal(And(P, Q)))
 
 

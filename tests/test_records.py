@@ -15,14 +15,14 @@ import pytest
 from goalkit.prop_logic import And, Atom, Const, Formula, Iff, Imp, Not, Or, TRUE
 from goalkit.mental_state import (
     Bel, CapabilitySpec, EffectClause, Enabled, Goal, GoalAction, MentalState,
-    OracleVerdict, enumerate_states, held_set,
+    enumerate_states, held_set,
 )
 from goalkit.capabilities import ConditionalAction
 from goalkit.executor import Step, TracePrefix
 from goalkit.agent_program import Agent, PropertyDecl
 from goalkit.verifier import (
-    Disj, EnsuresLeaf, HoareTriple, LassoTrace, TAnd, TImp, TNot, TState,
-    TUntil, Trans, Verdict,
+    Disj, EnsuresLeaf, HoareTriple, LassoTrace, Trans, Until, Verdict,
+    Obligation,
 )
 
 P, Q = Atom("p"), Atom("q")
@@ -38,14 +38,13 @@ LEAF = EnsuresLeaf(Bel(P), Bel(Q))
 FORMULAS = [
     (Atom, ("p",)), (Const, (True,)), (Not, (P,)), (And, (P, Q)),
     (Or, (P, Q)), (Imp, (P, Q)), (Iff, (P, Q)), (Bel, (P,)),
-    (Goal, (And(P, Q),)), (Enabled, (CAP,)),
+    (Goal, (And(P, Q),)), (Enabled, (CAP,)), (Until, (Bel(P), Bel(Q))),
 ]
 RECORDS = [
     (GoalAction, ("adopt", Q)),
     (EffectClause, (TRUE, (P,), ())),
     (CapabilitySpec, ("ins_p", (CLAUSE,))),
     (MentalState, (frozenset({P}), frozenset({Q}))),
-    (OracleVerdict, (False, S0, ("p", "q"), 2)),
     (ConditionalAction, (Bel(P), CAP)),
     (Step, (S0, RULE, S1, True)),
     (TracePrefix, (AGENT, (S0, S1), (0,), (True,), "rr", 7)),
@@ -56,12 +55,8 @@ RECORDS = [
     (EnsuresLeaf, (Bel(P), Bel(Q))),
     (Trans, (LEAF, EnsuresLeaf(Bel(Q), Bel(Q)))),
     (Disj, (Or(Bel(P), Bel(Q)), (LEAF, EnsuresLeaf(Bel(Q), Bel(Q))))),
-    (TState, (Bel(P),)),
-    (TNot, (TState(Bel(P)),)),
-    (TAnd, (TState(Bel(P)), TState(Bel(Q)))),
-    (TImp, (TState(Bel(P)), TState(Bel(Q)))),
-    (TUntil, (TState(Bel(P)), TState(Bel(Q)))),
     (LassoTrace, ((S0, S1), 1)),
+    (Obligation, ("inv", "unless-by-action-triples", Verdict(True))),
 ]
 ALL = FORMULAS + RECORDS
 ids = [cls.__name__ for cls, _ in ALL]
@@ -111,11 +106,12 @@ def test_records_are_equal_by_class_and_fields(cls, values):
 
 
 @pytest.mark.parametrize("one, other", [
-    (TNot(Bel(P)), TState(Bel(P))),
-    (TAnd(P, Q), TImp(P, Q)),
-    (TImp(P, Q), TUntil(P, Q)),
-    (EnsuresLeaf(P, Q), TAnd(P, Q)),
-    (OracleVerdict(False, S0, "", 2), Verdict(False, S0, "", 2)),
+    (Not(P), Bel(P)),
+    (And(P, Q), Until(P, Q)),
+    (Imp(P, Q), Until(P, Q)),
+    (EnsuresLeaf(P, Q), Until(P, Q)),
+    (Obligation("unless", Bel(P), Bel(Q)),
+     PropertyDecl("unless", Bel(P), Bel(Q))),
     (And(P, Q), Or(P, Q)),
     (Bel(P), Goal(P)),
 ])

@@ -20,7 +20,7 @@ from goalkit.prop_logic import (
 )
 from goalkit.mental_state import (
     Bel, BoundsExceeded, Enabled, Goal, MentalState, MentalStateError,
-    OracleVerdict, StateSet, canonical_formulas, enumerate_states, eval_msf,
+    StateSet, canonical_formulas, enumerate_states, eval_msf,
     set_bits, validity_oracle,
 )
 from goalkit.capabilities import (
@@ -53,8 +53,9 @@ def oracle_by_state(phi, atoms, max_generators=2):
     voc = tuple(sorted(atoms))
     for state in enumerate_states(voc, max_generators):
         if not eval_msf(state, phi):
-            return OracleVerdict(False, state, voc, max_generators)
-    return OracleVerdict(True, None, voc, max_generators)
+            return Verdict(False, state)
+    return Verdict(True, scope=f"valid-within-bounds (atoms={','.join(voc)}, "
+                               f"generators<={max_generators})")
 
 
 def hoare_by_state(triple, states):
@@ -177,8 +178,8 @@ def test_validity_oracle_matches_statewise_reference():
             got = validity_oracle(phi, PQ, max_generators)
             want = oracle_by_state(phi, PQ, max_generators)
             assert got == want, phi
-            assert got.countermodel is want.countermodel
-            outcomes.add(got.valid)
+            assert got.witness is want.witness
+            outcomes.add(got.holds)
     assert outcomes == {True, False}
 
 
@@ -283,8 +284,8 @@ def test_held_universe_matches_statewise_reference():
         got = validity_oracle(phi, PQ, max_generators)
         want = oracle_by_state(phi, PQ, max_generators)
         assert got == want, phi
-        assert got.countermodel is want.countermodel
-        outcomes.add(got.valid)
+        assert got.witness is want.witness
+        outcomes.add(got.holds)
     assert outcomes == {True, False}
     for max_generators in (1, 2):
         space = mental_state._universe(PQ, max_generators)
@@ -304,7 +305,7 @@ def test_a_raising_leaf_leaves_no_value_in_the_held_universe():
         got = validity_oracle(psi, PQ, 2)
         want = oracle_by_state(psi, PQ, 2)
         assert got == want
-        assert got.countermodel is want.countermodel
+        assert got.witness is want.witness
 
 
 def test_a_full_memo_is_emptied_and_its_masks_stay_exact(universe):
@@ -360,7 +361,7 @@ def test_a_leaf_reached_only_after_the_first_countermodel_raises(universe):
     leaf = RAISES
     phi = And(Bel(P), Or(Bel(Q), leaf))
     refuted = oracle_by_state(phi, PQ, 2)
-    assert not refuted.valid
+    assert not refuted.holds
     with pytest.raises(MentalStateError):
         validity_oracle(phi, PQ, 2)
 

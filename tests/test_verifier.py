@@ -3,11 +3,11 @@ import json
 import pytest
 
 from goalkit.prop_logic import (
-    And, Atom, FALSE, Imp, Not, Or, Record, TRUE, tautology,
+    And, Atom, FALSE, Iff, Imp, Not, Or, Record, TRUE, tautology,
 )
 from goalkit.mental_state import (
-    Bel, Enabled, Goal, MentalState, enumerate_states, eval_msf, msf_leaves,
-    validity_oracle,
+    Bel, Enabled, Goal, MentalState, MentalStateError, enumerate_states,
+    eval_msf, msf_leaves, validity_oracle,
 )
 from goalkit.capabilities import (
     CapabilitySpec, ConditionalAction, EffectClause, GoalAction, insert,
@@ -16,7 +16,7 @@ from goalkit.capabilities import (
 from goalkit.agent_program import Agent, ground_shopping_fixture
 from goalkit.executor import StateGraph, reachable
 from goalkit.verifier import (
-    Disj, EnsuresLeaf, HoareTriple, MalformedProof, MissingAxiom, TState,
+    Disj, EnsuresLeaf, HoareTriple, MalformedProof, MissingAxiom,
     Trans, VerifierError, check_ensures, check_hoare_basic,
     check_hoare_conditional, check_leadsto, check_unless, derive_hoare,
     eval_temporal, fair_lasso_from, graph_ensures, graph_eventuality,
@@ -364,16 +364,31 @@ def test_fair_lasso_satisfies_the_goal_properties(shopping):
     agent, graph = shopping
     trace = fair_lasso_from(agent, graph, agent.initial_state)
     inv = next(p for p in agent.properties if p.kind == "invariant").left
-    assert eval_temporal(trace, t_always(TState(inv))) is True
-    assert eval_temporal(trace, t_eventually(TState(bought_all()))) is True
+    assert eval_temporal(trace, t_always(inv)) is True
+    assert eval_temporal(trace, t_eventually(bought_all())) is True
     prop = next(p for p in agent.properties if p.kind == "ensures")
     assert eval_temporal(trace, t_ensures(prop.left, prop.right)) is True
+
+
+def test_eval_temporal_reads_every_connective(shopping):
+    agent, graph = shopping
+    trace = fair_lasso_from(agent, graph, agent.initial_state)
+    yes = t_eventually(bought_all())
+    no = t_always(Bel(Atom("hpage_user")))
+    for phi, want in ((Or(no, yes), True), (Or(no, Not(yes)), False),
+                      (And(yes, no), False), (Imp(yes, no), False),
+                      (Iff(no, Not(yes)), True), (Iff(yes, no), False)):
+        assert eval_temporal(trace, phi) is want, phi
+    # a state formula is asked of eval_msf, and Until is no state formula
+    assert eval_temporal(trace, Bel(Atom("hpage_user"))) is True
+    with pytest.raises(MentalStateError):
+        eval_msf(agent.initial_state, no)
 
 
 def test_temporal_false_is_definite(shopping):
     agent, graph = shopping
     trace = fair_lasso_from(agent, graph, agent.initial_state)
-    assert eval_temporal(trace, t_always(TState(Bel(Atom("hpage_user"))))) is False
+    assert eval_temporal(trace, t_always(Bel(Atom("hpage_user")))) is False
 
 
 # -- graph-level trace oracles ------------------------------------------------
@@ -419,8 +434,8 @@ def test_trap_lasso_refutes_the_eventuality():
     graph = reachable(agent)
     lasso = trap_lasso(agent, graph, agent.initial_state, Bel(Q))
     assert lasso is not None and lasso.cycle_start is not None
-    assert eval_temporal(lasso, t_eventually(TState(Bel(Q)))) is False
-    assert eval_temporal(lasso, t_always(TState(Not(Bel(Q))))) is True
+    assert eval_temporal(lasso, t_eventually(Bel(Q))) is False
+    assert eval_temporal(lasso, t_always(Not(Bel(Q)))) is True
 
 
 def hand_built_graph(targets):
@@ -454,7 +469,7 @@ def test_a_cycle_that_one_action_always_leaves_is_no_trap():
     lasso = trap_lasso(agent, graph, graph.nodes[1], Bel(Q))
     assert lasso.states[0] == graph.nodes[1]
     assert set(lasso.states) == set(graph.nodes[:2])
-    assert eval_temporal(lasso, t_always(TState(Not(Bel(Q))))) is True
+    assert eval_temporal(lasso, t_always(Not(Bel(Q)))) is True
 
 
 def test_trap_lasso_absent_when_the_property_holds(shopping):
@@ -472,7 +487,7 @@ def test_trap_lasso_never_starts_at_a_psi_state():
             continue
         graph = reachable(agent)
         for psi in (Bel(P), Goal(Q), Bel(Q), Not(Bel(P))):
-            avoided = t_always(TState(Not(psi)))
+            avoided = t_always(Not(psi))
             for s in graph.nodes:
                 lasso = trap_lasso(agent, graph, s, psi)
                 if eval_msf(s, psi):
