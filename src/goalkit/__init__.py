@@ -7,20 +7,20 @@ from .prop_logic import (
 )
 from .mental_state import (
     Bel, BoundsExceeded, Enabled, Goal, MentalState, MentalStateError,
-    enumerate_states, eval_msf, goal_holds, make_state, parse_msformula,
-    validity_oracle,
+    apply_M, enumerate_states, eval_msf, goal_holds, make_state,
+    parse_msformula, validity_oracle,
 )
 from .capabilities import (
     CapabilitySpec, ConditionalAction, EffectClause,
-    GoalAction, apply_M, apply_T, enabled_cap, enabled_cond, insert, remove,
+    GoalAction, apply_T, enabled_cap, enabled_cond, insert, remove,
 )
 from .agent_program import (
     Agent, AgentParseError, PropertyDecl, SHOPPING_SOURCE,
     ground_shopping_fixture, parse_agent, pretty_print,
 )
 from .executor import (
-    BudgetExceeded, StateGraph, Step, TracePrefix, fairness_check, reachable,
-    run, schedule, step, trace,
+    BudgetExceeded, StateGraph, Step, fair_picks, reachable, schedule, step,
+    trace,
 )
 from .verifier import (
     Disj, EnsuresLeaf, HoareTriple, LassoTrace, MalformedProof, MissingAxiom,

@@ -16,8 +16,8 @@ from itertools import count, cycle, islice
 from typing import Iterable, Iterator, Optional
 
 from .agent_program import Agent
-from .capabilities import ConditionalAction, apply_M
-from .mental_state import MentalState, StateSet, eval_msf
+from .capabilities import ConditionalAction
+from .mental_state import MentalState, StateSet, apply_M, eval_msf
 from .prop_logic import Record
 
 DEFAULT_BUDGET = 10_000
@@ -78,23 +78,6 @@ def step(state: MentalState, b: ConditionalAction) -> Step:
     return Step(state, b, nxt, True)
 
 
-class TracePrefix(Record):
-    """A finite prefix of a trace: n+1 states and n attempted actions."""
-
-    # picks index agent.program; scheduler_kind: rr | random | unfair | manual;
-    # seed: the one run() gave schedule() (rr ignores it), None if hand-built
-    __slots__ = __match_args__ = ("agent", "states", "picks", "executed",
-                                  "scheduler_kind", "seed")
-    _defaults = {"seed": None}
-
-    def __post_init__(self) -> None:
-        assert len(self.states) == len(self.picks) + 1
-        assert len(self.executed) == len(self.picks)
-
-    def __len__(self) -> int:
-        return len(self.picks)
-
-
 # ---------------------------------------------------------------------------
 # Schedules.
 
@@ -153,21 +136,6 @@ def _attempts(agent: Agent,
         st = step(state, agent.program[b])
         state = st.target
         yield b, st
-
-
-def run(agent: Agent, kind: str, steps: int, seed: int = 0) -> TracePrefix:
-    """Drive ``agent`` for ``steps`` attempts picked by ``schedule(kind)``."""
-    pairs = tuple(trace(agent, kind, steps, seed))
-    return TracePrefix(agent,
-                       (agent.initial_state, *(st.target for _, st in pairs)),
-                       tuple(b for b, _ in pairs),
-                       tuple(st.executed for _, st in pairs), kind, seed)
-
-
-def fairness_check(prefix: TracePrefix) -> bool:
-    """:func:`fair_picks` of the picks of ``prefix``."""
-    return fair_picks(prefix.picks, len(prefix.agent.program),
-                      prefix.scheduler_kind)
 
 
 def fair_picks(picks: Iterable[int], n: int, kind: str) -> bool:

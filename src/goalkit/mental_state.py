@@ -4,8 +4,9 @@ A mental state pairs a consistent belief base with a goal base.  The goal
 base is kept as a finite set of generator formulas; the agent has psi as a
 goal exactly when psi is consistent, not believed, and entailed by some
 single generator.  That realizes the closure condition on goal bases while
-keeping states finite.  Goal actions and belief capabilities are defined
-here too: an ``enabled(...)`` leaf holds its action and asks it.
+keeping states finite.  Goal actions, belief capabilities and the
+mental-state transformer that applies them are defined here too: an
+``enabled(...)`` leaf holds its action and asks it.
 """
 
 from __future__ import annotations
@@ -202,6 +203,51 @@ def make_state(beliefs: Iterable[Formula], goals: Iterable[Formula]) -> MentalSt
     return MentalState(bels, gens)
 
 
+def apply_M(action: Action, state: MentalState) -> Optional[MentalState]:
+    """The mental-state transformer; ``None`` when the action is not enabled.
+
+    Belief updates prune every goal generator the new beliefs entail (the
+    blind-commitment strategy: a goal is dropped exactly when believed
+    achieved).  drop removes the generators entailing its argument; adopt
+    adds its argument as a new generator.
+    """
+    if isinstance(action, GoalAction):
+        if action.kind == "drop":
+            kept: list[Formula] = []
+            for g in state.goals:
+                if entails((g,), action.argument):
+                    kept.extend(_weakenings(g, action.argument))
+                else:
+                    kept.append(g)
+            return make_state(state.beliefs, kept)
+        if not action.enabled_at(state):
+            return None
+        return MentalState(state.beliefs, state.goals | {action.argument})
+    updated = apply_T(action, state.beliefs)
+    if updated is None:
+        return None
+    return make_state(updated, state.goals)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _weakenings(gamma: Formula, phi: Formula) -> tuple[Formula, ...]:
+    """Generators covering the consequences of ``gamma`` that survive drop(phi).
+
+    The goal base is closed under consequence, so dropping phi removes only
+    the consequences that entail phi; a consequence chi of gamma survives
+    exactly when it has a model outside phi.  The strongest survivors are
+    gamma-or-one-extra-model, one per non-phi valuation.  Both arguments
+    are interned, so the answer is kept for every later drop.
+    """
+    vocab = tuple(sorted(atoms_of(gamma) | atoms_of(phi)))
+    if not vocab:
+        return ()
+    g_table = truth_table(gamma, vocab)
+    p_table = truth_table(phi, vocab)
+    return tuple(formula_for_table(g_table | (1 << v), vocab)
+                 for v in range(1 << len(vocab)) if not (p_table >> v) & 1)
+
+
 def goal_holds(state: MentalState, psi: Formula) -> bool:
     """Whether ``psi`` is in the closure of the goal base of ``state``."""
     return (consistent((psi,)) and not state.believes(psi)
@@ -370,25 +416,20 @@ class StateSet:
             care &= ~members
         return out
 
-    def image(self, action: Action,
-              transform: Callable[[Action, MentalState], Optional[MentalState]]
-              ) -> tuple[StateSet, int]:
-        """The set whose state i is ``transform(action, states[i])``, or
-        ``states[i]`` itself where that is ``None``, and the mask of the
-        positions where it is not ``None``.
+    def image(self, action: Action) -> tuple[StateSet, int]:
+        """The set whose state i is ``apply_M(action, states[i])``, or
+        ``states[i]`` itself where the action is not enabled, and the mask of
+        the positions where it is enabled.
 
         Both are built at every state on the first call for ``action`` and
         held on this set, so they live no longer than it does.  An image
         equal to its source is the source object, one equal to another
         state of this set is that state, other equal images of one action
         are one object, and equal belief or goal bases among all the images
-        held on this set are one object.  If ``transform`` raises, no image
-        set is kept.
-
-        ``transform`` must give states with equal beliefs images with equal
-        beliefs, as ``capabilities.apply_M`` does (an update, and whether
-        it is defined, read only the beliefs), so the image set uses this
-        set's belief classes instead of building its own.
+        held on this set are one object.  If ``apply_M`` raises, no image
+        set is kept.  An update, and whether it is defined, read only the
+        beliefs, so the image set uses this set's belief classes instead of
+        building its own.
         """
         held = self._images.get(action)
         if held is not None:
@@ -400,7 +441,7 @@ class StateSet:
         images: list[MentalState] = []
         executed = 0
         for i, s in enumerate(self.states):
-            t = transform(action, s)
+            t = apply_M(action, s)
             if t is not None:
                 executed |= 1 << i
                 if t != s:
@@ -511,11 +552,12 @@ def parse_msformula(text: str, vocab: Optional[Iterable[str]] = None,
 # ---------------------------------------------------------------------------
 # Bounded enumeration of mental states and the validity oracle.
 
-MAX_ORACLE_ATOMS = 4
+MAX_ORACLE_ATOMS = 3
 MAX_ORACLE_GENERATORS = 3
 # The work of building a universe: its states plus the theory x candidate
 # checks.  Twice the largest universe decided, 3 atoms with 1 generator
-# (124,000); the next larger one, 3 atoms with 2 generators, has 6.9 M states.
+# (124,000); the next larger one, 3 atoms with 2 generators, has 6.9 M states,
+# and the checks alone over 4 atoms are 65,535^2, so no 4-atom universe fits.
 MAX_ORACLE_WORK = 250_000
 
 

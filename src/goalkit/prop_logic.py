@@ -287,9 +287,9 @@ def atoms_of(phi: Formula) -> frozenset[str]:
 # formula's value under valuation i.
 
 # Entries kept by each of the formula caches below: truth tables and the
-# entailment and consistency memos.  It covers the working set of the
-# bounded-universe oracle (about 2,700 distinct entailment questions) while
-# keeping memory flat when every query brings fresh atoms.
+# entailment memo, which also answers consistency.  It covers the working
+# set of the bounded-universe oracle (about 2,700 distinct entailment
+# questions) while keeping memory flat when every query brings fresh atoms.
 CACHE_SIZE = 1 << 13
 
 
@@ -356,10 +356,9 @@ def entails(premises: Iterable[Formula], phi: Formula,
 
 def consistent(formulas: Iterable[Formula],
                vocab: Optional[Sequence[str]] = None) -> bool:
-    """True iff some valuation satisfies every member."""
-    if vocab is None:
-        return _consistent_memo(frozenset(formulas))
-    return _conj_table(formulas, tuple(vocab)) != 0
+    """True iff some valuation satisfies every member: the members do not
+    entail ``false``, whose table is 0, so the entailment memo answers."""
+    return not entails(formulas, FALSE, vocab)
 
 
 # Conjunction is commutative and idempotent, so a premise set answers for
@@ -368,11 +367,6 @@ def consistent(formulas: Iterable[Formula],
 @lru_cache(maxsize=CACHE_SIZE)
 def _entails_memo(premises: frozenset[Formula], phi: Formula) -> bool:
     return entails(premises, phi, shared_vocab((*premises, phi)))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _consistent_memo(formulas: frozenset[Formula]) -> bool:
-    return consistent(formulas, shared_vocab(formulas))
 
 
 def tautology(phi: Formula) -> bool:

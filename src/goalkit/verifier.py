@@ -20,9 +20,7 @@ from .mental_state import (
     Bel, Enabled, Goal, MentalState, Verdict, eval_msf, held_set, lowest_bit,
     map_goal_leaves, msf_leaves, set_bits, validity_oracle,
 )
-from .capabilities import (
-    CapabilitySpec, ConditionalAction, GoalAction, apply_M,
-)
+from .capabilities import CapabilitySpec, ConditionalAction, GoalAction
 from .agent_program import Agent, PropertyDecl
 from .executor import StateGraph, reachable
 
@@ -75,8 +73,7 @@ def check_hoare_basic(triple: HoareTriple,
     given = tuple(states)
     scope = held_set(given)
     pre = scope.mask(triple.pre)
-    # apply_M is None exactly where the action is not enabled
-    images, executed = scope.image(action, apply_M)
+    images, executed = scope.image(action)
     failed = pre & ~images.mask(triple.post, within=pre)
     if not failed:
         return Verdict(True, scope="statewise")
@@ -442,39 +439,45 @@ def eval_temporal(trace: LassoTrace, phi: Formula, position: int = 0) -> bool:
     weak until walks positions until one repeats, and holds if its left
     side held at each of them.
     """
-    memo: dict[tuple[Formula, int], bool] = {}
+    return _holds(trace, phi, position, {})
 
-    def ev(f: Formula, i: int) -> bool:
-        key = (f, i)
-        if key not in memo:
-            memo[key] = _ev(f, i)
-        return memo[key]
 
-    def _ev(f: Formula, i: int) -> bool:
-        match f:
-            case Not(operand):
-                return not ev(operand, i)
-            case And(a, b):
-                return ev(a, i) and ev(b, i)
-            case Or(a, b):
-                return ev(a, i) or ev(b, i)
-            case Imp(a, b):
-                return not ev(a, i) or ev(b, i)
-            case Iff(a, b):
-                return ev(a, i) == ev(b, i)
-            case Until(a, b):
-                seen = set()
-                while i not in seen:
-                    if ev(b, i):
-                        return True
-                    if not ev(a, i):
-                        return False
-                    seen.add(i)
-                    i = trace.successor(i)
-                return True
-        return eval_msf(trace.states[i], f)
+# _holds and _at pass the memo along instead of closing over it: two
+# closures that call each other form a reference cycle, which would keep
+# the memo and the lasso alive until the cyclic garbage collector runs.
 
-    return ev(phi, position)
+def _holds(trace: LassoTrace, f: Formula, i: int,
+           memo: dict[tuple[Formula, int], bool]) -> bool:
+    key = (f, i)
+    if key not in memo:
+        memo[key] = _at(trace, f, i, memo)
+    return memo[key]
+
+
+def _at(trace: LassoTrace, f: Formula, i: int,
+        memo: dict[tuple[Formula, int], bool]) -> bool:
+    match f:
+        case Not(operand):
+            return not _holds(trace, operand, i, memo)
+        case And(a, b):
+            return _holds(trace, a, i, memo) and _holds(trace, b, i, memo)
+        case Or(a, b):
+            return _holds(trace, a, i, memo) or _holds(trace, b, i, memo)
+        case Imp(a, b):
+            return not _holds(trace, a, i, memo) or _holds(trace, b, i, memo)
+        case Iff(a, b):
+            return _holds(trace, a, i, memo) == _holds(trace, b, i, memo)
+        case Until(a, b):
+            seen = set()
+            while i not in seen:
+                if _holds(trace, b, i, memo):
+                    return True
+                if not _holds(trace, a, i, memo):
+                    return False
+                seen.add(i)
+                i = trace.successor(i)
+            return True
+    return eval_msf(trace.states[i], f)
 
 
 # ---------------------------------------------------------------------------

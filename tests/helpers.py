@@ -208,7 +208,7 @@ def with_actions(agent: Agent, *actions: ConditionalAction) -> Agent:
 
 
 # ---------------------------------------------------------------------------
-# The fairness rules that ``executor.fairness_check`` and
+# The fairness rules that ``executor.fair_picks`` and
 # ``executor.max_omission_streak`` replaced, and the streak loop that the
 # ``random`` schedule replaced, kept as their reference.
 

@@ -29,7 +29,7 @@ from goalkit.capabilities import (
 )
 from goalkit.agent_program import ground_shopping_fixture
 from goalkit.executor import (
-    fairness_check, max_omission_streak, reachable, run, schedule,
+    fair_picks, max_omission_streak, reachable, schedule, trace,
 )
 from goalkit.verifier import (
     HoareTriple, _subst_adopt, _subst_drop, check_ensures, check_hoare_basic,
@@ -99,13 +99,13 @@ def test_criterion_01_shopping_agent_leadsto_and_traces(shopping):
     assert kinds.count("ensures-by-action-triples") == 12
     assert "leadsto-composition" in kinds
 
-    def reaches(prefix):
-        return any(eval_msf(s, BOUGHT) for s in prefix.states)
+    def reaches(kind, seed=0):
+        return any(eval_msf(st.target, BOUGHT)
+                   for _, st in trace(agent, kind, 64, seed))
 
-    assert reaches(run(agent, "rr", 64))
+    assert reaches("rr")
     for seed in range(100):
-        prefix = run(agent, "random", 64, seed)
-        assert reaches(prefix), seed
+        assert reaches("random", seed), seed
     assert time.monotonic() - started < 10.0
 
 
@@ -423,16 +423,20 @@ def test_criterion_10_fairness_surrogate(micro_agents):
     """Round-robin prefixes always pass the surrogate check, and the
     constructive random scheduler keeps every omission streak at or below
     the number of actions."""
+    def fair(agent, kind, steps, seed=0):
+        picks = (b for b, _ in trace(agent, kind, steps, seed))
+        return fair_picks(picks, len(agent.program), kind)
+
     shopping = ground_shopping_fixture()
     for steps in (8, 16, 64):
-        assert fairness_check(run(shopping, "rr", steps))
+        assert fair(shopping, "rr", steps)
     for _, agent, _ in micro_agents[:40]:
         n = len(agent.program)
-        assert fairness_check(run(agent, "rr", 6 * n))
+        assert fair(agent, "rr", 6 * n)
     for n in range(2, 9):
         for seed in range(40):
             picks = list(islice(schedule("random", n, seed), 50 * n))
             assert max_omission_streak(picks, n) <= n, (n, seed)
     for seed in range(20):
         n = len(shopping.program)
-        assert fairness_check(run(shopping, "random", 10 * n, seed))
+        assert fair(shopping, "random", 10 * n, seed)

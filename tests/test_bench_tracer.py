@@ -8,8 +8,9 @@ benchmark runs (``bench/run.py --trace 1``) without failing any other test.
 import importlib.util
 from pathlib import Path
 
-from goalkit import verifier
+from goalkit import capabilities, mental_state, verifier
 from goalkit.agent_program import ground_shopping_fixture
+from goalkit.prop_logic import Atom, TRUE
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -33,3 +34,28 @@ def test_tracer_wraps_verification_of_the_shipped_agent():
     assert tracer.calls["verifier.verify_agent"] == 1
     assert tracer.counts["executor.reachable.edges"] == 104
     assert tracer.counts["executor.reachable.nodes"] == 13
+
+
+def test_every_traced_name_is_a_callable_of_its_layer():
+    for layer, names in load_tracer().LAYERS.items():
+        module = importlib.import_module(f"goalkit.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+    # the transformer is defined in mental_state and traced under
+    # capabilities, whose name is the same object
+    assert capabilities.apply_M is mental_state.apply_M
+
+
+def test_image_set_builds_are_traced_as_apply_M_calls():
+    states = tuple(mental_state.enumerate_states(("p",), 1))
+    probe = mental_state.CapabilitySpec(
+        "tracer_probe", (mental_state.EffectClause(TRUE, (Atom("p"),), ()),))
+    triple = verifier.HoareTriple(TRUE, probe, TRUE)
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        with tracer.op(0):
+            assert verifier.check_hoare_basic(triple, states).holds
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["capabilities.apply_M"] == len(states)

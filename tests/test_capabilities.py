@@ -1,6 +1,6 @@
 import pytest
 
-from goalkit import capabilities
+from goalkit import mental_state
 from goalkit.prop_logic import (
     CACHE_SIZE, And, Atom, FALSE, Imp, Not, Or, TRUE, atoms_of, entails,
     equivalent, formula_for_table, truth_table,
@@ -147,7 +147,6 @@ def test_goal_persistence_for_non_drop_actions():
 
 def test_goal_action_is_one_class_everywhere():
     import goalkit
-    from goalkit import mental_state
     assert goalkit.GoalAction is GoalAction is mental_state.GoalAction
 
 
@@ -205,7 +204,7 @@ def drop_afresh(phi, s):
 
 
 def test_drop_matches_unmemoized_weakenings_on_the_universe():
-    assert capabilities._weakenings.cache_info().maxsize == CACHE_SIZE
+    assert mental_state._weakenings.cache_info().maxsize == CACHE_SIZE
     vocab = ("p", "q")
     universe = list(enumerate_states(vocab, 2))
     for phi in canonical_formulas(vocab, include_false=True):

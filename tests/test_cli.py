@@ -339,7 +339,7 @@ def test_check_triple_wlp_on_a_large_named_capability_exceeds_bounds(capsys):
                             "enabled(pay_cart)", "adopt(Am_com)", "false",
                             "--mode", "wlp")
     assert code == EXIT_BUDGET and not out
-    assert err == "error: at most 4 atoms supported\n"
+    assert err == "error: at most 3 atoms supported\n"
 
 
 def test_verify_property_with_unknown_capability_exits_2(capsys, tmp_path):
@@ -483,16 +483,19 @@ def test_run_renders_each_visited_state_once(capsys):
     assert info.misses <= len(reachable(parse_agent(SHOPPING_SOURCE)).nodes)
 
 
-# A 3-atom triple at the default generator bound (6,875,072 states) and a
-# 4-atom one with none (65,535 x 65,535 theory-candidate checks): refused
-# before any state is built.  Never run them without a memory limit.
-TOO_LARGE = [("B(p)", "adopt(q)", "B(r)"),
-             ("B(p)", "adopt(q)", "B(r | s)", "--max-generators", "0")]
+# A 3-atom triple at the default generator bound (6,875,072 states), over
+# the work bound, and a 4-atom one with none, over the atom bound, each
+# with the start of its refusal: refused before any state is built.  Never
+# run them without a memory limit.
+TOO_LARGE = [(("B(p)", "adopt(q)", "B(r)"), "error: the universe over "),
+             (("B(p)", "adopt(q)", "B(r | s)", "--max-generators", "0"),
+              "error: at most 3 atoms supported\n")]
 
 
-@pytest.mark.parametrize("triple", TOO_LARGE)
+@pytest.mark.parametrize("triple, refusal", TOO_LARGE,
+                         ids=["triple0", "triple1"])
 def test_a_universe_too_large_to_build_exits_3_with_one_line(tmp_path,
-                                                            triple):
+                                                            triple, refusal):
     resource = pytest.importorskip("resource")
 
     def limit():
@@ -507,7 +510,7 @@ def test_a_universe_too_large_to_build_exits_3_with_one_line(tmp_path,
          "check-triple", str(path), *triple, "--mode", "wlp"],
         capture_output=True, text=True, preexec_fn=limit, timeout=120)
     assert proc.returncode == EXIT_BUDGET and not proc.stdout
-    assert proc.stderr.startswith("error: the universe over ")
+    assert proc.stderr.startswith(refusal)
     assert proc.stderr.count("\n") == 1, proc.stderr
 
 

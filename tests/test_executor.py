@@ -12,8 +12,8 @@ from goalkit.capabilities import (
 )
 from goalkit.agent_program import Agent, ground_shopping_fixture
 from goalkit.executor import (
-    BudgetExceeded, TracePrefix, fairness_check, max_omission_streak,
-    reachable, run, schedule, step, trace,
+    BudgetExceeded, fair_picks, max_omission_streak, reachable, schedule,
+    step, trace,
 )
 
 from helpers import (
@@ -29,6 +29,10 @@ def tiny_agent():
     rule = ConditionalAction(TRUE, ins)
     initial = MentalState(frozenset(), frozenset({P}))
     return Agent(("p",), (), (ins,), (rule,), initial, ())
+
+
+def picks_of(agent, kind, steps, seed=0):
+    return [b for b, _ in trace(agent, kind, steps, seed)]
 
 
 def test_step_executed_and_idle():
@@ -76,10 +80,7 @@ def test_drop_with_true_condition_always_executes():
 
 
 def test_run_zero_steps():
-    agent = tiny_agent()
-    prefix = run(agent, "rr", 0)
-    assert prefix.states == (agent.initial_state,)
-    assert len(prefix) == 0
+    assert list(trace(tiny_agent(), "rr", 0)) == []
 
 
 def test_run_never_enabled_action_idles_forever():
@@ -87,18 +88,19 @@ def test_run_never_enabled_action_idles_forever():
     rule = ConditionalAction(TRUE, blocked)
     initial = MentalState(frozenset({P}), frozenset())
     agent = Agent(("p", "q"), (), (blocked,), (rule,), initial, ())
-    prefix = run(agent, "rr", 5)
-    assert not any(prefix.executed)
-    assert all(s == initial for s in prefix.states)
+    steps = [st for _, st in trace(agent, "rr", 5)]
+    assert len(steps) == 5
+    assert not any(st.executed for st in steps)
+    assert all(st.target == initial for st in steps)
 
 
 def test_run_is_deterministic():
     agent = ground_shopping_fixture()
     for kind, seed in (("rr", 0), ("random", 7), ("unfair", 3)):
-        p1 = run(agent, kind, 40, seed)
-        p2 = run(agent, kind, 40, seed)
-        assert p1.picks == p2.picks
-        assert p1.states == p2.states
+        # a step holds its source and target, so equal steps mean equal
+        # states as well as equal picks
+        assert list(trace(agent, kind, 40, seed)) == \
+            list(trace(agent, kind, 40, seed))
 
 
 def test_round_robin_order():
@@ -114,24 +116,18 @@ def test_random_fair_streak_bound():
 
 def test_fairness_check_round_robin():
     agent = ground_shopping_fixture()
-    prefix = run(agent, "rr", 64)
-    assert fairness_check(prefix)
+    assert fair_picks(picks_of(agent, "rr", 64), len(agent.program), "rr")
 
 
 def test_fairness_check_rejects_starvation():
-    agent = ground_shopping_fixture()
-    n = len(agent.program)
-    states = tuple([agent.initial_state] * (2 * n + 1))
-    skewed = TracePrefix(agent, states, tuple([0] * 2 * n),
-                         tuple([False] * 2 * n), "rr")
-    assert not fairness_check(skewed)
+    n = len(ground_shopping_fixture().program)
+    assert not fair_picks([0] * 2 * n, n, "rr")
 
 
 def test_fairness_check_seeded_random_window():
     agent = ground_shopping_fixture()
     n = len(agent.program)
-    prefix = run(agent, "random", 10 * n, 11)
-    assert fairness_check(prefix)
+    assert fair_picks(picks_of(agent, "random", 10 * n, 11), n, "random")
 
 
 def _pick_sequences(n):
@@ -154,17 +150,12 @@ def test_fairness_check_is_one_streak_rule(case):
     # forcing scheduler's bound of n
     n, picks, cut = case
     picks = picks[:cut]
-    agent = tiny_agent()
-    agent = Agent(agent.vocab, (), agent.capabilities, agent.program * n,
-                  agent.initial_state, ())
     streak = reference_omission_streak(picks, n)
     assert max_omission_streak(picks, n) == streak
     for kind, fair in (("rr", window_fair(picks, n)),
                        ("unfair", window_fair(picks, n)),
                        ("random", streak <= n)):
-        prefix = TracePrefix(agent, (agent.initial_state,) * (len(picks) + 1),
-                             tuple(picks), (False,) * len(picks), kind)
-        assert fairness_check(prefix) == fair, kind
+        assert fair_picks(picks, n, kind) == fair, kind
 
 
 @settings(max_examples=200, deadline=None)
@@ -177,15 +168,20 @@ def test_random_schedule_picks_as_the_streak_reference(n, picks, seed):
 
 
 def test_unfair_scheduler_flagged():
-    prefix = run(ground_shopping_fixture(), "unfair", 4, 5)
-    assert (prefix.scheduler_kind, prefix.seed) == ("unfair", 5)
+    # the unfair schedule is plain seeded choice: a trace follows it pick
+    # for pick, and the fairness surrogate flags the prefix
+    agent = ground_shopping_fixture()
+    n = len(agent.program)
+    picks = picks_of(agent, "unfair", 64, 5)
+    assert picks == list(islice(schedule("unfair", n, 5), 64))
+    assert not fair_picks(picks, n, "unfair")
 
 
 def test_unknown_kind_raises_before_the_first_pick():
     with pytest.raises(ValueError, match="unknown scheduler kind 'fifo'"):
         schedule("fifo", 3)
     with pytest.raises(ValueError):
-        run(ground_shopping_fixture(), "fifo", 0)
+        trace(ground_shopping_fixture(), "fifo", 0)
 
 
 def test_trace_dump_format():
@@ -218,8 +214,7 @@ def test_reachable_matches_traces():
     agent = ground_shopping_fixture()
     graph = reachable(agent)
     node_set = set(graph.nodes)
-    prefix = run(agent, "random", 64, 5)
-    assert set(prefix.states) <= node_set
+    assert {st.target for _, st in trace(agent, "random", 64, 5)} <= node_set
 
 
 def test_reachable_budget():

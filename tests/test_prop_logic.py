@@ -309,8 +309,7 @@ def test_formula_caches_stay_within_their_bound():
         fresh = Atom(f"memo_bound_{i}")
         assert entails((fresh,), Or(fresh, P))
         assert consistent((fresh, Not(P)))
-    for cache in (prop_logic._entails_memo, prop_logic._consistent_memo,
-                  prop_logic.truth_table):
+    for cache in (prop_logic._entails_memo, prop_logic.truth_table):
         info = cache.cache_info()
         assert info.maxsize == CACHE_SIZE
         assert info.currsize <= CACHE_SIZE

@@ -18,7 +18,7 @@ from goalkit.mental_state import (
     enumerate_states, held_set, validity_oracle,
 )
 from goalkit.capabilities import ConditionalAction
-from goalkit.executor import Step, TracePrefix
+from goalkit.executor import Step
 from goalkit.agent_program import Agent, PropertyDecl
 from goalkit.verifier import (
     Disj, EnsuresLeaf, HoareTriple, LassoTrace, Trans, Until, Verdict,
@@ -47,7 +47,6 @@ RECORDS = [
     (MentalState, (frozenset({P}), frozenset({Q}))),
     (ConditionalAction, (Bel(P), CAP)),
     (Step, (S0, RULE, S1, True)),
-    (TracePrefix, (AGENT, (S0, S1), (0,), (True,), "rr", 7)),
     (Verdict, (False, S0, "reachable", "post fails")),
     (HoareTriple, (Bel(P), CAP, Bel(Q))),
     (PropertyDecl, ("unless", Bel(P), Bel(Q))),
@@ -101,7 +100,6 @@ def test_built_alike_by_position_and_by_keyword(cls, values):
 def test_trailing_fields_have_their_defaults():
     assert Verdict(True) == Verdict(True, None, "", "")
     assert PropertyDecl("invariant", Bel(P)).right is None
-    assert TracePrefix(AGENT, (S0,), (), (), "rr").seed is None
     assert Agent(("p", "q"), (), (CAP,), (RULE,), S0).properties == ()
     assert Verdict(False, detail="x") == Verdict(False, None, "", "x")
     with pytest.raises(TypeError):

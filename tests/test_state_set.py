@@ -410,7 +410,7 @@ def test_an_action_is_applied_once_per_scope_state(universe, monkeypatch):
         calls.append(state)
         return apply_M(action, state)
 
-    monkeypatch.setattr(verifier, "apply_M", counted)
+    monkeypatch.setattr(mental_state, "apply_M", counted)
     states = universe[5::9]
     probe = CapabilitySpec("probe", (EffectClause(Q, (P,), ()),))
     first = HoareTriple(Bel(Q), probe, Bel(P))
@@ -431,8 +431,8 @@ def test_held_images_match_attempt_on_the_universe(universe):
     scope_states = {s: s for s in universe}
     image_bases = []
     for action in CANONICAL_ACTIONS:
-        images, executed = scope.image(action, apply_M)
-        assert scope.image(action, apply_M) == (images, executed)
+        images, executed = scope.image(action)
+        assert scope.image(action) == (images, executed)
         assert executed == sum(1 << i for i, s in enumerate(universe)
                                if enabled_cap(action, s))
         for s, t in zip(universe, images.states):
@@ -469,7 +469,7 @@ def test_a_raising_post_leaf_leaves_no_value_in_the_held_image_set(universe):
     for _ in range(2):
         with pytest.raises(MentalStateError):
             check_hoare_basic(bad, universe)
-    images, _ = mental_state.held_set(tuple(universe)).image(action, apply_M)
+    images, _ = mental_state.held_set(tuple(universe)).image(action)
     assert RAISES not in images._known and bad.post not in images._known
     for post in (Or(Bel(P), Not(Bel(P))), Or(Bel(P), Goal(Q)),
                  And(Bel(FALSE), RAISES)):

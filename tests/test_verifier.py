@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -383,6 +384,24 @@ def test_eval_temporal_reads_every_connective(shopping):
     assert eval_temporal(trace, Bel(Atom("hpage_user"))) is True
     with pytest.raises(MentalStateError):
         eval_msf(agent.initial_state, no)
+
+
+def test_eval_temporal_leaves_no_reference_cycle(shopping):
+    # A finished evaluation and its memo are freed at once by reference
+    # counting, not at some later cyclic collection.
+    agent, graph = shopping
+    trace = fair_lasso_from(agent, graph, agent.initial_state)
+    prop = next(p for p in agent.properties if p.kind == "ensures")
+    phi = And(t_ensures(prop.left, prop.right),
+              Iff(t_eventually(bought_all()), Not(Bel(Atom("p")))))
+    assert eval_temporal(trace, phi) is True
+    gc.collect()
+    gc.disable()
+    try:
+        eval_temporal(trace, phi)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_temporal_false_is_definite(shopping):
