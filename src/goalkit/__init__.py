@@ -24,11 +24,11 @@ from .executor import (
 )
 from .verifier import (
     Disj, EnsuresLeaf, HoareTriple, LassoTrace, MalformedProof, MissingAxiom,
-    Trans, Until, Verdict, check_ensures, check_hoare_basic,
-    check_hoare_conditional, check_leadsto, check_unless, derive_hoare,
-    eval_temporal, fair_lasso, fair_lasso_from, graph_ensures,
-    graph_eventuality, graph_unless, prove_leadsto, render_report, t_always,
-    t_ensures, t_eventually, t_unless, trap_lasso, verify_agent, wlp,
+    Trans, Until, Verdict, check_ensures, check_hoare_basic, check_leadsto,
+    check_unless, derive_hoare, eval_temporal, fair_lasso, fair_lasso_from,
+    graph_ensures, graph_eventuality, graph_unless, prove_leadsto,
+    render_report, t_always, t_ensures, t_eventually, t_unless, trap_lasso,
+    verify_agent, wlp,
 )
 from .cli import main
 

@@ -5,28 +5,20 @@ the first clause whose guard the beliefs entail fires, deletion removes the
 listed formulas by syntactic identity, and the update is undefined when no
 clause fires or the updated base is inconsistent.  Undefined updates are a
 normal value (``None``); the executor turns them into idle steps.
-``CapabilitySpec``, ``EffectClause``, ``apply_T`` and the mental-state
-transformer ``apply_M`` are defined in ``mental_state``, where
-``enabled(...)`` leaves and image sets evaluate through them, and are
-re-exported here.
+``CapabilitySpec``, ``EffectClause``, ``ConditionalAction``, ``apply_T``
+and the mental-state transformer ``apply_M`` are defined in
+``mental_state``, where ``enabled(...)`` leaves and image sets evaluate
+through them, and are re-exported here.  ``apply_M`` is the transition of
+every action, conditional ones included, and enabledness is read off it.
 """
 
 from __future__ import annotations
 
-from .prop_logic import TRUE, Formula, Record, render
+from .prop_logic import TRUE, Formula, render
 from .mental_state import (
-    Action, CapabilitySpec, EffectClause, GoalAction, MentalState, apply_M,
-    apply_T, eval_msf,
+    Action, CapabilitySpec, ConditionalAction, EffectClause, GoalAction,
+    MentalState, apply_M, apply_T,
 )
-
-
-class ConditionalAction(Record):
-    """A guarded action: the condition is a mental-state formula over B/G."""
-
-    __slots__ = __match_args__ = ("condition", "action")
-
-    def __str__(self) -> str:
-        return f"{render(self.condition)} -> do({self.action})"
 
 
 def insert(phi: Formula) -> CapabilitySpec:
@@ -52,6 +44,6 @@ def enabled_cap(action: Action, state: MentalState) -> bool:
 
 
 def enabled_cond(b: ConditionalAction, state: MentalState) -> bool:
-    """A conditional action executes iff its condition holds and the
-    underlying action is enabled."""
-    return eval_msf(state, b.condition) and enabled_cap(b.action, state)
+    """A conditional action executes iff its transition is defined: its
+    condition holds and the underlying action is enabled."""
+    return apply_M(b, state) is not None

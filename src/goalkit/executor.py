@@ -1,10 +1,11 @@
 """Trace generation and reachable-state-graph construction.
 
-A computation step attempts one conditional action: it executes when the
-condition holds and the underlying action is enabled, and idles (state
-unchanged) otherwise.  Idle steps are recorded, never elided.  A schedule
-decides only which action is attempted; its ``rr`` and ``random`` kinds are
-weakly fair in the finite-surrogate sense of :func:`fair_picks`.
+A computation step attempts one conditional action: it executes where
+``apply_M`` gives the action a transition (its condition holds and the
+underlying action is enabled), and idles (state unchanged) otherwise.
+Idle steps are recorded, never elided.  A schedule decides only which
+action is attempted; its ``rr`` and ``random`` kinds are weakly fair in
+the finite-surrogate sense of :func:`fair_picks`.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from itertools import count, cycle, islice
 from typing import Iterable, Iterator, Optional
 
 from .agent_program import Agent
-from .capabilities import ConditionalAction
-from .mental_state import MentalState, StateSet, apply_M, eval_msf
+from .mental_state import ConditionalAction, MentalState, StateSet, apply_M
 from .prop_logic import Record
 
 DEFAULT_BUDGET = 10_000
@@ -70,9 +70,9 @@ class Step(Record):
 
 
 def step(state: MentalState, b: ConditionalAction) -> Step:
-    """Attempt ``b`` at ``state``.  It executes when its condition holds and
-    its action is enabled, which is exactly when ``apply_M`` is defined."""
-    nxt = apply_M(b.action, state) if eval_msf(state, b.condition) else None
+    """Attempt ``b`` at ``state``: it executes exactly where ``apply_M`` is
+    defined."""
+    nxt = apply_M(b, state)
     if nxt is None:
         return Step(state, b, state, False)
     return Step(state, b, nxt, True)
@@ -205,7 +205,8 @@ def reachable(agent: Agent, budget: Optional[int] = None) -> StateGraph:
     """BFS over the step relation from the initial state.
 
     Every action is expanded at every node; idle attempts are recorded as
-    self-loops.  Raises :class:`BudgetExceeded` past the node budget.
+    self-loops.  Raises :class:`BudgetExceeded` before expanding a node
+    when the graph has more nodes than the budget, the initial one included.
     """
     if budget is None:
         budget = default_budget()
@@ -214,12 +215,12 @@ def reachable(agent: Agent, budget: Optional[int] = None) -> StateGraph:
     targets: list[list[int]] = [[] for _ in agent.program]
     executed = [0] * len(agent.program)
     for i, state in enumerate(nodes):   # nodes grows as the BFS finds states
+        if len(nodes) > budget:
+            raise BudgetExceeded(
+                f"reachable-state budget of {budget} nodes exceeded")
         for a, b in enumerate(agent.program):
             st = step(state, b)
             if st.target not in position:
-                if len(position) >= budget:
-                    raise BudgetExceeded(
-                        f"reachable-state budget of {budget} nodes exceeded")
                 position[st.target] = len(nodes)
                 nodes.append(st.target)
             targets[a].append(position[st.target])

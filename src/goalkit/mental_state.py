@@ -4,9 +4,9 @@ A mental state pairs a consistent belief base with a goal base.  The goal
 base is kept as a finite set of generator formulas; the agent has psi as a
 goal exactly when psi is consistent, not believed, and entailed by some
 single generator.  That realizes the closure condition on goal bases while
-keeping states finite.  Goal actions, belief capabilities and the
-mental-state transformer that applies them are defined here too: an
-``enabled(...)`` leaf holds its action and asks it.
+keeping states finite.  Goal actions, belief capabilities, conditional
+actions and the mental-state transformer that applies each of them are
+defined here too: an ``enabled(...)`` leaf holds its action and asks it.
 """
 
 from __future__ import annotations
@@ -108,6 +108,19 @@ def apply_T(cap: CapabilitySpec,
 Action = Union[GoalAction, CapabilitySpec]
 
 
+class ConditionalAction(Record):
+    """A guarded action: the condition is a mental-state formula over B/G."""
+
+    __slots__ = __match_args__ = ("condition", "action")
+
+    def __str__(self) -> str:
+        return f"{render(self.condition)} -> do({self.action})"
+
+
+# What a transition is defined for: a basic or a conditional action.
+Statement = Union[GoalAction, CapabilitySpec, ConditionalAction]
+
+
 class Enabled(Formula):
     """Enabledness atom of a goal action or of a belief capability."""
 
@@ -203,14 +216,21 @@ def make_state(beliefs: Iterable[Formula], goals: Iterable[Formula]) -> MentalSt
     return MentalState(bels, gens)
 
 
-def apply_M(action: Action, state: MentalState) -> Optional[MentalState]:
+def apply_M(action: Statement,
+            state: MentalState) -> Optional[MentalState]:
     """The mental-state transformer; ``None`` when the action is not enabled.
 
     Belief updates prune every goal generator the new beliefs entail (the
     blind-commitment strategy: a goal is dropped exactly when believed
     achieved).  drop removes the generators entailing its argument; adopt
-    adds its argument as a new generator.
+    adds its argument as a new generator.  A conditional action
+    ``psi -> do(a)`` is ``a``'s transformer where ``psi`` holds, and
+    ``None`` elsewhere: the one transition of every action.
     """
+    if isinstance(action, ConditionalAction):
+        if not eval_msf(state, action.condition):
+            return None
+        action = action.action
     if isinstance(action, GoalAction):
         if action.kind == "drop":
             kept: list[Formula] = []
@@ -331,7 +351,7 @@ class StateSet:
         self._same_beliefs: Optional[list[int]] = None
         self._same_goals: Optional[list[int]] = None
         # per action: its image set and the mask where it executes
-        self._images: dict[Action, tuple[StateSet, int]] = {}
+        self._images: dict[Statement, tuple[StateSet, int]] = {}
         # the one object kept for each belief or goal base of those images
         self._bases: dict[frozenset[Formula], frozenset[Formula]] = {}
 
@@ -416,10 +436,10 @@ class StateSet:
             care &= ~members
         return out
 
-    def image(self, action: Action) -> tuple[StateSet, int]:
+    def image(self, action: Statement) -> tuple[StateSet, int]:
         """The set whose state i is ``apply_M(action, states[i])``, or
-        ``states[i]`` itself where the action is not enabled, and the mask of
-        the positions where it is enabled.
+        ``states[i]`` itself where that is ``None``, and the mask of the
+        positions where the action executes.
 
         Both are built at every state on the first call for ``action`` and
         held on this set, so they live no longer than it does.  An image
@@ -427,9 +447,10 @@ class StateSet:
         state of this set is that state, other equal images of one action
         are one object, and equal belief or goal bases among all the images
         held on this set are one object.  If ``apply_M`` raises, no image
-        set is kept.  An update, and whether it is defined, read only the
-        beliefs, so the image set uses this set's belief classes instead of
-        building its own.
+        set is kept.  A basic action's update, and whether it is defined,
+        read only the beliefs, so its image set uses this set's belief
+        classes.  A condition may read the goals and step only one of two
+        states with equal beliefs, so a conditional action's does not.
         """
         held = self._images.get(action)
         if held is not None:
@@ -448,7 +469,8 @@ class StateSet:
                     s = _share(t, kept, self._bases)
             images.append(s)
         image_set = StateSet(images)
-        image_set._same_beliefs = self._belief_classes()
+        if not isinstance(action, ConditionalAction):
+            image_set._same_beliefs = self._belief_classes()
         held = self._images[action] = (image_set, executed)
         return held
 

@@ -4,23 +4,26 @@ Two independent routes are provided for most judgements: a semantic check
 that quantifies over a scope of mental states (the bounded universe or the
 agent's reachable graph), and a syntactic route that computes weakest
 liberal preconditions and discharges the residue with the validity oracle.
+:func:`check_hoare_basic` is the one semantic triple checker: it takes any
+statement, conditional actions included, over any sequence of states.
 Temporal properties (unless / ensures / leads-to) reduce to finitely many
-Hoare obligations; graph-level trace oracles double-check the reductions.
+Hoare obligations, which ``verify`` reads off the reachable graph's index;
+graph-level trace oracles double-check the reductions.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .prop_logic import (
     And, FALSE, Formula, Iff, Imp, Not, Or, Record, TRUE, map_leaves, render,
     tautology,
 )
 from .mental_state import (
-    Bel, Enabled, Goal, MentalState, Verdict, eval_msf, held_set, lowest_bit,
+    Bel, CapabilitySpec, ConditionalAction, Enabled, Goal, GoalAction,
+    MentalState, Statement, Verdict, eval_msf, held_set, lowest_bit,
     map_goal_leaves, msf_leaves, set_bits, validity_oracle,
 )
-from .capabilities import CapabilitySpec, ConditionalAction, GoalAction
 from .agent_program import Agent, PropertyDecl
 from .executor import StateGraph, reachable
 
@@ -37,9 +40,6 @@ class MalformedProof(VerifierError):
     """A leads-to proof tree whose node conclusions do not fit its rules."""
 
 
-Statement = Union[CapabilitySpec, GoalAction, ConditionalAction]
-
-
 class HoareTriple(Record):
     __slots__ = __match_args__ = ("pre", "statement", "post")
 
@@ -51,66 +51,31 @@ class HoareTriple(Record):
 # Semantic Hoare checking.
 
 
-def _post_fails(witness: MentalState, executed: bool, idle: str) -> Verdict:
-    how = "after execution" if executed else f"in place ({idle})"
-    return Verdict(False, witness, detail=f"post fails {how}")
-
-
 def check_hoare_basic(triple: HoareTriple,
                       states: Iterable[MentalState]) -> Verdict:
-    """Total-correctness triple over a basic action, checked statewise.
+    """Total-correctness triple over any statement, checked statewise.
 
-    At each in-scope state satisfying the precondition: if the action is
-    enabled the postcondition must hold at its result, otherwise at the
-    state itself.  The scope is the one set :func:`held_set` holds for
-    this sequence of states, which is also :func:`validity_oracle`'s set
-    when the scope is a bounded universe, and the action's image set is
-    held on it (:meth:`StateSet.image`), so a repeated question is answered
-    from masks kept on both.  The witness is the caller's own state.
+    At each in-scope state satisfying the precondition: where the statement
+    has a transition (:func:`apply_M`) the postcondition must hold at its
+    result, otherwise at the state itself.  The scope is the one set
+    :func:`held_set` holds for this sequence of states, which is also
+    :func:`validity_oracle`'s set when the scope is a bounded universe, and
+    the statement's image set is held on it (:meth:`StateSet.image`), so a
+    repeated question is answered from masks kept on both.  The witness is
+    the caller's own state.
     """
-    action = triple.statement
-    assert not isinstance(action, ConditionalAction)
     given = tuple(states)
     scope = held_set(given)
     pre = scope.mask(triple.pre)
-    images, executed = scope.image(action)
+    images, executed = scope.image(triple.statement)
     failed = pre & ~images.mask(triple.post, within=pre)
     if not failed:
         return Verdict(True, scope="statewise")
     i = lowest_bit(failed)
-    return _post_fails(given[i], bool(executed >> i & 1), "not enabled")
-
-
-def check_hoare_conditional(triple: HoareTriple, graph: StateGraph,
-                            a: Optional[int] = None) -> Verdict:
-    """Conditional-action triple over the agent's reachable states.
-
-    Where the precondition holds: an executing step must reach the
-    postcondition, an idle step must leave it true in place.  The steps are
-    read from the graph's index and the postcondition is evaluated at their
-    targets on the graph's state set, so the action must belong to the
-    agent's program; any other raises :class:`VerifierError`.  A caller
-    that has the action's position in the program passes it as ``a``.
-    """
-    b = triple.statement
-    assert isinstance(b, ConditionalAction)
-    if a is None:
-        try:
-            a = graph.agent.program.index(b)
-        except ValueError:
-            raise VerifierError(
-                f"{b} is not an action of the agent's program") from None
-    targets = graph.targets[a]
-    sources = list(set_bits(graph.states.mask(triple.pre)))
-    reached = 0
-    for i in sources:
-        reached |= 1 << targets[i]
-    post = graph.states.mask(triple.post, within=reached)
-    bad = next((i for i in sources if not post >> targets[i] & 1), None)
-    if bad is None:
-        return Verdict(True, scope="reachable")
-    executed = bool(graph.executed[a] >> bad & 1)
-    return _post_fails(graph.nodes[bad], executed, "idle")
+    idle = ("idle" if isinstance(triple.statement, ConditionalAction)
+            else "not enabled")
+    how = "after execution" if executed >> i & 1 else f"in place ({idle})"
+    return Verdict(False, given[i], detail=f"post fails {how}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +174,39 @@ def derive_hoare(triple: HoareTriple, atoms: Sequence[str],
 # unless / ensures via Hoare obligations.
 
 
+def _failing_sources(graph: StateGraph, pre: Formula,
+                     post: Formula) -> Iterator[Optional[int]]:
+    """For each action of the graph's program, in order: the lowest
+    position where ``pre`` holds and the action's step ends outside
+    ``post``, or ``None`` where the triple {pre} b {post} holds.
+
+    The steps are read from the graph's index, the pre mask is computed
+    once, and ``post`` is evaluated on the graph's state set only at the
+    targets of the pre-states, so the actions share its kept values.
+    """
+    sources = list(set_bits(graph.states.mask(pre)))
+    for targets in graph.targets:
+        reached = 0
+        for i in sources:
+            reached |= 1 << targets[i]
+        holds = graph.states.mask(post, within=reached)
+        yield next((i for i in sources if not holds >> targets[i] & 1), None)
+
+
 def check_unless(phi: Formula, psi: Formula, agent: Agent,
                  graph: Optional[StateGraph] = None) -> Verdict:
     """phi unless psi, discharged as one triple {phi & !psi} b {phi | psi}
     per conditional action, over the reachable states."""
     if graph is None:
         graph = reachable(agent)
-    pre = And(phi, Not(psi))
-    post = Or(phi, psi)
     failures = []
     witness = None
-    for i, b in enumerate(agent.program):
-        verdict = check_hoare_conditional(HoareTriple(pre, b, post), graph, i)
-        if not verdict.holds:
-            failures.append(agent.action_label(i))
+    for a, bad in enumerate(_failing_sources(graph, And(phi, Not(psi)),
+                                             Or(phi, psi))):
+        if bad is not None:
+            failures.append(agent.action_label(a))
             if witness is None:
-                witness = verdict.witness
+                witness = graph.nodes[bad]
     if failures:
         return Verdict(False, witness,
                        detail=f"per-action triples fail for {', '.join(failures)}")
@@ -252,12 +234,11 @@ def check_ensures(phi: Formula, psi: Formula, agent: Agent,
                        detail=f"unless part: {safety.detail}")
     pre = And(phi, Not(psi))
     reasons = []
-    for i, b in enumerate(agent.program):
-        verdict = check_hoare_conditional(HoareTriple(pre, b, psi), graph, i)
-        if verdict.holds:
+    for a, bad in enumerate(_failing_sources(graph, pre, psi)):
+        if bad is None:
             return Verdict(True,
-                           scope=f"reachable, witness {agent.action_label(i)}")
-        reasons.append(f"{agent.action_label(i)}: progress triple fails")
+                           scope=f"reachable, witness {agent.action_label(a)}")
+        reasons.append(f"{agent.action_label(a)}: progress triple fails")
     pending = graph.states.mask(pre)
     return Verdict(False,
                    witness=graph.nodes[lowest_bit(pending)] if pending else None,

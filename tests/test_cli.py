@@ -203,6 +203,33 @@ def test_budget_exceeded_exits_3(capsys):
     assert code == EXIT_BUDGET and "error:" in err
 
 
+# One state, and a node budget of 0: the initial node alone exceeds it.
+ONE_STATE_AGENT = """
+vocab { p; q; } beliefs { p; } goals { q; }
+capability nop { when q add { p } del { }; }
+program { B(q) -> do(nop); }
+properties { invariant B(p); }
+"""
+
+
+@pytest.mark.parametrize("command", ["verify", "graph"])
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_a_budget_of_0_exits_3_on_a_one_state_agent(capsys, monkeypatch,
+                                                   tmp_path, command, how):
+    path = tmp_path / "one.agent"
+    path.write_text(ONE_STATE_AGENT)
+    if how == "flag":
+        argv = [command, str(path), "--budget", "0"]
+    else:
+        monkeypatch.setenv("GOAL_BUDGET", "0")
+        argv = [command, str(path)]
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_BUDGET and not out
+    assert err == "error: reachable-state budget of 0 nodes exceeded\n"
+    code, out, _ = invoke(capsys, command, str(path), "--budget", "1")
+    assert code == EXIT_OK and out
+
+
 def test_graph_to_stdout(capsys):
     code, out, _ = invoke(capsys, "graph", "--fixture", "shopping")
     assert code == EXIT_OK
@@ -398,6 +425,36 @@ def test_verify_output_is_identical_across_hash_seeds(tmp_path, source, fmt):
         assert len(outputs) == 1
         if expected == EXIT_PROPERTY_FAILED:
             assert "witness" in outputs.pop()
+
+
+# The sha256 of the stdout of ``verify`` and ``graph``, recorded before
+# conditional actions stepped through ``apply_M``: the same report, witness
+# digests included, and the same graph under every hash seed.
+OUTPUT_DIGESTS = {
+    ("verify", "--fixture", "shopping", "--format", "text"):
+        "b64690ad671ee12f0d272bcb8af468fbf55887d1224dee34f73a80cbd20dd1bc",
+    ("verify", "--fixture", "shopping", "--format", "records"):
+        "a5a79de1e8e68471a05b57378e350c760b95cccff41c587e6cb112936f6674b4",
+    ("graph", "--fixture", "shopping"):
+        "99406501b5dea1c15726854a4da0f403a2a6f019c193835c9670453d7ac22922",
+    ("verify", "BROKEN_AGENT", "--format", "text"):
+        "ce4c82e332cc2af1b7a1bc4a668432dcb6d1fa030ad9dc6ea1b6a149333ba7aa",
+    ("verify", "BROKEN_AGENT", "--format", "records"):
+        "483779c8d47203a605b9849aa460986fac4ed772aa1e5d15b384850947301fe3",
+}
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_verify_and_graph_reproduce_the_recorded_output(tmp_path, seed):
+    path = tmp_path / "broken.agent"
+    path.write_text(BROKEN_AGENT)
+    for argv, digest in OUTPUT_DIGESTS.items():
+        argv = [str(path) if a == "BROKEN_AGENT" else a for a in argv]
+        proc = subprocess.run(_cli(*argv), capture_output=True,
+                              env=dict(os.environ, PYTHONHASHSEED=seed))
+        expected = EXIT_PROPERTY_FAILED if "broken" in argv[1] else EXIT_OK
+        assert proc.returncode == expected, argv
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, argv
 
 
 def test_deeply_nested_goal_exits_2(capsys, tmp_path):

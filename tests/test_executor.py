@@ -223,6 +223,26 @@ def test_reachable_budget():
         reachable(agent, budget=3)
 
 
+def one_state_agent():
+    """One action whose condition never holds: the graph is its initial
+    node alone."""
+    rule = ConditionalAction(Goal(P), insert(Q))
+    initial = MentalState(frozenset({P}), frozenset({Q}))
+    return Agent(("p", "q"), (), (insert(Q),), (rule,), initial, ())
+
+
+def test_the_budget_counts_the_initial_node():
+    agent = one_state_agent()
+    assert len(reachable(agent, budget=1).nodes) == 1
+    with pytest.raises(BudgetExceeded, match="budget of 0 nodes exceeded"):
+        reachable(agent, budget=0)
+    shopping = ground_shopping_fixture()
+    assert len(reachable(shopping, budget=13).nodes) == 13
+    for budget in (0, 1, 12):
+        with pytest.raises(BudgetExceeded):
+            reachable(shopping, budget=budget)
+
+
 def test_budget_env_default(monkeypatch):
     from goalkit import executor
     monkeypatch.setenv("GOAL_BUDGET", "4")

@@ -1,12 +1,15 @@
 """Mask evaluation over state sets against the state-by-state reference.
 
 ``validity_oracle`` and ``check_hoare_basic`` evaluate formulas as bit masks
-over a :class:`StateSet`; ``check_hoare_conditional``, the enabledness part
-of ``check_ensures`` and ``_scope_entails`` do so over a reachable graph's
-state set and read successors from the graph's index.  The reference loops
-below are their former bodies, one ``eval_msf`` call per state; on seeded
-random formulas, triples and properties both must return the same verdict,
-the same countermodel or witness object, and the same detail text.
+over a :class:`StateSet`, and ``check_hoare_basic`` steps every statement,
+conditional actions included, through its held image set.  The per-action
+loop of ``check_unless`` and ``check_ensures`` and ``_scope_entails`` do so
+over a reachable graph's state set and read successors from the graph's
+index.  The reference loops below are their former bodies, one ``eval_msf``
+call per state, and step a conditional action by evaluating its condition
+and applying its basic action themselves; on seeded random formulas,
+triples and properties both must return the same verdict, the same
+countermodel or witness object, and the same detail text.
 """
 
 import gc
@@ -25,13 +28,13 @@ from goalkit.mental_state import (
 )
 from goalkit.capabilities import (
     CapabilitySpec, ConditionalAction, EffectClause,
-    GoalAction, apply_M, enabled_cap, enabled_cond, insert, remove,
+    GoalAction, apply_M, enabled_cap, insert, remove,
 )
 from goalkit.agent_program import ground_shopping_fixture
 from goalkit.executor import reachable, step
 from goalkit.verifier import (
-    HoareTriple, Verdict, check_ensures, check_hoare_basic,
-    check_hoare_conditional, check_leadsto, check_unless, prove_leadsto,
+    HoareTriple, Verdict, check_ensures, check_hoare_basic, check_leadsto,
+    check_unless, prove_leadsto,
 )
 
 from helpers import attempt, micro_agent, random_formula, with_actions
@@ -72,19 +75,29 @@ def hoare_by_state(triple, states):
     return Verdict(True, scope="statewise")
 
 
-def hoare_conditional_by_state(triple, graph, a=None):
-    """Reference: a conditional-action triple, one reachable state at a
-    time, stepping the action afresh at each pre-state (so it has no use
-    for the action's position ``a``)."""
+def hoare_conditional_by_state(triple, states):
+    """Reference: a conditional-action triple, one state at a time, stepping
+    the action afresh at each pre-state: its condition evaluated and its
+    basic action applied here, not through ``step``."""
     b = triple.statement
-    for s in graph.nodes:
+    for s in states:
         if not eval_msf(s, triple.pre):
             continue
-        st = step(s, b)
-        if not eval_msf(st.target, triple.post):
-            how = "after execution" if st.executed else "in place (idle)"
-            return Verdict(False, s, detail=f"post fails {how}")
-    return Verdict(True, scope="reachable")
+        t = apply_M(b.action, s) if eval_msf(s, b.condition) else None
+        if t is None and not eval_msf(s, triple.post):
+            return Verdict(False, s, detail="post fails in place (idle)")
+        if t is not None and not eval_msf(t, triple.post):
+            return Verdict(False, s, detail="post fails after execution")
+    return Verdict(True, scope="statewise")
+
+
+def failing_sources_by_state(graph, pre, post):
+    """Reference: ``verifier._failing_sources`` as one state-by-state
+    conditional triple per action of the graph's program."""
+    for b in graph.agent.program:
+        verdict = hoare_conditional_by_state(HoareTriple(pre, b, post),
+                                             graph.nodes)
+        yield None if verdict.holds else graph.position[verdict.witness]
 
 
 def ensures_by_state(phi, psi, agent, graph):
@@ -98,12 +111,14 @@ def ensures_by_state(phi, psi, agent, graph):
     pending = [s for s in graph.nodes if eval_msf(s, pre)]
     reasons = []
     for i, b in enumerate(agent.program):
-        verdict = verifier.check_hoare_conditional(
-            HoareTriple(pre, b, psi), graph)
+        verdict = hoare_conditional_by_state(HoareTriple(pre, b, psi),
+                                             graph.nodes)
         if not verdict.holds:
             reasons.append(f"{agent.action_label(i)}: progress triple fails")
             continue
-        disabled = next((s for s in pending if not enabled_cond(b, s)), None)
+        disabled = next((s for s in pending
+                         if not (eval_msf(s, b.condition)
+                                 and enabled_cap(b.action, s))), None)
         if disabled is not None:
             reasons.append(f"{agent.action_label(i)}: not continuously enabled")
             continue
@@ -126,8 +141,7 @@ def by_state(monkeypatch, fn, *args):
     """``fn(*args)`` with the verifier routed through the reference loops,
     so that its own check_unless, check_leadsto and prove_leadsto use them."""
     with monkeypatch.context() as m:
-        m.setattr(verifier, "check_hoare_conditional",
-                  hoare_conditional_by_state)
+        m.setattr(verifier, "_failing_sources", failing_sources_by_state)
         m.setattr(verifier, "check_ensures", ensures_by_state)
         m.setattr(verifier, "_scope_entails", scope_entails_by_state)
         return fn(*args)
@@ -509,8 +523,8 @@ def test_shopping_obligations_match_statewise_reference(monkeypatch):
                for post in (Or(phi, psi), psi)]
     details = set()
     for triple in triples:
-        got = check_hoare_conditional(triple, graph)
-        want = hoare_conditional_by_state(triple, graph)
+        got = check_hoare_basic(triple, graph.nodes)
+        want = hoare_conditional_by_state(triple, graph.nodes)
         assert_same_verdict(got, want)
         details.add(got.detail)
     assert details == {"", "post fails after execution",
@@ -565,9 +579,9 @@ def test_actions_outside_the_program_match_statewise_reference():
         for b in outside:
             for post in (phi, psi, Or(phi, psi)):
                 triple = HoareTriple(And(phi, Not(psi)), b, post)
-                got = check_hoare_conditional(triple, graph)
+                got = check_hoare_basic(triple, graph.nodes)
                 assert_same_verdict(
-                    got, hoare_conditional_by_state(triple, graph))
+                    got, hoare_conditional_by_state(triple, graph.nodes))
                 details.add(got.detail)
     assert details == {"", "post fails after execution",
                        "post fails in place (idle)"}
@@ -592,8 +606,9 @@ def test_enabled_leaves_in_graph_triples_match_statewise_reference():
         triple = HoareTriple(random_msf(rng, leaves, 2), rng.choice(actions),
                              random_msf(rng, leaves, 2))
         for _ in range(2):
-            got = check_hoare_conditional(triple, graph)
-            assert_same_verdict(got, hoare_conditional_by_state(triple, graph))
+            got = check_hoare_basic(triple, graph.nodes)
+            assert_same_verdict(
+                got, hoare_conditional_by_state(triple, graph.nodes))
             verdicts.add(got.holds)
     assert verdicts == {True, False}
 
@@ -618,8 +633,8 @@ def test_micro_agent_graphs_match_statewise_reference(monkeypatch):
                                  rng.choice(actions),
                                  random_msf(rng, leaves, 2))
             assert_same_verdict(
-                check_hoare_conditional(triple, extended),
-                hoare_conditional_by_state(triple, extended))
+                check_hoare_basic(triple, extended.nodes),
+                hoare_conditional_by_state(triple, extended.nodes))
             checked["triples"] += 1
         pairs = [(random_msf(rng, leaves, 2), random_msf(rng, leaves, 2))
                  for _ in range(4)]
@@ -655,15 +670,15 @@ def test_graph_post_is_evaluated_only_at_the_targets_of_pre_states():
     leaf = RAISES
     for b in (agent.program[0], unguarded):
         triple = HoareTriple(Bel(FALSE), b, leaf)
-        assert check_hoare_conditional(triple, graph) == \
-            hoare_conditional_by_state(triple, graph)
+        assert check_hoare_basic(triple, graph.nodes) == \
+            hoare_conditional_by_state(triple, graph.nodes)
         triple = HoareTriple(TRUE, b, Or(TRUE, leaf))
-        assert check_hoare_conditional(triple, graph).holds
+        assert check_hoare_basic(triple, graph.nodes).holds
         triple = HoareTriple(TRUE, b, Or(Bel(FALSE), leaf))
         with pytest.raises(MentalStateError):
-            check_hoare_conditional(triple, graph)
+            check_hoare_basic(triple, graph.nodes)
         with pytest.raises(MentalStateError):
-            hoare_conditional_by_state(triple, graph)
+            hoare_conditional_by_state(triple, graph.nodes)
 
 
 def test_a_graph_leaf_reached_only_after_the_first_failing_state_raises():
@@ -675,10 +690,111 @@ def test_a_graph_leaf_reached_only_after_the_first_failing_state_raises():
     graph = reachable(agent)
     triple = HoareTriple(TRUE, agent.program[0],
                          And(Bel(Atom("page_T")), RAISES))
-    refuted = hoare_conditional_by_state(triple, graph)
+    refuted = hoare_conditional_by_state(triple, graph.nodes)
     assert refuted.witness is agent.initial_state
     with pytest.raises(MentalStateError):
-        check_hoare_conditional(triple, graph)
+        check_hoare_basic(triple, graph.nodes)
+
+
+def acceptance_micro_agents(count):
+    """The first ``count`` legal micro agents, as the acceptance criteria
+    draw them: seeds in order, skipping the illegal draws."""
+    agents, seed = [], 0
+    while len(agents) < count:
+        agent = micro_agent(seed)
+        seed += 1
+        if agent is not None:
+            agents.append(agent)
+    return agents
+
+
+def test_micro_agent_conditional_triples_match_statewise_reference():
+    # Every conditional action of the 500 acceptance micro agents, under
+    # unless and progress triples built from random properties, over its
+    # agent's reachable states.
+    rng = random.Random(0x12)
+    details = set()
+    for agent in acceptance_micro_agents(500):
+        nodes = reachable(agent).nodes
+        leaves = msf_leaves(rng, agent.vocab, agent.capabilities, count=3)
+        phi, psi = random_msf(rng, leaves, 2), random_msf(rng, leaves, 2)
+        for b in agent.program:
+            for post in (Or(phi, psi), psi):
+                triple = HoareTriple(And(phi, Not(psi)), b, post)
+                got = check_hoare_basic(triple, nodes)
+                assert_same_verdict(
+                    got, hoare_conditional_by_state(triple, nodes))
+                details.add(got.detail)
+    assert details == {"", "post fails after execution",
+                       "post fails in place (idle)"}
+
+
+def test_conditional_triples_over_the_universe_match_statewise_reference(
+        universe):
+    # Any sequence of states is a scope for a conditional action, not only
+    # the reachable states of a program holding it.
+    rng = random.Random(0x13)
+    leaves = msf_leaves(rng, PQ, [CAP_A, CAP_B])
+    conditions = [f for f in leaves if isinstance(f, (Bel, Goal))]
+    actions = [ConditionalAction(random_msf(rng, conditions, 1), action)
+               for action in CANONICAL_ACTIONS[::7] + [CAP_A, CAP_B]]
+    details = set()
+    for _ in range(80):
+        triple = HoareTriple(random_msf(rng, leaves, 2), rng.choice(actions),
+                             random_msf(rng, leaves, 2))
+        for states in (universe, universe[::5]):
+            got = check_hoare_basic(triple, states)
+            assert_same_verdict(got, hoare_conditional_by_state(triple, states))
+            details.add(got.detail)
+    assert details == {"", "post fails after execution",
+                       "post fails in place (idle)"}
+
+
+def splits_a_belief_class(states, images):
+    """Whether two states with equal beliefs have images whose beliefs
+    differ."""
+    first = {}
+    for s, t in zip(states, images):
+        if first.setdefault(s.beliefs, t.beliefs) != t.beliefs:
+            return True
+    return False
+
+
+def assert_image_masks_match_statewise_reference(states, b, leaves):
+    images, executed = StateSet(states).image(b)
+    assert executed == sum(1 << i for i, s in enumerate(states)
+                           if apply_M(b, s) is not None)
+    for leaf in leaves:
+        assert images.mask(leaf) == mask_by_state(leaf, images.states), leaf
+    return images
+
+
+def test_a_goal_condition_that_splits_a_belief_class_gets_its_own_classes():
+    # Two states with equal beliefs, one with the goal q: G(q) -> do(ins(q))
+    # steps the first and leaves the second, so their images disagree on
+    # B(q) and on whether ins(!q) is enabled.  Classes taken over from the
+    # source would give both images the value of the lower one.
+    idle = MentalState(frozenset({P}), frozenset())
+    steps = MentalState(frozenset({P}), frozenset({Q}))
+    b = ConditionalAction(Goal(Q), insert(Q))
+    leaves = [Bel(Q), Not(Bel(Q)), Enabled(insert(Not(Q))), Goal(Q)]
+    for states in ([idle, steps], [steps, idle]):
+        images = assert_image_masks_match_statewise_reference(states, b,
+                                                              leaves)
+        assert splits_a_belief_class(states, images.states)
+
+
+def test_micro_agent_actions_that_split_a_belief_class_match_statewise_reference():
+    split = 0
+    for agent in acceptance_micro_agents(200):
+        nodes = reachable(agent).nodes
+        leaves = [Bel(P), Bel(Q), Bel(Or(P, Q)), Goal(P), Goal(Q)]
+        leaves += [Enabled(cap) for cap in agent.capabilities]
+        for b in agent.program:
+            images = assert_image_masks_match_statewise_reference(nodes, b,
+                                                                  leaves)
+            split += splits_a_belief_class(nodes, images.states)
+    assert split == 4
 
 
 def belief_classes(states, mask):

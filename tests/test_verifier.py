@@ -18,9 +18,8 @@ from goalkit.agent_program import Agent, ground_shopping_fixture
 from goalkit.executor import StateGraph, reachable
 from goalkit.verifier import (
     Disj, EnsuresLeaf, HoareTriple, MalformedProof, MissingAxiom,
-    Trans, VerifierError, check_ensures, check_hoare_basic,
-    check_hoare_conditional, check_leadsto, check_unless, derive_hoare,
-    eval_temporal, fair_lasso_from, graph_ensures, graph_eventuality,
+    Trans, check_ensures, check_hoare_basic, check_leadsto, check_unless,
+    derive_hoare, eval_temporal, fair_lasso_from, graph_ensures, graph_eventuality,
     graph_unless, prove_leadsto, render_report, subst_insert, t_always,
     t_ensures, t_eventually, trap_lasso, verify_agent, wlp,
 )
@@ -71,7 +70,7 @@ def test_hoare_conditional_invariant_stability(shopping):
     inv = next(p for p in agent.properties if p.kind == "invariant").left
     for b in agent.program:
         triple = HoareTriple(inv, b, inv)
-        assert check_hoare_conditional(triple, graph).holds
+        assert check_hoare_basic(triple, graph.nodes).holds
 
 
 def test_hoare_conditional_idle_branch(shopping):
@@ -80,13 +79,16 @@ def test_hoare_conditional_idle_branch(shopping):
     graph = reachable(with_actions(agent, never))
     # the condition is false everywhere, so the post must hold in place
     ok = HoareTriple(Bel(Atom("hpage_user")), never, Bel(Atom("hpage_user")))
-    assert check_hoare_conditional(ok, graph).holds
+    assert check_hoare_basic(ok, graph.nodes).holds
     bad = HoareTriple(Bel(Atom("hpage_user")), never, Bel(Atom("Am_com")))
-    verdict = check_hoare_conditional(bad, graph)
+    verdict = check_hoare_basic(bad, graph.nodes)
     assert not verdict.holds and "idle" in verdict.detail
-    # the shipped graph has no steps of an action outside its program
-    with pytest.raises(VerifierError, match="not an action of the agent"):
-        check_hoare_conditional(ok, shopping_graph)
+    # any states are a scope, the shipped graph's too, whose program lacks
+    # the action
+    assert never not in agent.program
+    assert check_hoare_basic(ok, shopping_graph.nodes).holds
+    verdict = check_hoare_basic(bad, shopping_graph.nodes)
+    assert not verdict.holds and verdict.detail == "post fails in place (idle)"
 
 
 # -- the wlp calculus ---------------------------------------------------------
@@ -294,7 +296,7 @@ def test_a_holding_progress_triple_means_continuous_enabledness(shopping):
             pending = graph.states.mask(pre)
             for i, b in enumerate(agent.program):
                 triple = HoareTriple(pre, b, psi)
-                if check_hoare_conditional(triple, graph).holds:
+                if check_hoare_basic(triple, graph.nodes).holds:
                     held += pending != 0
                     assert pending & ~graph.executed[i] == 0
     assert held >= 20
@@ -551,8 +553,8 @@ def test_render_report_records(shopping):
 
 
 def test_verify_never_searches_the_program_for_an_action(monkeypatch):
-    # check_unless and check_ensures hand each action's position to
-    # check_hoare_conditional, so no action is compared with another.
+    # check_unless and check_ensures read each action's steps from the
+    # graph's index by position, so no action is compared with another.
     agent = ground_shopping_fixture()
     compared = []
     original = Record.__eq__
