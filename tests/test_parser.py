@@ -275,6 +275,38 @@ def test_benchmark_triples_match_the_reference():
                 is ref_parse_formula(arg, gen.ORACLE_ATOMS))
 
 
+def traffic_texts():
+    """The texts the benchmark and the test agents hand to ``lex``: every
+    triple's pre, post and argument, generated agents for three seeds, the
+    fixture and the test agents."""
+    gen = load_generators()
+    texts = []
+    for i in range(gen.ORACLE_CATALOGUE):
+        case = gen.oracle_case(1, i)
+        texts += [case.pre, case.post, case.statement[1]]
+    for seed in (1, 2, 3):
+        texts += [gen.ntask_case(seed, 0, n).text for n in (2, 6)]
+        texts.append(gen.wide_case(seed, 0, 6).text)
+    return texts + agent_sources()
+
+
+def test_traffic_is_lexed_without_the_pattern(monkeypatch):
+    texts = traffic_texts()
+    want = [[t for _, t, _ in reference_tokenize(text)] for text in texts]
+
+    class Refuse:
+        def __getattr__(self, name):
+            raise AssertionError(f"_LEXEME.{name} used")
+
+    monkeypatch.setattr(prop_logic, "_LEXEME", Refuse())
+    assert [lex(text) for text in texts] == want
+    with pytest.raises(AssertionError, match="_LEXEME.findall used"):
+        lex("p - q")
+    monkeypatch.undo()
+    assert [prop_logic._LEXEME.findall(text, prop_logic._SKIP.match(text).end())
+            for text in texts] == want
+
+
 def test_msformulas_read_alike_with_and_without_capabilities():
     gen = load_generators()
     for i in range(gen.ORACLE_CATALOGUE):

@@ -370,14 +370,34 @@ def _triples(text):
 _lexer_texts = st.text(st.one_of(
     st.sampled_from(list("pq_x1 \t\n#<->(){};,!&|")), st.characters()))
 
+# ASCII only, which lex splits with string methods: whole marks, arrows and
+# their pieces, names, white space and comments, and any ASCII character.
+_ascii_lexer_texts = st.lists(st.one_of(
+    st.sampled_from(["p", "q1", "_x", "9", " ", "\t", "\n", "\x1c", "# c",
+                     "<", "-", ">", "<-", "->", "<->", "(", ")", "{", "}",
+                     ";", ",", "!", "&", "|"]),
+    st.characters(max_codepoint=127))).map("".join)
 
-@given(st.one_of(st.text(), _lexer_texts))
+
+@given(st.one_of(st.text(), _lexer_texts, _ascii_lexer_texts))
 @settings(max_examples=300, deadline=None)
 @example("p1 & !_q -> (r <-> s) # note\n| t;")
 @example("a\u00b2 \u00b2a")           # superscript two: alnum, not alpha
 @example("\u00bd \u2167x \u4e00")      # numerics that are not letters
+@example("\u2167x")        # a Roman numeral starts an identifier, not a name
+@example("a\u0301")       # a combining mark continues one, not a name
 @example("p\x1c\u2028q\u00a0r\u3000")  # str.isspace beyond ASCII
 @example("<- -< <> - < #\r\n# x")
+@example("p->q")
+@example("a<->b->c")
+@example("p < -> q")
+@example("p <- > q")
+@example("<-->")
+@example("p-q")
+@example("1a")
+@example("p\x00q")
+@example("a\x1cb\x1fc\vd")
+@example("x # c <-> y\n& z")
 def test_lex_and_token_start_match_the_loop_reference(text):
     assert _outcome(_triples, text) == _outcome(reference_tokenize, text)
 
@@ -389,3 +409,34 @@ def test_lexer_classes_are_the_str_predicates():
     assert re.findall(r"\w", chars) == [c for c in chars
                                         if c.isalnum() or c == "_"]
 
+
+ASCII = [chr(c) for c in range(128)]
+
+
+def test_str_split_splits_ascii_exactly_at_white_space():
+    # lex splits ASCII text with str.split(), where _LEXEME skips \s
+    for c in ASCII:
+        space = re.fullmatch(r"\s", c) is not None
+        assert f"a{c}b".split() == (["a", "b"] if space else [f"a{c}b"])
+        assert c.split() == ([] if space else [c])
+
+
+def _is_name(text):
+    return re.fullmatch(r"[^\W\d]\w*", text) is not None
+
+
+def test_isidentifier_is_the_name_pattern_on_short_ascii_strings():
+    # lex accepts an ASCII name by str.isidentifier(), _LEXEME by this pattern
+    texts = ["", *ASCII, *(a + b for a in ASCII for b in ASCII)]
+    assert [t for t in texts if t.isidentifier()] == [
+        t for t in texts if _is_name(t)]
+
+
+@given(st.text(st.one_of(st.sampled_from("aZ_09"),
+                         st.characters(max_codepoint=127)), min_size=3))
+@settings(max_examples=300, deadline=None)
+@example("true")
+@example("in_cart_T1")
+@example("_9_")
+def test_isidentifier_is_the_name_pattern_on_longer_ascii_strings(text):
+    assert text.isidentifier() == _is_name(text)
