@@ -163,11 +163,10 @@ class _Reader:
                     f"expected 'add' or 'del' at position {where(at)}")
             if texts[at + 1] != "{":
                 raise expected("{", texts[at + 1], where(at + 1))
-            start = at = at + 2
-            while texts[at] != "}":
-                if not texts[at]:
-                    raise AgentParseError("unterminated add/del list")
-                at += 1
+            # a clause is a depth-0 piece of a balanced block, so the "{"
+            # has its "}" in it
+            start = at + 2
+            at = texts.index("}", start)
             listed = add if word == "add" else delete
             for part in self.split(span[start:at], ","):
                 phi, names = self.formula(part, book)

@@ -19,7 +19,7 @@ from .mental_state import (
 )
 from .agent_program import Agent, AgentParseError, SHOPPING_SOURCE, parse_agent
 from .executor import (
-    BudgetExceeded, InvalidBudget, fair_picks, reachable, trace,
+    BudgetExceeded, InvalidBudget, _non_negative, fair_picks, reachable, trace,
 )
 from .verifier import (
     HoareTriple, MissingAxiom, check_hoare_basic, derive_hoare, render_report,
@@ -34,10 +34,7 @@ EXIT_BUDGET = 3
 
 def _count(text: str) -> int:
     """argparse type for counts and limits: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
+    value = _non_negative(text)
     if value < 0:
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer, got {text!r}")

@@ -36,14 +36,17 @@ class InvalidBudget(BudgetExceeded):
     """
 
 
+def _non_negative(text: str) -> int:
+    """``text`` read as a non-negative integer, or -1 when it is not one."""
+    try:
+        return max(int(text), -1)
+    except ValueError:
+        return -1
+
+
 def default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = -1
+    budget = DEFAULT_BUDGET if raw is None else _non_negative(raw)
     if budget < 0:
         raise InvalidBudget(
             f"{BUDGET_ENV_VAR} must be a non-negative integer, got {raw!r}")

@@ -37,24 +37,24 @@ class BoundsExceeded(Exception):
 # Mental-state formula leaves.  Connectives are shared with prop_logic.
 
 
-class Bel(Formula):
+class _Modal(Formula):
+    """A B(...) or G(...) leaf: the subclasses differ only in the letter."""
+
     __slots__ = __match_args__ = ("arg",)
 
     def __post_init__(self) -> None:
         self._seal(None, self.arg.depth + 1)
 
     def render_leaf(self) -> str:
-        return f"B({render(self.arg)})"
+        return f"{self.letter}({render(self.arg)})"
 
 
-class Goal(Formula):
-    __slots__ = __match_args__ = ("arg",)
+class Bel(_Modal):
+    __slots__, letter = (), "B"
 
-    def __post_init__(self) -> None:
-        self._seal(None, self.arg.depth + 1)
 
-    def render_leaf(self) -> str:
-        return f"G({render(self.arg)})"
+class Goal(_Modal):
+    __slots__, letter = (), "G"
 
 
 class GoalAction(Record):
@@ -649,31 +649,25 @@ def _state_space(voc: tuple[str, ...],
     return tuple(out)
 
 
-# The held state sets, least recently used first, each with the length and
-# the first and last hashes of its states.
+# The held state sets, least recently used first.
 HELD_SETS = 16
-_held: list[tuple[tuple[int, ...], StateSet]] = []
+_held: list[StateSet] = []
 
 
 def held_set(states: Sequence[MentalState]) -> StateSet:
     """One state set per distinct state sequence, held with its memo and
-    image sets for the :data:`HELD_SETS` sequences used last.  A hit hashes
-    two states and compares ``states`` with the held set's states, which is
-    quick where they are the same objects, and none when ``states`` is the
-    very tuple the set used last holds."""
+    image sets for the :data:`HELD_SETS` sequences used last.  A held set
+    is found by identity or by equal length and ``==``, which is quick
+    where the states are the same objects."""
     given = tuple(states)
-    if _held and _held[-1][1].states is given:
-        return _held[-1][1]
-    mark = (len(given), hash(given[0]), hash(given[-1])) if given else (0,)
-    for k, (held_mark, scope) in enumerate(_held):
-        if held_mark == mark and scope.states == given:
+    for k in range(len(_held) - 1, -1, -1):
+        held = _held[k].states
+        if held is given or len(held) == len(given) and held == given:
             _held.append(_held.pop(k))
-            return scope
-    scope = StateSet(given)
-    _held.append((mark, scope))
-    if len(_held) > HELD_SETS:
-        del _held[0]
-    return scope
+            return _held[-1]
+    _held.append(StateSet(given))
+    del _held[:-HELD_SETS]
+    return _held[-1]
 
 
 @lru_cache(maxsize=16)

@@ -195,23 +195,23 @@ class Iff(_Binary):
     __slots__ = ()
 
 
-def conj(parts: Sequence[Formula]) -> Formula:
-    """Right-nested conjunction of ``parts`` (``true`` when empty)."""
+def _nest(cls: type, parts: Sequence[Formula], empty: Formula) -> Formula:
+    """``parts`` joined by ``cls``, nested to the right (``empty`` if none)."""
     if not parts:
-        return TRUE
+        return empty
     out = parts[-1]
     for part in reversed(parts[:-1]):
-        out = And(part, out)
+        out = cls(part, out)
     return out
+
+
+def conj(parts: Sequence[Formula]) -> Formula:
+    """Right-nested conjunction of ``parts`` (``true`` when empty)."""
+    return _nest(And, parts, TRUE)
 
 
 def disj(parts: Sequence[Formula]) -> Formula:
-    if not parts:
-        return FALSE
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = Or(part, out)
-    return out
+    return _nest(Or, parts, FALSE)
 
 
 # The operands of each connective class, read by one getter; a node whose

@@ -16,11 +16,11 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .prop_logic import (
-    And, FALSE, Formula, Iff, Imp, Not, Or, Record, TRUE, map_leaves, render,
-    tautology,
+    And, FALSE, Formula, Iff, Imp, Not, Or, Record, TRUE, atoms_of,
+    formula_for_table, map_leaves, render, tautology, truth_table,
 )
 from .mental_state import (
-    Bel, CapabilitySpec, ConditionalAction, Enabled, Goal, GoalAction,
+    Bel, ConditionalAction, EffectClause, Enabled, Goal, GoalAction,
     MentalState, Statement, Verdict, eval_msf, held_set, lowest_bit,
     map_goal_leaves, msf_leaves, set_bits, validity_oracle,
 )
@@ -109,26 +109,13 @@ def subst_insert(sigma: Formula, phi: Formula) -> Formula:
     return map_leaves(sigma, rewrite)
 
 
-def _builtin_insert_arg(cap: CapabilitySpec) -> Optional[Formula]:
-    if (len(cap.clauses) == 1 and cap.clauses[0].guard == TRUE
-            and len(cap.clauses[0].add) == 1 and not cap.clauses[0].delete):
-        return cap.clauses[0].add[0]
-    return None
-
-
-def _builtin_remove_arg(cap: CapabilitySpec) -> Optional[Formula]:
-    if (len(cap.clauses) == 1 and cap.clauses[0].guard == TRUE
-            and not cap.clauses[0].add and len(cap.clauses[0].delete) == 1):
-        return cap.clauses[0].delete[0]
-    return None
-
-
 def wlp(statement: Statement, sigma: Formula) -> Formula:
     """Weakest liberal precondition of ``sigma`` under ``statement``.
 
     adopt/drop/conditional are computed syntactically, and so are the two
-    built-in shapes of belief capability (pure single add, pure single
-    delete).  adopt and drop leave the beliefs, and so every ``enabled``
+    built-in shapes of belief capability: one clause, guard ``true``, with
+    a single add and no delete (insert) or no add and a single delete
+    (remove).  adopt and drop leave the beliefs, and so every ``enabled``
     leaf, as they are.  A belief update can change whether an action is
     enabled, and no rule here regresses that, so a belief capability under
     a ``sigma`` with an ``enabled`` leaf raises :class:`MissingAxiom`.
@@ -147,23 +134,46 @@ def wlp(statement: Statement, sigma: Formula) -> Formula:
     if leaf is not None:
         raise MissingAxiom(f"no wlp axiom for {render(leaf)} under "
                            f"capability {statement.name!r}")
-    phi = _builtin_insert_arg(statement)
-    if phi is not None:
-        guarded = subst_insert(sigma, phi)
-        blocked = Bel(Not(phi))
-        return Or(And(Not(blocked), guarded), And(blocked, sigma))
-    if _builtin_remove_arg(statement) is not None:
-        # Syntactic removal of a formula the canonical belief bases never
-        # contain verbatim: a no-op on every oracle-universe state.
-        return sigma
+    match statement.clauses:
+        case [EffectClause(guard, [phi], [])] if guard is TRUE:
+            guarded = subst_insert(sigma, phi)
+            blocked = Bel(Not(phi))
+            return Or(And(Not(blocked), guarded), And(blocked, sigma))
+        case [EffectClause(guard, [], [_])] if guard is TRUE:
+            # deletion is by identity: exact wherever the beliefs do not
+            # hold the formula itself (derive_hoare refuses the others)
+            return sigma
     raise MissingAxiom(f"no wlp axiom for capability {statement.name!r}")
+
+
+def _refuse_deleted_bases(statement: Statement, voc: tuple[str, ...]) -> None:
+    """Raise :class:`MissingAxiom` if ``statement`` deletes a belief base of
+    the bounded universe over ``voc``.  A non-empty base is one canonical
+    formula, which mentions every atom of ``voc``."""
+    if isinstance(statement, ConditionalAction):
+        statement = statement.action
+    if isinstance(statement, GoalAction):
+        return
+    for clause in statement.clauses:
+        for phi in clause.delete:
+            if voc and atoms_of(phi) == frozenset(voc) and formula_for_table(
+                    truth_table(phi, voc), voc) is phi:
+                raise MissingAxiom(
+                    f"no wlp axiom for capability {statement.name!r} over "
+                    f"atoms {', '.join(voc)}: it deletes {render(phi)}, "
+                    f"a belief base there")
 
 
 def derive_hoare(triple: HoareTriple, atoms: Sequence[str],
                  max_generators: int = 2) -> Verdict:
-    """Syntactic route: is pre -> wlp(statement, post) valid in bounds?"""
+    """Syntactic route: is pre -> wlp(statement, post) valid in bounds?
+    wlp's remove rule misses the state whose belief base is the removed
+    formula, so removing a base of the universe raises :class:`MissingAxiom`."""
     weakest = wlp(triple.statement, triple.post)
-    verdict = validity_oracle(Imp(triple.pre, weakest), atoms, max_generators)
+    voc = tuple(sorted(atoms))
+    # the oracle first, so that a universe out of bounds says so
+    verdict = validity_oracle(Imp(triple.pre, weakest), voc, max_generators)
+    _refuse_deleted_bases(triple.statement, voc)
     if verdict.holds:
         return verdict
     return Verdict(False, verdict.witness,
@@ -299,26 +309,23 @@ def check_leadsto(proof: LeadsToProof, agent: Agent,
             raise MalformedProof(
                 f"transitivity middle mismatch: {render(proof.first.right)} "
                 f"vs {render(proof.second.left)}")
-        for child in (proof.first, proof.second):
-            verdict = check_leadsto(child, agent, graph)
-            if not verdict.holds:
-                return verdict
-        return Verdict(True, scope="transitivity")
-    if isinstance(proof, Disj):
+        children, rule = (proof.first, proof.second), "transitivity"
+    elif isinstance(proof, Disj):
         if not proof.children:
             raise MalformedProof("empty disjunction node")
         if [c.left for c in proof.children] != _or_disjuncts(proof.left):
             raise MalformedProof(
                 f"disjunction children do not split {render(proof.left)}")
-        rights = {c.right for c in proof.children}
-        if len(rights) != 1:
+        if len({c.right for c in proof.children}) != 1:
             raise MalformedProof("disjunction children disagree on the conclusion")
-        for child in proof.children:
-            verdict = check_leadsto(child, agent, graph)
-            if not verdict.holds:
-                return verdict
-        return Verdict(True, scope="disjunction")
-    raise MalformedProof(f"not a proof node: {proof!r}")
+        children, rule = proof.children, "disjunction"
+    else:
+        raise MalformedProof(f"not a proof node: {proof!r}")
+    for child in children:
+        verdict = check_leadsto(child, agent, graph)
+        if not verdict.holds:
+            return verdict
+    return Verdict(True, scope=rule)
 
 
 def _or_disjuncts(phi: Formula) -> list[Formula]:

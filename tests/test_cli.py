@@ -361,6 +361,41 @@ def test_check_triple_wlp_refuses_belief_updates_under_enabled_leaves(
     assert "post fails after execution" in out
 
 
+KILL_AGENT = """
+vocab { x; y; }
+beliefs { x; }
+goals { y; }
+capability kill { when true add { } del { x }; }
+program { B(x) -> do(kill); }
+"""
+
+
+def test_check_triple_wlp_refuses_removing_a_belief_base(capsys, tmp_path):
+    """Over the atom x, the base {x} loses B(x) to kill: wlp's "remove
+    changes nothing" is wrong there, so the wlp route refuses."""
+    path = tmp_path / "kill.agent"
+    path.write_text(KILL_AGENT)
+    code, out, err = invoke(capsys, "check-triple", str(path), "B(x)", "kill",
+                            "B(x)", "--mode", "wlp")
+    assert code == EXIT_USAGE and not out
+    assert err == ("error: no wlp axiom for capability 'kill' over atoms x: "
+                   "it deletes x, a belief base there\n")
+    code, out, err = invoke(capsys, "check-triple", str(path), "B(x)", "kill",
+                            "B(x)")
+    assert code == EXIT_PROPERTY_FAILED and not err
+    assert "post fails after execution" in out
+
+
+def test_verify_reports_a_leadsto_with_no_proof(capsys, tmp_path):
+    path = tmp_path / "stuck.agent"
+    path.write_text(GOOD_AGENT.replace("ensures B(p) & G(q), B(q);",
+                                       "leadsto B(q), B(p);"))
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert code == EXIT_PROPERTY_FAILED and not err
+    assert ("leadsto B(q), B(p) | leadsto-composition | fails; no proof "
+            "found from the declared ensures steps\n") in out
+
+
 def test_check_triple_wlp_on_a_large_named_capability_exceeds_bounds(capsys):
     code, out, err = invoke(capsys, "check-triple", "--fixture", "shopping",
                             "enabled(pay_cart)", "adopt(Am_com)", "false",
@@ -486,6 +521,26 @@ def test_negative_counts_exit_2(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == EXIT_USAGE and not out
     assert "non-negative integer" in err
+
+
+@pytest.mark.parametrize("text", ["abc", "-1", "-0x1", "1.5", "", " ", "1e3",
+                                  "0x10", "--1", "+-1", "1__0", "0", " 7 ",
+                                  "+3", "1_0", "\u0663", "100"])
+def test_the_budget_flag_and_goal_budget_read_counts_alike(
+        capsys, monkeypatch, text):
+    code, out, err = invoke(capsys, "graph", "--fixture", "shopping",
+                            f"--budget={text}")
+    monkeypatch.setenv("GOAL_BUDGET", text)
+    env_code, env_out, env_err = invoke(capsys, "graph", "--fixture",
+                                        "shopping")
+    assert (code, out) == (env_code, env_out)
+    if code == EXIT_USAGE:
+        assert err.endswith(f"argument --budget: must be a non-negative "
+                            f"integer, got {text!r}\n")
+        assert env_err == (f"error: GOAL_BUDGET must be a non-negative "
+                           f"integer, got {text!r}\n")
+    else:
+        assert code == (EXIT_OK if text == "100" else EXIT_BUDGET)
 
 
 def test_a_step_count_past_the_largest_sequence_exits_2(capsys):

@@ -366,6 +366,22 @@ def test_mutated_agent_sources_match_the_reference(edits):
     "vocab { p; } beliefs { } goals { } program { B(p) -> do(drop(p)); }"
     " properties { leadsto B(p) , p; }",
     "vocab { p; } beliefs { } goals { } program { B(p) -> do(drop(p)); } }",
+    "vocab { p; } beliefs { p; } goals { } program { B(p) -> do(adopt p); }",
+    "vocab { p; } beliefs { p; } goals { } program { B(p) -> do(adopt((p); }",
+    "vocab { book T; x_book; } beliefs { } goals { x_T; }"
+    " program { G(x_T) -> do(drop(x_T)); } properties { invariant !B(x_book);"
+    " ensures_book G(x_book), B(x_book); }",
+    "vocab { book T U; p; } beliefs { } goals { }"
+    " program { B(p) -> do(drop(p)); }",
+    "vocab { p; q; p; } beliefs { } goals { } program { B(p) -> do(drop(p)); }",
+    "vocab { p; } beliefs { x_book; } goals { }"
+    " program { B(p) -> do(drop(p)); }",
+    "vocab { p; } beliefs { } goals { } capability c_book {"
+    " when true add { p } del { }; } program { B(p) -> do(drop(p)); }",
+    "vocab { p; } beliefs { } goals { } capability c { when true add { p }"
+    " del { }; } capability c { when p add { } del { p }; }"
+    " program { B(p) -> do(c); }",
+    "vocab { p; } beliefs { } goals { } program { ; }",
 ])
 def test_broken_agent_files_match_the_reference(text):
     assert_agent_parsers_agree(text)

@@ -1015,8 +1015,7 @@ def test_the_universe_and_sixteen_graph_scopes_share_one_held_cache(universe):
 
 
 def test_a_scope_list_mutated_between_calls_gets_its_own_set(universe):
-    # Only the middle changes, so the length and the first and last hashes
-    # that find a held set are the same for both lists.
+    # Only the middle changes: both lists agree in length and at both ends.
     triple = HoareTriple(TRUE, insert(P), Bel(Q))
     good = [s for s in universe if hoare_by_state(triple, [s]).holds]
     bad = next(s for s in universe if not hoare_by_state(triple, [s]).holds)

@@ -4,11 +4,13 @@ import json
 import pytest
 
 from goalkit.prop_logic import (
-    And, Atom, FALSE, Iff, Imp, Not, Or, Record, TRUE, tautology,
+    And, Atom, FALSE, Iff, Imp, Not, Or, Record, TRUE, parse_formula, render,
+    tautology,
 )
 from goalkit.mental_state import (
-    Bel, Enabled, Goal, MentalState, MentalStateError, enumerate_states,
-    eval_msf, msf_leaves, validity_oracle,
+    Bel, Enabled, Goal, MentalState, MentalStateError, Verdict,
+    canonical_formulas, enumerate_states, eval_msf, msf_leaves,
+    parse_msformula, validity_oracle,
 )
 from goalkit.capabilities import (
     CapabilitySpec, ConditionalAction, EffectClause, GoalAction, insert,
@@ -120,6 +122,86 @@ def test_subst_insert():
 def test_wlp_remove_is_identity_on_canonical_bases():
     sigma = And(Bel(P), Goal(Q))
     assert wlp(remove(P), sigma) == sigma
+
+
+def test_derive_refuses_removing_a_belief_base():
+    # x is the base of a state over the atom x, where removing it makes the
+    # post fail, so wlp's "remove leaves sigma as it is" is not exact there
+    x = Atom("x")
+    triple = HoareTriple(Bel(x), remove(x), Bel(x))
+    universe = list(enumerate_states(("x",), 2))
+    semantic = check_hoare_basic(triple, universe)
+    assert not semantic.holds
+    assert semantic.witness.beliefs == frozenset({x})
+    with pytest.raises(MissingAxiom) as refused:
+        derive_hoare(triple, ("x",), 2)
+    assert str(refused.value) == ("no wlp axiom for capability 'del(x)' over "
+                                  "atoms x: it deletes x, a belief base there")
+    # over the atoms p, q, neither atom is a base, and wlp is exact
+    assert derive_hoare(HoareTriple(Bel(P), remove(P), Bel(P)), PQ).holds
+    with pytest.raises(MissingAxiom, match=r"it deletes !p"):
+        derive_hoare(HoareTriple(TRUE, ConditionalAction(Bel(P), remove(Not(P))),
+                                 Bel(P)), ("p",))
+
+
+def test_wlp_agrees_with_the_states_or_refuses_on_every_small_universe():
+    """Insert and remove of each atom and each canonical formula, over every
+    universe of at most 2 atoms and 2 generators: derive_hoare agrees with
+    the statewise check, or refuses exactly where the removed formula is a
+    belief base, where the unrefused wlp is wrong on some triples."""
+    wrong = agreed = 0
+    for n in range(3):
+        atoms = PQ[:n]
+        canonical = canonical_formulas(atoms)
+        formulas = list(dict.fromkeys([Atom(a) for a in atoms] + canonical))
+        posts = [m(phi) for phi in formulas for m in (Bel, Goal)]
+        statements = [make(phi) for phi in formulas for make in (insert, remove)]
+        for max_generators in range(3):
+            universe = list(enumerate_states(atoms, max_generators))
+            for statement in statements:
+                deleted = statement.clauses[0].delete
+                base = bool(deleted) and deleted[0] in canonical[1:]
+                for post in posts:
+                    for pre in (TRUE, post, Not(post)):
+                        triple = HoareTriple(pre, statement, post)
+                        semantic = check_hoare_basic(triple, universe).holds
+                        if not base:
+                            assert derive_hoare(triple, atoms, max_generators
+                                                ).holds == semantic, str(triple)
+                            agreed += 1
+                            continue
+                        with pytest.raises(MissingAxiom, match="belief base"):
+                            derive_hoare(triple, atoms, max_generators)
+                        unrefused = validity_oracle(
+                            Imp(pre, wlp(statement, post)), atoms,
+                            max_generators).holds
+                        wrong += unrefused != semantic
+    assert agreed > 1000 and wrong > 0
+
+
+def test_the_benchmark_triples_agree_across_routes():
+    """The oracle workload's triples, built as its op builds them: both
+    routes agree, and agree with the expected verdict where one is set."""
+    from test_parser import load_generators
+    gen = load_generators()
+    atoms = gen.ORACLE_ATOMS
+    states = list(enumerate_states(atoms, 2))
+    builders = {"insert": insert, "remove": remove}
+    expected = set()
+    for i in range(gen.ORACLE_CATALOGUE):
+        case = gen.oracle_case(1, i)
+        kind, arg = case.statement
+        phi = parse_formula(arg, atoms)
+        statement = (builders[kind](phi) if kind in builders
+                     else GoalAction(kind, phi))
+        triple = HoareTriple(parse_msformula(case.pre, atoms), statement,
+                             parse_msformula(case.post, atoms))
+        semantic = check_hoare_basic(triple, states)
+        assert derive_hoare(triple, atoms, 2).holds == semantic.holds, i
+        if case.expected is not None:
+            assert semantic.holds == case.expected, i
+            expected.add(i)
+    assert len(expected) == 72
 
 
 def test_wlp_missing_axiom():
@@ -321,6 +403,27 @@ def test_leadsto_malformed_nodes(shopping):
     if a.right != b.right:
         with pytest.raises(MalformedProof, match="disagree"):
             check_leadsto(Disj(Or(a.left, b.left), (a, b)), agent, graph)
+
+
+def test_leadsto_returns_the_first_failing_node(shopping):
+    agent, graph = shopping
+    first = next(p for p in agent.properties if p.kind == "ensures")
+    holds = EnsuresLeaf(first.left, first.right)
+    target = Bel(Atom("in_cart_T"))
+    fails = EnsuresLeaf(first.right, target)
+    failed = check_leadsto(fails, agent, graph)
+    assert not failed.holds and failed.witness is not None
+    assert failed.detail.startswith(f"leaf {render(first.right)} ensures "
+                                    f"B(in_cart_T): ")
+    assert check_leadsto(Trans(holds, fails), agent, graph) == failed
+    # B(in_cart_T) ensures itself vacuously; the second disjunct fails
+    vacuous = EnsuresLeaf(target, target)
+    assert check_leadsto(Disj(Or(target, first.right), (vacuous, fails)),
+                         agent, graph) == failed
+    assert check_leadsto(Disj(Or(target, target), (vacuous, vacuous)),
+                         agent, graph) == Verdict(True, scope="disjunction")
+    with pytest.raises(MalformedProof, match="not a proof node"):
+        check_leadsto(first, agent, graph)
 
 
 def test_leadsto_disjunction_children_must_split_the_left_formula(shopping):
