@@ -13,10 +13,11 @@ graph-level trace oracles double-check the reductions.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .prop_logic import (
-    And, FALSE, Formula, Iff, Imp, Not, Or, Record, TRUE, atoms_of,
+    CACHE_SIZE, And, FALSE, Formula, Iff, Imp, Not, Or, Record, TRUE, atoms_of,
     formula_for_table, map_leaves, render, tautology, truth_table,
 )
 from .mental_state import (
@@ -109,6 +110,7 @@ def subst_insert(sigma: Formula, phi: Formula) -> Formula:
     return map_leaves(sigma, rewrite)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def wlp(statement: Statement, sigma: Formula) -> Formula:
     """Weakest liberal precondition of ``sigma`` under ``statement``.
 
@@ -119,6 +121,11 @@ def wlp(statement: Statement, sigma: Formula) -> Formula:
     leaf, as they are.  A belief update can change whether an action is
     enabled, and no rule here regresses that, so a belief capability under
     a ``sigma`` with an ``enabled`` leaf raises :class:`MissingAxiom`.
+
+    The last ``CACHE_SIZE`` answers are kept, keyed by the statement (a
+    record hashed by its fields) and the interned ``sigma``, so an equal
+    statement built afresh gets the node a fresh computation would build.
+    :class:`MissingAxiom` is raised on every call and never kept.
     """
     if isinstance(statement, ConditionalAction):
         inner = wlp(statement.action, sigma)

@@ -10,17 +10,18 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from goalkit.prop_logic import (
     And, Atom, Const, FALSE, Formula, FormulaError, Iff, Imp, MAX_DEPTH, Not,
-    Or, TRUE, atoms_of, consistent, entails, formula_for_table, leaves, render,
-    truth_table,
+    Or, TRUE, atoms_of, consistent, entails, formula_for_table, leaves,
+    parse_formula, render, truth_table,
 )
 from goalkit.mental_state import (
     Bel, Enabled, Goal, MentalState, MentalStateError, canonical_formulas,
-    msf_atoms,
+    msf_atoms, parse_msformula,
 )
 from goalkit.capabilities import (
     Action, CapabilitySpec, ConditionalAction, EffectClause, GoalAction,
-    apply_M, enabled_cap,
+    apply_M, enabled_cap, insert, remove,
 )
+from goalkit.verifier import HoareTriple
 from goalkit.agent_program import (
     Agent, AgentParseError, PropertyDecl, _expand_name, _is_schema,
 )
@@ -205,6 +206,18 @@ def with_actions(agent: Agent, *actions: ConditionalAction) -> Agent:
     return Agent(agent.vocab, agent.books, agent.capabilities,
                  agent.program + actions, agent.initial_state,
                  agent.properties)
+
+
+def oracle_triple(case, atoms: tuple[str, ...]) -> HoareTriple:
+    """A triple of the benchmark's ``oracle`` catalogue, built as
+    ``bench/run.py``'s op builds it: a fresh statement on every call."""
+    kind, arg = case.statement
+    phi = parse_formula(arg, atoms)
+    builders = {"insert": insert, "remove": remove}
+    statement = (builders[kind](phi) if kind in builders
+                 else GoalAction(kind, phi))
+    return HoareTriple(parse_msformula(case.pre, atoms), statement,
+                       parse_msformula(case.post, atoms))
 
 
 # ---------------------------------------------------------------------------

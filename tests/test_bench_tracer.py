@@ -10,7 +10,7 @@ from pathlib import Path
 
 from goalkit import capabilities, mental_state, verifier
 from goalkit.agent_program import ground_shopping_fixture
-from goalkit.prop_logic import Atom, TRUE
+from goalkit.prop_logic import Atom, Not, TRUE
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -59,3 +59,23 @@ def test_image_set_builds_are_traced_as_apply_M_calls():
     finally:
         tracer.uninstall()
     assert tracer.calls["capabilities.apply_M"] == len(states)
+
+
+def test_wlp_calls_count_calls_not_memo_misses():
+    # wlp keeps its answers; the second derivation is answered from the
+    # memo and still counts as a call
+    triple = verifier.HoareTriple(
+        TRUE, mental_state.GoalAction("drop", Atom("p")),
+        Not(mental_state.Goal(Atom("p"))))
+    verifier.wlp.cache_clear()
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        with tracer.op(0):
+            for _ in range(2):
+                assert verifier.derive_hoare(triple, ("p",)).holds
+    finally:
+        tracer.uninstall()
+    assert verifier.wlp.cache_info().hits == 1
+    assert tracer.calls["verifier.derive_hoare"] == 2
+    assert tracer.calls["verifier.wlp"] == 2

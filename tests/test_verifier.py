@@ -4,13 +4,12 @@ import json
 import pytest
 
 from goalkit.prop_logic import (
-    And, Atom, FALSE, Iff, Imp, Not, Or, Record, TRUE, parse_formula, render,
-    tautology,
+    And, Atom, FALSE, Iff, Imp, Not, Or, Record, TRUE, render, tautology,
 )
 from goalkit.mental_state import (
     Bel, Enabled, Goal, MentalState, MentalStateError, Verdict,
     canonical_formulas, enumerate_states, eval_msf, msf_leaves,
-    parse_msformula, validity_oracle,
+    validity_oracle,
 )
 from goalkit.capabilities import (
     CapabilitySpec, ConditionalAction, EffectClause, GoalAction, insert,
@@ -26,7 +25,7 @@ from goalkit.verifier import (
     t_ensures, t_eventually, trap_lasso, verify_agent, wlp,
 )
 
-from helpers import micro_agent, with_actions
+from helpers import micro_agent, oracle_triple, with_actions
 
 P, Q = Atom("p"), Atom("q")
 PQ = ("p", "q")
@@ -181,23 +180,32 @@ def test_wlp_agrees_with_the_states_or_refuses_on_every_small_universe():
 
 def test_the_benchmark_triples_agree_across_routes():
     """The oracle workload's triples, built as its op builds them: both
-    routes agree, and agree with the expected verdict where one is set."""
+    routes agree, and agree with the expected verdict where one is set.
+    Each triple is checked three times, built afresh each time: once, again
+    straight away (wlp answers from its memo), and once more after the memo
+    is emptied; the verdicts, witnesses and details of both routes are the
+    same in all three."""
     from test_parser import load_generators
     gen = load_generators()
     atoms = gen.ORACLE_ATOMS
     states = list(enumerate_states(atoms, 2))
-    builders = {"insert": insert, "remove": remove}
+
+    def verdicts(case):
+        triple = oracle_triple(case, atoms)
+        return derive_hoare(triple, atoms, 2), check_hoare_basic(triple, states)
+
     expected = set()
     for i in range(gen.ORACLE_CATALOGUE):
         case = gen.oracle_case(1, i)
-        kind, arg = case.statement
-        phi = parse_formula(arg, atoms)
-        statement = (builders[kind](phi) if kind in builders
-                     else GoalAction(kind, phi))
-        triple = HoareTriple(parse_msformula(case.pre, atoms), statement,
-                             parse_msformula(case.post, atoms))
-        semantic = check_hoare_basic(triple, states)
-        assert derive_hoare(triple, atoms, 2).holds == semantic.holds, i
+        first = verdicts(case)
+        hits = wlp.cache_info().hits
+        again = verdicts(case)
+        assert wlp.cache_info().hits == hits + 1, i
+        wlp.cache_clear()
+        cleared = verdicts(case)
+        assert first == again == cleared, i
+        derived, semantic = first
+        assert derived.holds == semantic.holds, i
         if case.expected is not None:
             assert semantic.holds == case.expected, i
             expected.add(i)
