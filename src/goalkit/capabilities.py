@@ -7,9 +7,10 @@ clause fires or the updated base is inconsistent.  Undefined updates are a
 normal value (``None``); the executor turns them into idle steps.
 ``CapabilitySpec``, ``EffectClause``, ``ConditionalAction``, ``apply_T``
 and the mental-state transformer ``apply_M`` are defined in
-``mental_state``, where ``enabled(...)`` leaves and image sets evaluate
-through them, and are re-exported here.  ``apply_M`` is the transition of
-every action, conditional ones included, and enabledness is read off it.
+``mental_state`` and re-exported here.  ``apply_M`` is the transition of
+every action, conditional ones included, and builds the image sets.  An
+``enabled(...)`` leaf reads ``GoalAction.enabled_at`` or
+``CapabilitySpec.enabled_at`` instead, which decide it from the beliefs.
 """
 
 from __future__ import annotations

@@ -583,42 +583,31 @@ MAX_ORACLE_GENERATORS = 3
 MAX_ORACLE_WORK = 250_000
 
 
-def canonical_formulas(vocab: tuple[str, ...],
-                       include_false: bool = False) -> list[Formula]:
-    """Canonical representatives of all semantic classes over ``vocab``.
+def canonical_formulas(vocab: tuple[str, ...]) -> list[Formula]:
+    """Canonical representatives of the satisfiable classes over ``vocab``.
 
     Ordered from weakest (true) to strongest, numerically within a size.
     """
     n_vals = 1 << len(vocab)
-    tables = sorted(range(0 if include_false else 1, 1 << n_vals),
+    tables = sorted(range(1, 1 << n_vals),
                     key=lambda t: (-bin(t).count("1"), t))
     return [formula_for_table(t, vocab) for t in tables]
 
 
 def enumerate_states(vocab: Sequence[str],
-                     max_generators: int = 2) -> Iterator[MentalState]:
+                     max_generators: int = 2) -> tuple[MentalState, ...]:
     """All mental states over ``vocab``, one per semantic class.
 
     Belief bases range over nonempty valuation sets (weakest theory first);
     generators over canonical consistent formulas, up to ``max_generators``
     per state, skipping candidates the beliefs entail.  The order is fixed,
-    so "first countermodel" is well defined.  A universe whose states and
+    so "first countermodel" is well defined.  The result is the universe's
+    one cached tuple, the same object on every call while it is cached, so
+    :func:`held_set` finds its set by identity.  A universe whose states and
     theory x candidate checks exceed :data:`MAX_ORACLE_WORK` is refused
-    with :class:`BoundsExceeded` before it is built.
+    with :class:`BoundsExceeded` on every call, before it is built.
     """
-    voc = tuple(sorted(vocab))
-    if len(voc) > MAX_ORACLE_ATOMS:
-        raise BoundsExceeded(f"at most {MAX_ORACLE_ATOMS} atoms supported")
-    if max_generators > MAX_ORACLE_GENERATORS:
-        raise BoundsExceeded(f"at most {MAX_ORACLE_GENERATORS} generators supported")
-    work = (universe_size(len(voc), max_generators)
-            + ((1 << (1 << len(voc))) - 1) ** 2)
-    if work > MAX_ORACLE_WORK:
-        raise BoundsExceeded(
-            f"the universe over {len(voc)} atoms and {max_generators} "
-            f"generators is too large ({work:,} units of work, at most "
-            f"{MAX_ORACLE_WORK:,} supported)")
-    yield from _state_space(voc, max_generators)
+    return _state_space(tuple(sorted(vocab)), max_generators)
 
 
 def universe_size(n_atoms: int, max_generators: int) -> int:
@@ -635,6 +624,18 @@ def universe_size(n_atoms: int, max_generators: int) -> int:
 @lru_cache(maxsize=16)
 def _state_space(voc: tuple[str, ...],
                  max_generators: int) -> tuple[MentalState, ...]:
+    # the bounds are checked ahead of any build; a raise is never cached
+    if len(voc) > MAX_ORACLE_ATOMS:
+        raise BoundsExceeded(f"at most {MAX_ORACLE_ATOMS} atoms supported")
+    if max_generators > MAX_ORACLE_GENERATORS:
+        raise BoundsExceeded(f"at most {MAX_ORACLE_GENERATORS} generators supported")
+    work = (universe_size(len(voc), max_generators)
+            + ((1 << (1 << len(voc))) - 1) ** 2)
+    if work > MAX_ORACLE_WORK:
+        raise BoundsExceeded(
+            f"the universe over {len(voc)} atoms and {max_generators} "
+            f"generators is too large ({work:,} units of work, at most "
+            f"{MAX_ORACLE_WORK:,} supported)")
     # the theories are the canonical formulas too, in the same order
     candidates = canonical_formulas(voc)
     tables = [truth_table(g, voc) for g in candidates]
@@ -670,36 +671,23 @@ def held_set(states: Sequence[MentalState]) -> StateSet:
     return _held[-1]
 
 
-@lru_cache(maxsize=16)
-def _universe_states(voc: tuple[str, ...],
-                     max_generators: int) -> tuple[MentalState, ...]:
-    return tuple(enumerate_states(voc, max_generators))
-
-
-def _universe(voc: tuple[str, ...], max_generators: int) -> StateSet:
-    """The bounded universe's set: the one :func:`held_set` holds for its
-    states, which ``check_hoare_basic`` uses for the same states.  An
-    out-of-bounds request raises on every call."""
-    return held_set(_universe_states(voc, max_generators))
-
-
 def validity_oracle(phi: Formula, atoms: Sequence[str],
                     max_generators: int = 2) -> Verdict:
     """Decide ``phi`` over all bounded mental states.
 
     A refutation is exact: its witness is the least countermodel in
-    enumeration order.  A holding verdict claims validity only within the
-    bounds, which its scope names.
-    Every call over the same atoms and generator bound evaluates on one
-    held :class:`StateSet`, the one :func:`held_set` holds for the
-    universe's states, which ``check_hoare_basic`` also evaluates its
-    preconditions on and holds its image sets on; so the class indexes
-    and the truth values either route computed serve later calls of both.
+    enumeration order, the very object :func:`enumerate_states` gives.  A
+    holding verdict claims validity only within the bounds its scope names.
+    Every call evaluates on the held :class:`StateSet` of the universe's
+    cached tuple, which ``check_hoare_basic`` also evaluates on when its
+    scope is that universe, so the class indexes, truth values and image
+    sets either route computed serve later calls of both.
     """
     voc = tuple(sorted(atoms))
-    space = _universe(voc, max_generators)
+    states = enumerate_states(voc, max_generators)
+    space = held_set(states)
     refuted = space.full & ~space.mask(phi)
     if refuted:
-        return Verdict(False, space.states[lowest_bit(refuted)])
+        return Verdict(False, states[lowest_bit(refuted)])
     return Verdict(True, scope=f"valid-within-bounds (atoms={','.join(voc)}, "
                                f"generators<={max_generators})")

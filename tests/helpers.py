@@ -87,7 +87,7 @@ def semantic_pool(leaves: Sequence[Formula], depth: int,
 def msf_leaves_over(vocab: tuple[str, ...],
                     args: Optional[Iterable[Formula]] = None) -> list[Formula]:
     if args is None:
-        args = canonical_formulas(vocab, include_false=True)
+        args = [*canonical_formulas(vocab), FALSE]
     out: list[Formula] = []
     for phi in args:
         out.append(Bel(phi))

@@ -60,8 +60,8 @@ def universe():
     return states, StateSet(states)
 
 
-MSF_LEAVES = ([Bel(phi) for phi in canonical_formulas(PQ, include_false=True)]
-              + [Goal(phi) for phi in canonical_formulas(PQ, include_false=True)]
+MSF_LEAVES = ([Bel(phi) for phi in [*canonical_formulas(PQ), FALSE]]
+              + [Goal(phi) for phi in [*canonical_formulas(PQ), FALSE]]
               + [TRUE, FALSE])
 
 
@@ -202,7 +202,7 @@ def test_criterion_04_axiom_suites(universe):
     all sixteen semantic classes of 2-atom arguments."""
     states, vec = universe
     full = vec.full
-    args = canonical_formulas(PQ, include_false=True)
+    args = [*canonical_formulas(PQ), FALSE]
 
     def valid(phi):
         return vec.mask(phi) == full
@@ -266,7 +266,7 @@ def test_criterion_05_substitution_lemma(universe):
     statements = ([(GoalAction("adopt", phi), _subst_adopt)
                    for phi in canonical_formulas(PQ)]
                   + [(GoalAction("drop", phi), _subst_drop)
-                     for phi in canonical_formulas(PQ, include_false=True)])
+                     for phi in [*canonical_formulas(PQ), FALSE]])
     for statement, subst in statements:
         check(statement, subst, MSF_LEAVES)
 
@@ -292,7 +292,7 @@ def test_criterion_06_wlp_matches_semantic_checking(universe):
                   + [remove(P), remove(Q)]
                   + [GoalAction("adopt", phi) for phi in canonical_formulas(PQ)]
                   + [GoalAction("drop", phi)
-                     for phi in canonical_formulas(PQ, include_false=True)])
+                     for phi in [*canonical_formulas(PQ), FALSE]])
     rng = random.Random(0xC6)
     posts = MSF_LEAVES + [random_msf(rng, 3) for _ in range(120)]
     for statement in statements:

@@ -79,3 +79,22 @@ def test_wlp_calls_count_calls_not_memo_misses():
     assert verifier.wlp.cache_info().hits == 1
     assert tracer.calls["verifier.derive_hoare"] == 2
     assert tracer.calls["verifier.wlp"] == 2
+
+
+def test_oracle_calls_are_traced_as_state_cache_hits():
+    # validity_oracle asks enumerate_states for its universe on every call;
+    # on a warm universe each is a hit of the one state cache, so no
+    # universe is built inside an op
+    mental_state.enumerate_states(("p",), 1)
+    misses = mental_state._state_space.cache_info().misses
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        with tracer.op(0):
+            for phi in (TRUE, mental_state.Bel(Atom("p")), Not(TRUE)):
+                mental_state.validity_oracle(phi, ("p",), 1)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["mental_state.validity_oracle"] == 3
+    assert tracer.calls["mental_state.enumerate_states"] == 3
+    assert mental_state._state_space.cache_info().misses == misses

@@ -207,7 +207,7 @@ def test_drop_matches_unmemoized_weakenings_on_the_universe():
     assert mental_state._weakenings.cache_info().maxsize == CACHE_SIZE
     vocab = ("p", "q")
     universe = list(enumerate_states(vocab, 2))
-    for phi in canonical_formulas(vocab, include_false=True):
+    for phi in [*canonical_formulas(vocab), FALSE]:
         action = GoalAction("drop", phi)
         for s in universe:
             assert apply_M(action, s) == drop_afresh(phi, s), (phi, s)

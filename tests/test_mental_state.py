@@ -106,7 +106,7 @@ def test_canonical_formulas_order_and_count():
     assert len(cs) == 3
     assert cs[0] == TRUE or truth_table(cs[0], ("p",)) == 0b11
     assert len(canonical_formulas(("p", "q"))) == 15
-    assert len(canonical_formulas(("p", "q"), include_false=True)) == 16
+    assert FALSE not in canonical_formulas(("p", "q"))
 
 
 def test_enumerate_states_counts():
@@ -128,6 +128,23 @@ def test_enumerate_states_bounds():
         list(enumerate_states(("a", "b", "c", "d", "e")))
     with pytest.raises(BoundsExceeded):
         list(enumerate_states(("p",), max_generators=9))
+
+
+def test_the_oracle_witness_is_an_enumerated_state_after_other_universes():
+    # The oracle takes its universe from enumerate_states' one cache: after
+    # more other universes than that cache holds, its countermodel is still
+    # one of the very states enumerate_states gives, not an equal copy.
+    pq = ("p", "q")
+    validity_oracle(Bel(P), pq, 1)
+    for atom in "abcde":
+        for g in range(MAX_ORACLE_GENERATORS + 1):
+            assert len(list(enumerate_states((atom,), g))) > 1
+    witness = validity_oracle(Bel(P), pq, 1).witness
+    assert any(s is witness for s in enumerate_states(pq, 1))
+    assert enumerate_states(pq, 1) is enumerate_states(pq, 1)
+    for _ in range(2):
+        with pytest.raises(BoundsExceeded):
+            enumerate_states(("p", "q", "r"), 2)
 
 
 # The universes within the work bound: up to 2 atoms with up to 3

@@ -302,8 +302,9 @@ def test_held_universe_matches_statewise_reference():
         outcomes.add(got.holds)
     assert outcomes == {True, False}
     for max_generators in (1, 2):
-        space = mental_state._universe(PQ, max_generators)
-        assert space is mental_state._universe(PQ, max_generators)
+        space = mental_state.held_set(enumerate_states(PQ, max_generators))
+        assert space is mental_state.held_set(
+            enumerate_states(PQ, max_generators))
         assert 0 < len(space._known) <= CACHE_SIZE
 
 
@@ -312,7 +313,7 @@ def test_a_raising_leaf_leaves_no_value_in_the_held_universe():
     for _ in range(2):
         with pytest.raises(MentalStateError):
             validity_oracle(phi, PQ, 2)
-    known = mental_state._universe(PQ, 2)._known
+    known = mental_state.held_set(enumerate_states(PQ, 2))._known
     assert RAISES not in known and phi not in known
     for psi in (Or(Bel(P), Not(Bel(P))), Or(Bel(P), Goal(Q)),
                 And(Bel(FALSE), RAISES), Imp(Bel(FALSE), RAISES)):
@@ -384,7 +385,7 @@ def test_a_leaf_reached_only_after_the_first_countermodel_raises(universe):
 
 # Every canonical belief update and goal action over p, q.
 CANONICAL_ACTIONS = [make(phi)
-                     for phi in canonical_formulas(PQ, include_false=True)
+                     for phi in [*canonical_formulas(PQ), FALSE]
                      for make in (insert, remove,
                                   lambda phi: GoalAction("adopt", phi),
                                   lambda phi: GoalAction("drop", phi))]
@@ -397,7 +398,7 @@ def test_hoare_basic_on_a_rebuilt_universe_matches_statewise_reference(
     rebuilt = [MentalState(frozenset(s.beliefs), frozenset(s.goals))
                for s in universe]
     assert all(a == b and a is not b for a, b in zip(universe, rebuilt))
-    scope = mental_state._universe(PQ, 2)
+    scope = mental_state.held_set(enumerate_states(PQ, 2))
     assert mental_state.held_set(tuple(universe)) is scope
     assert mental_state.held_set(tuple(rebuilt)) is scope
     rng = random.Random(0x11)
@@ -1008,7 +1009,7 @@ def test_the_universe_and_sixteen_graph_scopes_share_one_held_cache(universe):
     validity_oracle(Bel(P), PQ, 2)
     for nodes in scopes:
         check_hoare_basic(HoareTriple(TRUE, insert(P), Bel(P)), nodes)
-    space = mental_state._universe(PQ, 2)
+    space = mental_state.held_set(enumerate_states(PQ, 2))
     assert mental_state.held_set(universe) is space
     assert mental_state.held_set(tuple(universe)) is space
     assert len(mental_state._held) <= mental_state.HELD_SETS
