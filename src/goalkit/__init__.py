@@ -3,7 +3,7 @@ beliefs, declarative goals, and conditional actions."""
 
 from .prop_logic import (
     And, Atom, Const, FALSE, Formula, FormulaError, Iff, Imp, Not, Or, TRUE,
-    consistent, entails, equivalent, parse_formula, render, tautology,
+    consistent, entails, parse_formula, render, tautology,
 )
 from .mental_state import (
     Bel, BoundsExceeded, Enabled, Goal, MentalState, MentalStateError,
@@ -15,20 +15,16 @@ from .capabilities import (
     GoalAction, apply_T, enabled_cap, enabled_cond, insert, remove,
 )
 from .agent_program import (
-    Agent, AgentParseError, PropertyDecl, SHOPPING_SOURCE,
-    ground_shopping_fixture, parse_agent, pretty_print,
+    Agent, AgentParseError, PropertyDecl, SHOPPING_SOURCE, parse_agent,
 )
 from .executor import (
     BudgetExceeded, StateGraph, Step, fair_picks, reachable, schedule, step,
     trace,
 )
 from .verifier import (
-    Disj, EnsuresLeaf, HoareTriple, LassoTrace, MalformedProof, MissingAxiom,
-    Trans, Until, Verdict, check_ensures, check_hoare_basic, check_leadsto,
-    check_unless, derive_hoare, eval_temporal, fair_lasso, fair_lasso_from,
-    graph_ensures, graph_eventuality, graph_unless, prove_leadsto,
-    render_report, t_always, t_ensures, t_eventually, t_unless, trap_lasso,
-    verify_agent, wlp,
+    Disj, EnsuresLeaf, HoareTriple, MalformedProof, MissingAxiom, Trans,
+    Verdict, check_ensures, check_hoare_basic, check_leadsto, check_unless,
+    derive_hoare, prove_leadsto, render_report, verify_agent, wlp,
 )
 from .cli import main
 

@@ -375,45 +375,6 @@ def parse_agent(text: str) -> Agent:
 
 
 # ---------------------------------------------------------------------------
-# Pretty printing (canonical, already-expanded form).
-
-
-def pretty_print(agent: Agent) -> str:
-    lines: list[str] = ["vocab {"]
-    for book in agent.books:
-        lines.append(f"  book {book};")
-    for atom in agent.vocab:
-        lines.append(f"  {atom};")
-    lines.append("}")
-    lines.append("beliefs {")
-    for phi in sorted(agent.initial_state.beliefs, key=render):
-        lines.append(f"  {render(phi)};")
-    lines.append("}")
-    lines.append("goals {")
-    for phi in sorted(agent.initial_state.goals, key=render):
-        lines.append(f"  {render(phi)};")
-    lines.append("}")
-    for cap in agent.capabilities:
-        lines.append(f"capability {cap.name} {{")
-        for clause in cap.clauses:
-            add = ", ".join(render(f) for f in clause.add)
-            delete = ", ".join(render(f) for f in clause.delete)
-            lines.append(f"  when {render(clause.guard)} "
-                         f"add {{ {add} }} del {{ {delete} }};")
-        lines.append("}")
-    lines.append("program {")
-    for rule in agent.program:
-        lines.append(f"  {rule};")
-    lines.append("}")
-    if agent.properties:
-        lines.append("properties {")
-        for prop in agent.properties:
-            lines.append(f"  {prop};")
-        lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # The shopping fixture.
 #
 # Sites are mutually exclusive page atoms: every page-changing clause
@@ -518,8 +479,3 @@ properties {{
           B(bought_T & bought_I);
 }}
 """
-
-
-def ground_shopping_fixture() -> Agent:
-    """The propositionalized book-buying agent (8 conditional actions)."""
-    return parse_agent(SHOPPING_SOURCE)

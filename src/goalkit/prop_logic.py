@@ -373,10 +373,6 @@ def tautology(phi: Formula) -> bool:
     return entails((), phi)
 
 
-def equivalent(phi: Formula, psi: Formula) -> bool:
-    return tautology(Iff(phi, psi))
-
-
 def minterm(index: int, vocab: tuple[str, ...]) -> Formula:
     """The conjunction of literals picking out valuation ``index``."""
     lits: list[Formula] = []

@@ -7,17 +7,16 @@ liberal preconditions and discharges the residue with the validity oracle.
 :func:`check_hoare_basic` is the one semantic triple checker: it takes any
 statement, conditional actions included, over any sequence of states.
 Temporal properties (unless / ensures / leads-to) reduce to finitely many
-Hoare obligations, which ``verify`` reads off the reachable graph's index;
-graph-level trace oracles double-check the reductions.
+Hoare obligations, which ``verify`` reads off the reachable graph's index.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Generator, Iterable, Iterator, Optional, Sequence, Union
 
 from .prop_logic import (
-    CACHE_SIZE, And, FALSE, Formula, Iff, Imp, Not, Or, Record, TRUE, atoms_of,
+    CACHE_SIZE, And, FALSE, Formula, Imp, Not, Or, Record, TRUE, atoms_of,
     formula_for_table, map_leaves, render, tautology, truth_table,
 )
 from .mental_state import (
@@ -277,11 +276,14 @@ class Trans(Record):
 
     @property
     def left(self) -> Formula:
-        return self.first.left
+        node = self.first
+        while isinstance(node, Trans):
+            node = node.first
+        return node.left
 
     @property
     def right(self) -> Formula:
-        return self.second.right
+        return _conclusion(self)
 
 
 class Disj(Record):
@@ -291,48 +293,64 @@ class Disj(Record):
 
     @property
     def right(self) -> Formula:
-        return self.children[0].right
+        return _conclusion(self)
 
 
 LeadsToProof = Union[EnsuresLeaf, Trans, Disj]
+
+_RULES = {EnsuresLeaf: "ensures leaf", Trans: "transitivity",
+          Disj: "disjunction"}
+
+
+def _conclusion(node: LeadsToProof) -> Formula:
+    """The right formula of a proof node: down the last premise of each
+    transitivity and the first child of each disjunction, in a loop, so
+    that a long proof is read without recursion."""
+    while isinstance(node, (Trans, Disj)):
+        node = node.second if isinstance(node, Trans) else node.children[0]
+    return node.right
 
 
 def check_leadsto(proof: LeadsToProof, agent: Agent,
                   graph: Optional[StateGraph] = None) -> Verdict:
     """Validate a leads-to proof tree: leaves by the ensures rule, inner
     nodes by transitivity (matching middle formula) or disjunction
-    (matching right formulas)."""
+    (matching right formulas).
+
+    The nodes are visited in pre-order from an explicit stack, so a proof
+    of any length is checked without recursion.  A malformed node raises
+    when it is reached, the first failing leaf's verdict is returned, and
+    a valid proof holds under its root's rule.
+    """
     if graph is None:
         graph = reachable(agent)
-    if isinstance(proof, EnsuresLeaf):
-        verdict = check_ensures(proof.left, proof.right, agent, graph)
-        if not verdict.holds:
-            return Verdict(False, verdict.witness,
-                           detail=f"leaf {render(proof.left)} ensures "
-                                  f"{render(proof.right)}: {verdict.detail}")
-        return Verdict(True, scope="ensures leaf")
-    if isinstance(proof, Trans):
-        if proof.first.right != proof.second.left:
-            raise MalformedProof(
-                f"transitivity middle mismatch: {render(proof.first.right)} "
-                f"vs {render(proof.second.left)}")
-        children, rule = (proof.first, proof.second), "transitivity"
-    elif isinstance(proof, Disj):
-        if not proof.children:
-            raise MalformedProof("empty disjunction node")
-        if [c.left for c in proof.children] != _or_disjuncts(proof.left):
-            raise MalformedProof(
-                f"disjunction children do not split {render(proof.left)}")
-        if len({c.right for c in proof.children}) != 1:
-            raise MalformedProof("disjunction children disagree on the conclusion")
-        children, rule = proof.children, "disjunction"
-    else:
-        raise MalformedProof(f"not a proof node: {proof!r}")
-    for child in children:
-        verdict = check_leadsto(child, agent, graph)
-        if not verdict.holds:
-            return verdict
-    return Verdict(True, scope=rule)
+    pending = [proof]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, EnsuresLeaf):
+            verdict = check_ensures(node.left, node.right, agent, graph)
+            if not verdict.holds:
+                return Verdict(False, verdict.witness,
+                               detail=f"leaf {render(node.left)} ensures "
+                                      f"{render(node.right)}: {verdict.detail}")
+        elif isinstance(node, Trans):
+            if node.first.right != node.second.left:
+                raise MalformedProof(
+                    f"transitivity middle mismatch: {render(node.first.right)} "
+                    f"vs {render(node.second.left)}")
+            pending += (node.second, node.first)
+        elif isinstance(node, Disj):
+            if not node.children:
+                raise MalformedProof("empty disjunction node")
+            if [c.left for c in node.children] != _or_disjuncts(node.left):
+                raise MalformedProof(
+                    f"disjunction children do not split {render(node.left)}")
+            if len({c.right for c in node.children}) != 1:
+                raise MalformedProof("disjunction children disagree on the conclusion")
+            pending += reversed(node.children)
+        else:
+            raise MalformedProof(f"not a proof node: {node!r}")
+    return Verdict(True, scope=_RULES[type(proof)])
 
 
 def _or_disjuncts(phi: Formula) -> list[Formula]:
@@ -352,20 +370,31 @@ def prove_leadsto(alpha: Formula, omega: Formula, agent: Agent,
                   graph: Optional[StateGraph] = None) -> Optional[LeadsToProof]:
     """Search for a leads-to proof of ``alpha -> omega``.
 
-    ``steps`` are validated ensures properties used as stepping stones.
+    ``steps`` are ensures properties used as stepping stones, unchecked:
+    ``verify`` passes every declared one, failing ones included, and
+    :func:`check_leadsto` then reports the proof's first failing leaf.
     Composition uses transitivity, disjunction over top-level disjuncts,
     and bridging leaves alpha ensures phi_i wherever alpha entails phi_i
     over the reachable states (such leaves hold vacuously).
+
+    ``search`` is a pure function of its question, a formula and the
+    steps used so far, so each question is answered once per call.  Its
+    frames are generators that yield their sub-questions to a loop over
+    an explicit stack, so a long chain of steps does not recurse.
     """
     if graph is None:
         graph = reachable(agent)
 
-    def search(left: Formula, used: frozenset[int]) -> Optional[LeadsToProof]:
+    def search(left: Formula, used: frozenset[int]) -> Generator[
+            tuple[Formula, frozenset[int]], Optional[LeadsToProof],
+            Optional[LeadsToProof]]:
         if check_ensures(left, omega, agent, graph).holds:
             return EnsuresLeaf(left, omega)
         parts = _or_disjuncts(left)
         if len(parts) > 1:
-            subs = [search(p, used) for p in parts]
+            subs = []
+            for p in parts:
+                subs.append((yield p, used))
             if all(s is not None for s in subs):
                 return Disj(left, tuple(subs))  # type: ignore[arg-type]
         for i, (phi_i, psi_i) in enumerate(steps):
@@ -373,7 +402,7 @@ def prove_leadsto(alpha: Formula, omega: Formula, agent: Agent,
                 continue
             if not _scope_entails(graph, left, phi_i):
                 continue
-            rest = search(psi_i, used | {i})
+            rest = yield psi_i, used | {i}
             if rest is None:
                 continue
             tail = Trans(EnsuresLeaf(phi_i, psi_i), rest)
@@ -382,286 +411,24 @@ def prove_leadsto(alpha: Formula, omega: Formula, agent: Agent,
             return Trans(EnsuresLeaf(left, phi_i), tail)
         return None
 
-    return search(alpha, frozenset())
-
-
-# ---------------------------------------------------------------------------
-# Temporal formulas over lasso traces.
-
-
-class Until(Formula):
-    """Weak until: either the right side is eventually reached with the
-    left side true before it, or the left side holds forever."""
-
-    __slots__ = __match_args__ = ("left", "right")
-
-    def __post_init__(self) -> None:
-        self._seal(None, max(self.left.depth, self.right.depth) + 1)
-
-
-def t_always(a: Formula) -> Formula:
-    return Until(a, FALSE)
-
-
-def t_eventually(a: Formula) -> Formula:
-    return Not(t_always(Not(a)))
-
-
-def t_unless(phi: Formula, psi: Formula) -> Formula:
-    return Imp(phi, Until(phi, psi))
-
-
-def t_ensures(phi: Formula, psi: Formula) -> Formula:
-    return And(t_unless(phi, psi), Imp(phi, t_eventually(psi)))
-
-
-class LassoTrace(Record):
-    """An infinite trace: ``states``, after which the suffix from
-    ``cycle_start`` repeats forever."""
-
-    __slots__ = __match_args__ = ("states", "cycle_start")
-
-    def successor(self, i: int) -> int:
-        return i + 1 if i + 1 < len(self.states) else self.cycle_start
-
-
-def eval_temporal(trace: LassoTrace, phi: Formula, position: int = 0) -> bool:
-    """Whether ``phi`` holds at index ``position`` of the lasso.
-
-    The connectives and :class:`Until` are read here; every other node is a
-    state formula, which :func:`eval_msf` decides at the state.  Every
-    position of a lasso has a successor, so the evaluation is two-valued: a
-    weak until walks positions until one repeats, and holds if its left
-    side held at each of them.
-    """
-    return _holds(trace, phi, position, {})
-
-
-# _holds and _at pass the memo along instead of closing over it: two
-# closures that call each other form a reference cycle, which would keep
-# the memo and the lasso alive until the cyclic garbage collector runs.
-
-def _holds(trace: LassoTrace, f: Formula, i: int,
-           memo: dict[tuple[Formula, int], bool]) -> bool:
-    key = (f, i)
-    if key not in memo:
-        memo[key] = _at(trace, f, i, memo)
-    return memo[key]
-
-
-def _at(trace: LassoTrace, f: Formula, i: int,
-        memo: dict[tuple[Formula, int], bool]) -> bool:
-    match f:
-        case Not(operand):
-            return not _holds(trace, operand, i, memo)
-        case And(a, b):
-            return _holds(trace, a, i, memo) and _holds(trace, b, i, memo)
-        case Or(a, b):
-            return _holds(trace, a, i, memo) or _holds(trace, b, i, memo)
-        case Imp(a, b):
-            return not _holds(trace, a, i, memo) or _holds(trace, b, i, memo)
-        case Iff(a, b):
-            return _holds(trace, a, i, memo) == _holds(trace, b, i, memo)
-        case Until(a, b):
-            seen = set()
-            while i not in seen:
-                if _holds(trace, b, i, memo):
-                    return True
-                if not _holds(trace, a, i, memo):
-                    return False
-                seen.add(i)
-                i = trace.successor(i)
-            return True
-    return eval_msf(trace.states[i], f)
-
-
-# ---------------------------------------------------------------------------
-# Graph-level trace oracles (quantification over all fair traces).  They
-# walk the graph's position index but evaluate formulas one state at a time
-# with eval_msf, never with the graph's StateSet, so that they stay an
-# independent check of the Hoare-triple rules.
-
-
-def _truth(graph: StateGraph, phi: Formula) -> int:
-    """The nodes where ``phi`` holds, as a position mask, state by state."""
-    return sum(1 << i for i, s in enumerate(graph.nodes) if eval_msf(s, phi))
-
-
-def shortest_path(graph: StateGraph, start: int, goal: int,
-                  within: int = -1) -> Optional[list[int]]:
-    """A shortest position path from ``start`` to a position in the mask
-    ``goal``, every later position in the mask ``within``; ``None`` when
-    there is none.  Breadth-first, expanding actions in program order."""
-    parent = {start: start}
-    queue = [start]
-    for node in queue:      # queue grows as the search finds positions
-        if goal >> node & 1:
-            path = [node]
-            while node != start:
-                node = parent[node]
-                path.append(node)
-            return path[::-1]
-        for row in graph.targets:
-            t = row[node]
-            if t not in parent and within >> t & 1:
-                parent[t] = node
-                queue.append(t)
-    return None
-
-
-def _closure(adjacent: list[int], mask: int, within: int) -> int:
-    """The positions reached from ``mask`` along ``adjacent`` (one mask of
-    neighbours per position) without leaving ``within``."""
-    reached = frontier = mask
-    while frontier:
-        out = 0
-        for i in set_bits(frontier):
-            out |= adjacent[i]
-        frontier = out & within & ~reached
-        reached |= frontier
-    return reached
-
-
-def _fair_trap(graph: StateGraph, avoid: int,
-               starts: int) -> Optional[tuple[list[int], int]]:
-    """Find a fair way to stay inside the position mask ``avoid`` forever.
-
-    A trap is a strongly connected component of the nodes in ``avoid``
-    where every action has a step that stays inside it, so that cycling
-    through it attempts every action infinitely often: a fair trace.  Each
-    component is the forward closure of a position intersected with its
-    backward closure inside ``avoid`` (Emerson and Lei's fair-cycle
-    detection).  Returns a shortest path through ``avoid`` from the first
-    of ``starts`` that reaches a trap, and that trap, or ``None``.
-    """
-    succ = [0] * len(graph.nodes)
-    pred = [0] * len(graph.nodes)
-    for row in graph.targets:
-        for i, t in enumerate(row):
-            succ[i] |= 1 << t
-            pred[t] |= 1 << i
-    traps = []
-    rest = avoid
-    while rest:
-        pivot = rest & -rest
-        comp = _closure(succ, pivot, avoid) & _closure(pred, pivot, avoid)
-        rest &= ~comp
-        # self-loop-only components still count: an idle attempt is a step
-        if all(any(comp >> row[w] & 1 for w in set_bits(comp))
-               for row in graph.targets):
-            traps.append(comp)
-    trapped = sum(traps)    # the components are disjoint
-    for start in set_bits(starts):
-        path = shortest_path(graph, start, trapped, avoid)
-        if path is not None:
-            return path, next(c for c in traps if c >> path[-1] & 1)
-    return None
-
-
-def graph_unless(phi: Formula, psi: Formula, agent: Agent,
-                 graph: Optional[StateGraph] = None) -> Verdict:
-    """Trace-level oracle for phi unless psi.
-
-    A safety property: it fails on some fair trace exactly when some
-    reachable state satisfying phi & !psi has a one-step successor
-    falsifying both phi and psi.
-    """
-    if graph is None:
-        graph = reachable(agent)
-    holds_phi, holds_psi = _truth(graph, phi), _truth(graph, psi)
-    broken = graph.states.full & ~(holds_phi | holds_psi)
-    for i in set_bits(holds_phi & ~holds_psi):
-        for a, row in enumerate(graph.targets):
-            if broken >> row[i] & 1:
-                return Verdict(False, graph.nodes[i],
-                               detail=f"broken by {agent.action_label(a)}")
-    return Verdict(True, scope="all fair traces (graph oracle)")
-
-
-def graph_eventuality(phi: Formula, psi: Formula, agent: Agent,
-                      graph: Optional[StateGraph] = None) -> Verdict:
-    """Trace-level oracle for phi -> eventually psi over all fair traces
-    and positions: fails exactly when a phi & !psi state can reach, through
-    !psi states, a component where every action can be attempted without
-    leaving it."""
-    if graph is None:
-        graph = reachable(agent)
-    avoid = graph.states.full & ~_truth(graph, psi)
-    trap = _fair_trap(graph, avoid, _truth(graph, phi) & avoid)
-    if trap is None:
-        return Verdict(True, scope="all fair traces (graph oracle)")
-    path, comp = trap
-    return Verdict(False, graph.nodes[path[0]],
-                   detail=f"fair trap of {comp.bit_count()} state(s) "
-                          f"avoids the target")
-
-
-def graph_ensures(phi: Formula, psi: Formula, agent: Agent,
-                  graph: Optional[StateGraph] = None) -> Verdict:
-    if graph is None:
-        graph = reachable(agent)
-    safety = graph_unless(phi, psi, agent, graph)
-    if not safety.holds:
-        return safety
-    return graph_eventuality(phi, psi, agent, graph)
-
-
-# ---------------------------------------------------------------------------
-# Witness lassos: concrete fair traces, suitable for independent
-# re-evaluation with eval_temporal.
-
-
-def fair_lasso(graph: StateGraph, path: Sequence[int]) -> LassoTrace:
-    """Extend a position path into a fair lasso: from its last position,
-    attempt the actions round-robin until a (position, action) pair
-    repeats."""
-    n = len(graph.targets)
-    trace = list(path)
-    seen: dict[tuple[int, int], int] = {}
-    phase = 0
-    while (trace[-1], phase) not in seen:
-        seen[(trace[-1], phase)] = len(trace) - 1
-        trace.append(graph.targets[phase][trace[-1]])
-        phase = (phase + 1) % n
-    # the final position re-enters the cycle; drop the duplicate
-    return LassoTrace(tuple(graph.nodes[i] for i in trace[:-1]),
-                      seen[(trace[-1], phase)])
-
-
-def fair_lasso_from(agent: Agent, graph: StateGraph,
-                    start: MentalState) -> LassoTrace:
-    """A concrete fair lasso: reach ``start`` from the initial state along
-    a shortest path, then loop round-robin."""
-    path = shortest_path(graph, graph.position[agent.initial_state],
-                         1 << graph.position[start])
-    assert path is not None, "start must be reachable"
-    return fair_lasso(graph, path)
-
-
-def trap_lasso(agent: Agent, graph: StateGraph, start: MentalState,
-               psi: Formula) -> Optional[LassoTrace]:
-    """A fair lasso witnessing that ``psi`` can be avoided forever from
-    ``start``: a path through !psi states into a fair trap, then a cycle
-    inside the trap attempting every action.  ``None`` when there is none,
-    which includes every ``start`` that satisfies ``psi``."""
-    avoid = graph.states.full & ~_truth(graph, psi)
-    trap = _fair_trap(graph, avoid, 1 << graph.position[start] & avoid)
-    if trap is None:
-        return None
-    trace, comp = trap
-    cycle_start = len(trace) - 1
-    # attempt each action at the first node of the trap where it stays
-    # inside, walking inside the trap between attempts
-    for row in graph.targets:
-        anchor = next(w for w in set_bits(comp) if comp >> row[w] & 1)
-        walk = shortest_path(graph, trace[-1], 1 << anchor, comp)
-        assert walk is not None
-        trace += walk[1:] + [row[anchor]]
-    back = shortest_path(graph, trace[-1], 1 << trace[cycle_start], comp)
-    assert back is not None
-    trace += back[1:]
-    # the cycle's first position recurs at the end: drop the duplicate
-    return LassoTrace(tuple(graph.nodes[i] for i in trace[:-1]), cycle_start)
+    answers: dict[tuple[Formula, frozenset[int]], Optional[LeadsToProof]] = {}
+    root = (alpha, frozenset())
+    frames = [(root, search(*root))]
+    answer = None
+    while frames:
+        question, frame = frames[-1]
+        try:
+            sub = frame.send(answer)
+        except StopIteration as done:
+            answers[question] = answer = done.value
+            frames.pop()
+            continue
+        if sub in answers:
+            answer = answers[sub]
+        else:
+            frames.append((sub, search(*sub)))
+            answer = None
+    return answer
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,15 @@
 """Shared test utilities: one execution attempt, canonical states, semantic
 formula pools, a seeded micro-agent generator, and the reference lexer and
-parsers."""
+parsers.
+
+The last sections hold reference code that no command runs, kept as test
+oracles: temporal formulas over lasso traces (``Until``, ``t_always`` and
+the rest, ``eval_temporal``), the graph-level trace oracles
+(``graph_unless``, ``graph_eventuality``, ``graph_ensures``) and witness
+lassos (``fair_lasso``, ``fair_lasso_from``, ``trap_lasso``), the agent
+pretty-printer, the shopping fixture as an agent, formula equivalence, and
+the recursive leads-to search and proof check.
+"""
 
 from __future__ import annotations
 
@@ -10,20 +19,25 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from goalkit.prop_logic import (
     And, Atom, Const, FALSE, Formula, FormulaError, Iff, Imp, MAX_DEPTH, Not,
-    Or, TRUE, atoms_of, consistent, entails, formula_for_table, leaves,
-    parse_formula, render, truth_table,
+    Or, Record, TRUE, atoms_of, consistent, entails, formula_for_table,
+    leaves, parse_formula, render, tautology, truth_table,
 )
 from goalkit.mental_state import (
-    Bel, Enabled, Goal, MentalState, MentalStateError, canonical_formulas,
-    msf_atoms, parse_msformula,
+    Bel, Enabled, Goal, MentalState, MentalStateError, Verdict,
+    canonical_formulas, eval_msf, msf_atoms, parse_msformula, set_bits,
 )
 from goalkit.capabilities import (
     Action, CapabilitySpec, ConditionalAction, EffectClause, GoalAction,
     apply_M, enabled_cap, insert, remove,
 )
-from goalkit.verifier import HoareTriple
+from goalkit.executor import StateGraph, reachable
+from goalkit.verifier import (
+    Disj, EnsuresLeaf, HoareTriple, LeadsToProof, MalformedProof, Trans,
+    _or_disjuncts, _scope_entails, check_ensures,
+)
 from goalkit.agent_program import (
-    Agent, AgentParseError, PropertyDecl, _expand_name, _is_schema,
+    Agent, AgentParseError, PropertyDecl, SHOPPING_SOURCE, _expand_name,
+    _is_schema, parse_agent,
 )
 
 
@@ -871,3 +885,410 @@ def _parse_property(tokens: list[RefToken], reader: _FileReader, check_names,
     check_names(left, "property")
     check_names(right, "property")
     return PropertyDecl(head.text, left, right)
+
+
+# ---------------------------------------------------------------------------
+# Temporal formulas over lasso traces.
+
+
+class Until(Formula):
+    """Weak until: either the right side is eventually reached with the
+    left side true before it, or the left side holds forever."""
+
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __post_init__(self) -> None:
+        self._seal(None, max(self.left.depth, self.right.depth) + 1)
+
+
+def t_always(a: Formula) -> Formula:
+    return Until(a, FALSE)
+
+
+def t_eventually(a: Formula) -> Formula:
+    return Not(t_always(Not(a)))
+
+
+def t_unless(phi: Formula, psi: Formula) -> Formula:
+    return Imp(phi, Until(phi, psi))
+
+
+def t_ensures(phi: Formula, psi: Formula) -> Formula:
+    return And(t_unless(phi, psi), Imp(phi, t_eventually(psi)))
+
+
+class LassoTrace(Record):
+    """An infinite trace: ``states``, after which the suffix from
+    ``cycle_start`` repeats forever."""
+
+    __slots__ = __match_args__ = ("states", "cycle_start")
+
+    def successor(self, i: int) -> int:
+        return i + 1 if i + 1 < len(self.states) else self.cycle_start
+
+
+def eval_temporal(trace: LassoTrace, phi: Formula, position: int = 0) -> bool:
+    """Whether ``phi`` holds at index ``position`` of the lasso.
+
+    The connectives and :class:`Until` are read here; every other node is a
+    state formula, which :func:`eval_msf` decides at the state.  Every
+    position of a lasso has a successor, so the evaluation is two-valued: a
+    weak until walks positions until one repeats, and holds if its left
+    side held at each of them.
+    """
+    return _holds(trace, phi, position, {})
+
+
+# _holds and _at pass the memo along instead of closing over it: two
+# closures that call each other form a reference cycle, which would keep
+# the memo and the lasso alive until the cyclic garbage collector runs.
+
+def _holds(trace: LassoTrace, f: Formula, i: int,
+           memo: dict[tuple[Formula, int], bool]) -> bool:
+    key = (f, i)
+    if key not in memo:
+        memo[key] = _at(trace, f, i, memo)
+    return memo[key]
+
+
+def _at(trace: LassoTrace, f: Formula, i: int,
+        memo: dict[tuple[Formula, int], bool]) -> bool:
+    match f:
+        case Not(operand):
+            return not _holds(trace, operand, i, memo)
+        case And(a, b):
+            return _holds(trace, a, i, memo) and _holds(trace, b, i, memo)
+        case Or(a, b):
+            return _holds(trace, a, i, memo) or _holds(trace, b, i, memo)
+        case Imp(a, b):
+            return not _holds(trace, a, i, memo) or _holds(trace, b, i, memo)
+        case Iff(a, b):
+            return _holds(trace, a, i, memo) == _holds(trace, b, i, memo)
+        case Until(a, b):
+            seen = set()
+            while i not in seen:
+                if _holds(trace, b, i, memo):
+                    return True
+                if not _holds(trace, a, i, memo):
+                    return False
+                seen.add(i)
+                i = trace.successor(i)
+            return True
+    return eval_msf(trace.states[i], f)
+
+
+# ---------------------------------------------------------------------------
+# Graph-level trace oracles (quantification over all fair traces).  They
+# walk the graph's position index but evaluate formulas one state at a time
+# with eval_msf, never with the graph's StateSet, so that they stay an
+# independent check of the Hoare-triple rules.
+
+
+def _truth(graph: StateGraph, phi: Formula) -> int:
+    """The nodes where ``phi`` holds, as a position mask, state by state."""
+    return sum(1 << i for i, s in enumerate(graph.nodes) if eval_msf(s, phi))
+
+
+def shortest_path(graph: StateGraph, start: int, goal: int,
+                  within: int = -1) -> Optional[list[int]]:
+    """A shortest position path from ``start`` to a position in the mask
+    ``goal``, every later position in the mask ``within``; ``None`` when
+    there is none.  Breadth-first, expanding actions in program order."""
+    parent = {start: start}
+    queue = [start]
+    for node in queue:      # queue grows as the search finds positions
+        if goal >> node & 1:
+            path = [node]
+            while node != start:
+                node = parent[node]
+                path.append(node)
+            return path[::-1]
+        for row in graph.targets:
+            t = row[node]
+            if t not in parent and within >> t & 1:
+                parent[t] = node
+                queue.append(t)
+    return None
+
+
+def _closure(adjacent: list[int], mask: int, within: int) -> int:
+    """The positions reached from ``mask`` along ``adjacent`` (one mask of
+    neighbours per position) without leaving ``within``."""
+    reached = frontier = mask
+    while frontier:
+        out = 0
+        for i in set_bits(frontier):
+            out |= adjacent[i]
+        frontier = out & within & ~reached
+        reached |= frontier
+    return reached
+
+
+def _fair_trap(graph: StateGraph, avoid: int,
+               starts: int) -> Optional[tuple[list[int], int]]:
+    """Find a fair way to stay inside the position mask ``avoid`` forever.
+
+    A trap is a strongly connected component of the nodes in ``avoid``
+    where every action has a step that stays inside it, so that cycling
+    through it attempts every action infinitely often: a fair trace.  Each
+    component is the forward closure of a position intersected with its
+    backward closure inside ``avoid`` (Emerson and Lei's fair-cycle
+    detection).  Returns a shortest path through ``avoid`` from the first
+    of ``starts`` that reaches a trap, and that trap, or ``None``.
+    """
+    succ = [0] * len(graph.nodes)
+    pred = [0] * len(graph.nodes)
+    for row in graph.targets:
+        for i, t in enumerate(row):
+            succ[i] |= 1 << t
+            pred[t] |= 1 << i
+    traps = []
+    rest = avoid
+    while rest:
+        pivot = rest & -rest
+        comp = _closure(succ, pivot, avoid) & _closure(pred, pivot, avoid)
+        rest &= ~comp
+        # self-loop-only components still count: an idle attempt is a step
+        if all(any(comp >> row[w] & 1 for w in set_bits(comp))
+               for row in graph.targets):
+            traps.append(comp)
+    trapped = sum(traps)    # the components are disjoint
+    for start in set_bits(starts):
+        path = shortest_path(graph, start, trapped, avoid)
+        if path is not None:
+            return path, next(c for c in traps if c >> path[-1] & 1)
+    return None
+
+
+def graph_unless(phi: Formula, psi: Formula, agent: Agent,
+                 graph: Optional[StateGraph] = None) -> Verdict:
+    """Trace-level oracle for phi unless psi.
+
+    A safety property: it fails on some fair trace exactly when some
+    reachable state satisfying phi & !psi has a one-step successor
+    falsifying both phi and psi.
+    """
+    if graph is None:
+        graph = reachable(agent)
+    holds_phi, holds_psi = _truth(graph, phi), _truth(graph, psi)
+    broken = graph.states.full & ~(holds_phi | holds_psi)
+    for i in set_bits(holds_phi & ~holds_psi):
+        for a, row in enumerate(graph.targets):
+            if broken >> row[i] & 1:
+                return Verdict(False, graph.nodes[i],
+                               detail=f"broken by {agent.action_label(a)}")
+    return Verdict(True, scope="all fair traces (graph oracle)")
+
+
+def graph_eventuality(phi: Formula, psi: Formula, agent: Agent,
+                      graph: Optional[StateGraph] = None) -> Verdict:
+    """Trace-level oracle for phi -> eventually psi over all fair traces
+    and positions: fails exactly when a phi & !psi state can reach, through
+    !psi states, a component where every action can be attempted without
+    leaving it."""
+    if graph is None:
+        graph = reachable(agent)
+    avoid = graph.states.full & ~_truth(graph, psi)
+    trap = _fair_trap(graph, avoid, _truth(graph, phi) & avoid)
+    if trap is None:
+        return Verdict(True, scope="all fair traces (graph oracle)")
+    path, comp = trap
+    return Verdict(False, graph.nodes[path[0]],
+                   detail=f"fair trap of {comp.bit_count()} state(s) "
+                          f"avoids the target")
+
+
+def graph_ensures(phi: Formula, psi: Formula, agent: Agent,
+                  graph: Optional[StateGraph] = None) -> Verdict:
+    if graph is None:
+        graph = reachable(agent)
+    safety = graph_unless(phi, psi, agent, graph)
+    if not safety.holds:
+        return safety
+    return graph_eventuality(phi, psi, agent, graph)
+
+
+# ---------------------------------------------------------------------------
+# Witness lassos: concrete fair traces, suitable for independent
+# re-evaluation with eval_temporal.
+
+
+def fair_lasso(graph: StateGraph, path: Sequence[int]) -> LassoTrace:
+    """Extend a position path into a fair lasso: from its last position,
+    attempt the actions round-robin until a (position, action) pair
+    repeats."""
+    n = len(graph.targets)
+    trace = list(path)
+    seen: dict[tuple[int, int], int] = {}
+    phase = 0
+    while (trace[-1], phase) not in seen:
+        seen[(trace[-1], phase)] = len(trace) - 1
+        trace.append(graph.targets[phase][trace[-1]])
+        phase = (phase + 1) % n
+    # the final position re-enters the cycle; drop the duplicate
+    return LassoTrace(tuple(graph.nodes[i] for i in trace[:-1]),
+                      seen[(trace[-1], phase)])
+
+
+def fair_lasso_from(agent: Agent, graph: StateGraph,
+                    start: MentalState) -> LassoTrace:
+    """A concrete fair lasso: reach ``start`` from the initial state along
+    a shortest path, then loop round-robin."""
+    path = shortest_path(graph, graph.position[agent.initial_state],
+                         1 << graph.position[start])
+    assert path is not None, "start must be reachable"
+    return fair_lasso(graph, path)
+
+
+def trap_lasso(agent: Agent, graph: StateGraph, start: MentalState,
+               psi: Formula) -> Optional[LassoTrace]:
+    """A fair lasso witnessing that ``psi`` can be avoided forever from
+    ``start``: a path through !psi states into a fair trap, then a cycle
+    inside the trap attempting every action.  ``None`` when there is none,
+    which includes every ``start`` that satisfies ``psi``."""
+    avoid = graph.states.full & ~_truth(graph, psi)
+    trap = _fair_trap(graph, avoid, 1 << graph.position[start] & avoid)
+    if trap is None:
+        return None
+    trace, comp = trap
+    cycle_start = len(trace) - 1
+    # attempt each action at the first node of the trap where it stays
+    # inside, walking inside the trap between attempts
+    for row in graph.targets:
+        anchor = next(w for w in set_bits(comp) if comp >> row[w] & 1)
+        walk = shortest_path(graph, trace[-1], 1 << anchor, comp)
+        assert walk is not None
+        trace += walk[1:] + [row[anchor]]
+    back = shortest_path(graph, trace[-1], 1 << trace[cycle_start], comp)
+    assert back is not None
+    trace += back[1:]
+    # the cycle's first position recurs at the end: drop the duplicate
+    return LassoTrace(tuple(graph.nodes[i] for i in trace[:-1]), cycle_start)
+
+
+# ---------------------------------------------------------------------------
+# Pretty printing (canonical, already-expanded form).
+
+
+def pretty_print(agent: Agent) -> str:
+    lines: list[str] = ["vocab {"]
+    for book in agent.books:
+        lines.append(f"  book {book};")
+    for atom in agent.vocab:
+        lines.append(f"  {atom};")
+    lines.append("}")
+    lines.append("beliefs {")
+    for phi in sorted(agent.initial_state.beliefs, key=render):
+        lines.append(f"  {render(phi)};")
+    lines.append("}")
+    lines.append("goals {")
+    for phi in sorted(agent.initial_state.goals, key=render):
+        lines.append(f"  {render(phi)};")
+    lines.append("}")
+    for cap in agent.capabilities:
+        lines.append(f"capability {cap.name} {{")
+        for clause in cap.clauses:
+            add = ", ".join(render(f) for f in clause.add)
+            delete = ", ".join(render(f) for f in clause.delete)
+            lines.append(f"  when {render(clause.guard)} "
+                         f"add {{ {add} }} del {{ {delete} }};")
+        lines.append("}")
+    lines.append("program {")
+    for rule in agent.program:
+        lines.append(f"  {rule};")
+    lines.append("}")
+    if agent.properties:
+        lines.append("properties {")
+        for prop in agent.properties:
+            lines.append(f"  {prop};")
+        lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The shipped fixture as an agent, and the equivalence of two formulas.
+
+
+def ground_shopping_fixture() -> Agent:
+    """The propositionalized book-buying agent (8 conditional actions)."""
+    return parse_agent(SHOPPING_SOURCE)
+
+
+def equivalent(phi: Formula, psi: Formula) -> bool:
+    return tautology(Iff(phi, psi))
+
+
+# ---------------------------------------------------------------------------
+# The leads-to search and proof check as first written: one Python frame
+# per question and per proof node, and every order of the applicable
+# steps searched afresh.  The verifier's own keep an explicit stack and
+# answer each question once, and must give the same proofs and verdicts.
+
+
+def reference_check_leadsto(proof: LeadsToProof, agent: Agent,
+                            graph: Optional[StateGraph] = None) -> Verdict:
+    """``check_leadsto`` by recursion over the proof tree."""
+    if graph is None:
+        graph = reachable(agent)
+    if isinstance(proof, EnsuresLeaf):
+        verdict = check_ensures(proof.left, proof.right, agent, graph)
+        if not verdict.holds:
+            return Verdict(False, verdict.witness,
+                           detail=f"leaf {render(proof.left)} ensures "
+                                  f"{render(proof.right)}: {verdict.detail}")
+        return Verdict(True, scope="ensures leaf")
+    if isinstance(proof, Trans):
+        if proof.first.right != proof.second.left:
+            raise MalformedProof(
+                f"transitivity middle mismatch: {render(proof.first.right)} "
+                f"vs {render(proof.second.left)}")
+        children, rule = (proof.first, proof.second), "transitivity"
+    elif isinstance(proof, Disj):
+        if not proof.children:
+            raise MalformedProof("empty disjunction node")
+        if [c.left for c in proof.children] != _or_disjuncts(proof.left):
+            raise MalformedProof(
+                f"disjunction children do not split {render(proof.left)}")
+        if len({c.right for c in proof.children}) != 1:
+            raise MalformedProof("disjunction children disagree on the conclusion")
+        children, rule = proof.children, "disjunction"
+    else:
+        raise MalformedProof(f"not a proof node: {proof!r}")
+    for child in children:
+        verdict = reference_check_leadsto(child, agent, graph)
+        if not verdict.holds:
+            return verdict
+    return Verdict(True, scope=rule)
+
+
+def reference_prove_leadsto(
+        alpha: Formula, omega: Formula, agent: Agent,
+        steps: Sequence[tuple[Formula, Formula]],
+        graph: Optional[StateGraph] = None) -> Optional[LeadsToProof]:
+    """``prove_leadsto`` by recursion, with no memo."""
+    if graph is None:
+        graph = reachable(agent)
+
+    def search(left: Formula, used: frozenset[int]) -> Optional[LeadsToProof]:
+        if check_ensures(left, omega, agent, graph).holds:
+            return EnsuresLeaf(left, omega)
+        parts = _or_disjuncts(left)
+        if len(parts) > 1:
+            subs = [search(p, used) for p in parts]
+            if all(s is not None for s in subs):
+                return Disj(left, tuple(subs))  # type: ignore[arg-type]
+        for i, (phi_i, psi_i) in enumerate(steps):
+            if i in used:
+                continue
+            if not _scope_entails(graph, left, phi_i):
+                continue
+            rest = search(psi_i, used | {i})
+            if rest is None:
+                continue
+            tail = Trans(EnsuresLeaf(phi_i, psi_i), rest)
+            if left == phi_i:
+                return tail
+            return Trans(EnsuresLeaf(left, phi_i), tail)
+        return None
+
+    return search(alpha, frozenset())

@@ -27,19 +27,20 @@ from goalkit.capabilities import (
     CapabilitySpec, ConditionalAction, EffectClause, GoalAction, apply_T,
     enabled_cap, enabled_cond, insert, remove,
 )
-from goalkit.agent_program import ground_shopping_fixture
 from goalkit.executor import (
     fair_picks, max_omission_streak, reachable, schedule, trace,
 )
 from goalkit.verifier import (
     HoareTriple, _subst_adopt, _subst_drop, check_ensures, check_hoare_basic,
-    check_unless, derive_hoare, eval_temporal, fair_lasso, fair_lasso_from,
-    graph_ensures, graph_unless, shortest_path, subst_insert, t_always,
-    t_ensures, t_unless, trap_lasso, verify_agent, wlp,
+    check_unless, derive_hoare, subst_insert, verify_agent, wlp,
 )
 
-from helpers import attempt, micro_agent, random_formula, \
-    random_formula_for_table
+from helpers import (
+    attempt, eval_temporal, fair_lasso, fair_lasso_from, graph_ensures,
+    graph_unless, ground_shopping_fixture, micro_agent, random_formula,
+    random_formula_for_table, shortest_path, t_always, t_ensures, t_unless,
+    trap_lasso,
+)
 
 P, Q = Atom("p"), Atom("q")
 PQ = ("p", "q")

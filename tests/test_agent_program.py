@@ -3,10 +3,9 @@ import pytest
 from goalkit.prop_logic import Atom, render
 from goalkit.mental_state import Bel, Goal, eval_msf
 from goalkit.capabilities import CapabilitySpec, GoalAction
-from goalkit.agent_program import (
-    AgentParseError, SHOPPING_SOURCE, ground_shopping_fixture, parse_agent,
-    pretty_print,
-)
+from goalkit.agent_program import AgentParseError, SHOPPING_SOURCE, parse_agent
+
+from helpers import ground_shopping_fixture, pretty_print
 
 MINI = """
 vocab { p; q; }

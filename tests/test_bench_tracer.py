@@ -9,8 +9,9 @@ import importlib.util
 from pathlib import Path
 
 from goalkit import capabilities, mental_state, verifier
-from goalkit.agent_program import ground_shopping_fixture
 from goalkit.prop_logic import Atom, Not, TRUE
+
+from helpers import ground_shopping_fixture
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 

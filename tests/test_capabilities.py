@@ -3,7 +3,7 @@ import pytest
 from goalkit import mental_state
 from goalkit.prop_logic import (
     CACHE_SIZE, And, Atom, FALSE, Imp, Not, Or, TRUE, atoms_of, entails,
-    equivalent, formula_for_table, truth_table,
+    formula_for_table, truth_table,
 )
 from goalkit.mental_state import (
     Bel, Goal, MentalState, canonical_formulas, enumerate_states, eval_msf,
@@ -13,6 +13,8 @@ from goalkit.capabilities import (
     CapabilitySpec, ConditionalAction, EffectClause,
     GoalAction, apply_M, apply_T, enabled_cap, enabled_cond, insert, remove,
 )
+
+from helpers import equivalent
 
 P, Q = Atom("p"), Atom("q")
 

@@ -10,14 +10,15 @@ from goalkit.capabilities import (
     CapabilitySpec, ConditionalAction, EffectClause, GoalAction, apply_M,
     enabled_cond, insert,
 )
-from goalkit.agent_program import Agent, ground_shopping_fixture
+from goalkit.agent_program import Agent
 from goalkit.executor import (
     BudgetExceeded, fair_picks, max_omission_streak, reachable, schedule,
     step, trace,
 )
 
 from helpers import (
-    micro_agent, reference_forcing, reference_omission_streak, window_fair,
+    ground_shopping_fixture, micro_agent, reference_forcing,
+    reference_omission_streak, window_fair,
 )
 
 P, Q = Atom("p"), Atom("q")

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goalkit.prop_logic import (
-    And, Atom, FALSE, Iff, Imp, Not, Or, TRUE, equivalent, formula_for_table,
-    render, truth_table,
+    And, Atom, FALSE, Iff, Imp, Not, Or, TRUE, formula_for_table, render,
+    truth_table,
 )
 from goalkit.mental_state import (
     MAX_ORACLE_GENERATORS, MAX_ORACLE_WORK, Bel, BoundsExceeded, Enabled,
@@ -12,6 +12,8 @@ from goalkit.mental_state import (
     universe_size, validity_oracle,
 )
 from goalkit.capabilities import CapabilitySpec, EffectClause, GoalAction
+
+from helpers import equivalent
 
 P, Q = Atom("p"), Atom("q")
 PAY = CapabilitySpec("pay", (EffectClause(P, (Q,), ()),))

@@ -23,10 +23,10 @@ from goalkit.prop_logic import (
 from goalkit.mental_state import (
     Bel, CapabilitySpec, EffectClause, parse_msformula,
 )
-from goalkit.agent_program import SHOPPING_SOURCE, parse_agent, pretty_print
+from goalkit.agent_program import SHOPPING_SOURCE, parse_agent
 
 from helpers import (
-    ref_parse_agent, ref_parse_formula, ref_parse_msformula,
+    pretty_print, ref_parse_agent, ref_parse_formula, ref_parse_msformula,
     reference_tokenize,
 )
 from test_agent_program import MINI

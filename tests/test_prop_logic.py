@@ -10,12 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 from goalkit import prop_logic
 from goalkit.prop_logic import (
     CACHE_SIZE, MAX_DEPTH, And, Atom, Const, FALSE, Formula, FormulaError, Iff, Imp, Not,
-    Or, TRUE, atoms_of, conj, consistent, disj, entails, equivalent,
+    Or, TRUE, atoms_of, conj, consistent, disj, entails,
     PUNCT, formula_for_table, lex, minterm, parse_formula, render, tautology,
     token_start, truth_table,
 )
 
-from helpers import reference_tokenize, satisfies, valuations
+from helpers import equivalent, reference_tokenize, satisfies, valuations
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 

@@ -21,9 +21,10 @@ from goalkit.capabilities import ConditionalAction
 from goalkit.executor import Step
 from goalkit.agent_program import Agent, PropertyDecl
 from goalkit.verifier import (
-    Disj, EnsuresLeaf, HoareTriple, LassoTrace, Trans, Until, Verdict,
-    Obligation, t_ensures, t_eventually, t_unless,
+    Disj, EnsuresLeaf, HoareTriple, Trans, Verdict, Obligation,
 )
+
+from helpers import LassoTrace, Until, t_ensures, t_eventually, t_unless
 
 P, Q = Atom("p"), Atom("q")
 CLAUSE = EffectClause(TRUE, (P,), ())

@@ -30,14 +30,16 @@ from goalkit.capabilities import (
     CapabilitySpec, ConditionalAction, EffectClause,
     GoalAction, apply_M, enabled_cap, insert, remove,
 )
-from goalkit.agent_program import ground_shopping_fixture
 from goalkit.executor import reachable, step
 from goalkit.verifier import (
     HoareTriple, Verdict, check_ensures, check_hoare_basic, check_leadsto,
     check_unless, prove_leadsto,
 )
 
-from helpers import attempt, micro_agent, random_formula, with_actions
+from helpers import (
+    attempt, ground_shopping_fixture, micro_agent, random_formula,
+    with_actions,
+)
 
 P, Q = Atom("p"), Atom("q")
 PQ = ("p", "q")

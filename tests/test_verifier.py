@@ -15,17 +15,20 @@ from goalkit.capabilities import (
     CapabilitySpec, ConditionalAction, EffectClause, GoalAction, insert,
     remove,
 )
-from goalkit.agent_program import Agent, ground_shopping_fixture
+from goalkit.agent_program import Agent
 from goalkit.executor import StateGraph, reachable
 from goalkit.verifier import (
     Disj, EnsuresLeaf, HoareTriple, MalformedProof, MissingAxiom,
     Trans, check_ensures, check_hoare_basic, check_leadsto, check_unless,
-    derive_hoare, eval_temporal, fair_lasso_from, graph_ensures, graph_eventuality,
-    graph_unless, prove_leadsto, render_report, subst_insert, t_always,
-    t_ensures, t_eventually, trap_lasso, verify_agent, wlp,
+    derive_hoare, prove_leadsto, render_report, subst_insert, verify_agent,
+    wlp,
 )
 
-from helpers import micro_agent, oracle_triple, with_actions
+from helpers import (
+    eval_temporal, fair_lasso_from, graph_ensures, graph_eventuality,
+    graph_unless, ground_shopping_fixture, micro_agent, oracle_triple,
+    t_always, t_ensures, t_eventually, trap_lasso, with_actions,
+)
 
 P, Q = Atom("p"), Atom("q")
 PQ = ("p", "q")
