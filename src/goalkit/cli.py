@@ -60,6 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--unfair", action="store_true",
                        help="didactic mode: drop the fairness forcing "
                             "(random scheduling only)")
+    p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify",
                               help="check the agent's declared properties")
@@ -68,6 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="reachable-state node budget")
     p_verify.add_argument("--format", choices=["text", "records"],
                           default="text")
+    p_verify.set_defaults(func=_cmd_verify)
 
     p_graph = sub.add_parser("graph",
                              help="export the reachable-state graph (DOT)")
@@ -75,6 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("--out", default="-",
                          help="output path, '-' for stdout")
     p_graph.add_argument("--budget", type=_count, default=None)
+    p_graph.set_defaults(func=_cmd_graph)
 
     p_triple = sub.add_parser(
         "check-triple",
@@ -87,6 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_triple.add_argument("--mode", choices=["semantic", "wlp"],
                           default="semantic")
     p_triple.add_argument("--max-generators", type=_count, default=2)
+    p_triple.set_defaults(func=_cmd_check_triple)
     return parser
 
 
@@ -206,15 +210,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "graph":
-            return _cmd_graph(args)
-        if args.command == "check-triple":
-            return _cmd_check_triple(args)
-        raise AssertionError(args.command)
+        return args.func(args)
     except (AgentParseError, FormulaError, MissingAxiom, InvalidBudget,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

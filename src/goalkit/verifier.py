@@ -210,11 +210,9 @@ def _failing_sources(graph: StateGraph, pre: Formula,
 
 
 def check_unless(phi: Formula, psi: Formula, agent: Agent,
-                 graph: Optional[StateGraph] = None) -> Verdict:
+                 graph: StateGraph) -> Verdict:
     """phi unless psi, discharged as one triple {phi & !psi} b {phi | psi}
-    per conditional action, over the reachable states."""
-    if graph is None:
-        graph = reachable(agent)
+    per conditional action, over the reachable ``graph``."""
     failures = []
     witness = None
     for a, bad in enumerate(_failing_sources(graph, And(phi, Not(psi)),
@@ -240,7 +238,8 @@ def check_ensures(phi: Formula, psi: Formula, agent: Agent,
     is false, so the triple would fail there.  Only the triple is checked.
 
     A false verdict means the rule does not establish the property; the
-    trace-level oracle may still confirm it.
+    trace-level oracle, ``graph_ensures`` in ``tests/helpers.py``, may
+    still confirm it.
     """
     if graph is None:
         graph = reachable(agent)
@@ -267,33 +266,58 @@ def check_ensures(phi: Formula, psi: Formula, agent: Agent,
 # Leads-to proofs.
 
 
+def _or_disjuncts(phi: Formula) -> list[Formula]:
+    """The top-level disjuncts of ``phi``, left to right, without recursion."""
+    parts, pending = [], [phi]
+    while pending:
+        phi = pending.pop()
+        if isinstance(phi, Or):
+            pending += (phi.right, phi.left)
+        else:
+            parts.append(phi)
+    return parts
+
+
 class EnsuresLeaf(Record):
     __slots__ = __match_args__ = ("left", "right")
 
 
 class Trans(Record):
-    __slots__ = __match_args__ = ("first", "second")
+    """Transitivity: ``first`` leads from ``left`` to the formula that
+    ``second`` leads from, and ``second`` on to ``right``.  Building a node
+    whose middle formulas differ raises :class:`MalformedProof`."""
 
-    @property
-    def left(self) -> Formula:
-        node = self.first
-        while isinstance(node, Trans):
-            node = node.first
-        return node.left
+    __match_args__ = ("first", "second")
+    __slots__ = (*__match_args__, "left", "right")
 
-    @property
-    def right(self) -> Formula:
-        return _conclusion(self)
+    def __post_init__(self) -> None:
+        first, second = self.first, self.second
+        if first.right != second.left:
+            raise MalformedProof(
+                f"transitivity middle mismatch: {render(first.right)} "
+                f"vs {render(second.left)}")
+        object.__setattr__(self, "left", first.left)
+        object.__setattr__(self, "right", second.right)
 
 
 class Disj(Record):
-    """Disjunction: one child per top-level disjunct of ``left``, in order."""
+    """Disjunction: one child per top-level disjunct of ``left``, in order,
+    all leading to ``right``.  Building a node whose children do not fit
+    raises :class:`MalformedProof`."""
 
-    __slots__ = __match_args__ = ("left", "children")
+    __match_args__ = ("left", "children")
+    __slots__ = (*__match_args__, "right")
 
-    @property
-    def right(self) -> Formula:
-        return _conclusion(self)
+    def __post_init__(self) -> None:
+        children = self.children
+        if not children:
+            raise MalformedProof("empty disjunction node")
+        if [c.left for c in children] != _or_disjuncts(self.left):
+            raise MalformedProof(
+                f"disjunction children do not split {render(self.left)}")
+        if len({c.right for c in children}) != 1:
+            raise MalformedProof("disjunction children disagree on the conclusion")
+        object.__setattr__(self, "right", children[0].right)
 
 
 LeadsToProof = Union[EnsuresLeaf, Trans, Disj]
@@ -302,28 +326,14 @@ _RULES = {EnsuresLeaf: "ensures leaf", Trans: "transitivity",
           Disj: "disjunction"}
 
 
-def _conclusion(node: LeadsToProof) -> Formula:
-    """The right formula of a proof node: down the last premise of each
-    transitivity and the first child of each disjunction, in a loop, so
-    that a long proof is read without recursion."""
-    while isinstance(node, (Trans, Disj)):
-        node = node.second if isinstance(node, Trans) else node.children[0]
-    return node.right
-
-
 def check_leadsto(proof: LeadsToProof, agent: Agent,
-                  graph: Optional[StateGraph] = None) -> Verdict:
-    """Validate a leads-to proof tree: leaves by the ensures rule, inner
-    nodes by transitivity (matching middle formula) or disjunction
-    (matching right formulas).
-
-    The nodes are visited in pre-order from an explicit stack, so a proof
-    of any length is checked without recursion.  A malformed node raises
-    when it is reached, the first failing leaf's verdict is returned, and
-    a valid proof holds under its root's rule.
-    """
-    if graph is None:
-        graph = reachable(agent)
+                  graph: StateGraph) -> Verdict:
+    """Validate a leads-to proof tree over the reachable ``graph``: its
+    inner nodes checked their rules when built, so only its leaves are
+    checked, by the ensures rule, in pre-order from an explicit stack.
+    The first failing leaf's verdict is returned, an object that is not a
+    proof node raises when reached, and a valid proof holds under its
+    root's rule."""
     pending = [proof]
     while pending:
         node = pending.pop()
@@ -334,29 +344,12 @@ def check_leadsto(proof: LeadsToProof, agent: Agent,
                                detail=f"leaf {render(node.left)} ensures "
                                       f"{render(node.right)}: {verdict.detail}")
         elif isinstance(node, Trans):
-            if node.first.right != node.second.left:
-                raise MalformedProof(
-                    f"transitivity middle mismatch: {render(node.first.right)} "
-                    f"vs {render(node.second.left)}")
             pending += (node.second, node.first)
         elif isinstance(node, Disj):
-            if not node.children:
-                raise MalformedProof("empty disjunction node")
-            if [c.left for c in node.children] != _or_disjuncts(node.left):
-                raise MalformedProof(
-                    f"disjunction children do not split {render(node.left)}")
-            if len({c.right for c in node.children}) != 1:
-                raise MalformedProof("disjunction children disagree on the conclusion")
             pending += reversed(node.children)
         else:
             raise MalformedProof(f"not a proof node: {node!r}")
     return Verdict(True, scope=_RULES[type(proof)])
-
-
-def _or_disjuncts(phi: Formula) -> list[Formula]:
-    if isinstance(phi, Or):
-        return _or_disjuncts(phi.left) + _or_disjuncts(phi.right)
-    return [phi]
 
 
 def _scope_entails(graph: StateGraph, alpha: Formula, beta: Formula) -> bool:
@@ -367,8 +360,8 @@ def _scope_entails(graph: StateGraph, alpha: Formula, beta: Formula) -> bool:
 
 def prove_leadsto(alpha: Formula, omega: Formula, agent: Agent,
                   steps: Sequence[tuple[Formula, Formula]],
-                  graph: Optional[StateGraph] = None) -> Optional[LeadsToProof]:
-    """Search for a leads-to proof of ``alpha -> omega``.
+                  graph: StateGraph) -> Optional[LeadsToProof]:
+    """Search for a leads-to proof of ``alpha -> omega`` over ``graph``.
 
     ``steps`` are ensures properties used as stepping stones, unchecked:
     ``verify`` passes every declared one, failing ones included, and
@@ -380,10 +373,9 @@ def prove_leadsto(alpha: Formula, omega: Formula, agent: Agent,
     ``search`` is a pure function of its question, a formula and the
     steps used so far, so each question is answered once per call.  Its
     frames are generators that yield their sub-questions to a loop over
-    an explicit stack, so a long chain of steps does not recurse.
+    an explicit stack, so a long chain of steps does not recurse.  Each
+    node of the proof checked its own rule when it was built.
     """
-    if graph is None:
-        graph = reachable(agent)
 
     def search(left: Formula, used: frozenset[int]) -> Generator[
             tuple[Formula, frozenset[int]], Optional[LeadsToProof],

@@ -1,6 +1,5 @@
-"""Shared test utilities: one execution attempt, canonical states, semantic
-formula pools, a seeded micro-agent generator, and the reference lexer and
-parsers.
+"""Shared test utilities: one execution attempt, a seeded micro-agent
+generator, and the reference lexer and parsers.
 
 The last sections hold reference code that no command runs, kept as test
 oracles: temporal formulas over lasso traces (``Until``, ``t_always`` and
@@ -23,8 +22,8 @@ from goalkit.prop_logic import (
     leaves, parse_formula, render, tautology, truth_table,
 )
 from goalkit.mental_state import (
-    Bel, Enabled, Goal, MentalState, MentalStateError, Verdict,
-    canonical_formulas, eval_msf, msf_atoms, parse_msformula, set_bits,
+    Bel, Enabled, Goal, MentalState, MentalStateError, Verdict, eval_msf,
+    msf_atoms, parse_msformula, set_bits,
 )
 from goalkit.capabilities import (
     Action, CapabilitySpec, ConditionalAction, EffectClause, GoalAction,
@@ -44,69 +43,6 @@ from goalkit.agent_program import (
 def attempt(action: Action, state: MentalState) -> MentalState:
     """One execution attempt: the successor when enabled, else in place."""
     return apply_M(action, state) if enabled_cap(action, state) else state
-
-
-def canonical_state(state: MentalState, vocab: tuple[str, ...]) -> MentalState:
-    """Map a state to the enumeration representative with the same meaning."""
-    n_vals = 1 << len(vocab)
-    full = (1 << n_vals) - 1
-    theory = full
-    for f in state.beliefs:
-        theory &= truth_table(f, vocab)
-    beliefs = frozenset() if theory == full else frozenset(
-        (formula_for_table(theory, vocab),))
-    gens = frozenset(formula_for_table(truth_table(g, vocab), vocab)
-                     for g in state.goals)
-    return MentalState(beliefs, gens)
-
-
-def semantic_pool(leaves: Sequence[Formula], depth: int,
-                  key: Callable[[Formula], object]) -> list[Formula]:
-    """Formulas up to ``depth`` connective levels over ``leaves``, deduped
-    by ``key``.
-
-    Deduping by a semantic key is exhaustive for any key-determined
-    property: connectives act pointwise on keys, so every formula of the
-    grammar shares its key with some retained representative.
-    """
-    seen: dict[object, Formula] = {}
-    levels: list[list[Formula]] = [[]]
-    for leaf in (*leaves, TRUE, FALSE):
-        k = key(leaf)
-        if k not in seen:
-            seen[k] = leaf
-            levels[0].append(leaf)
-    for d in range(1, depth + 1):
-        fresh: list[Formula] = []
-
-        def offer(phi: Formula) -> None:
-            k = key(phi)
-            if k not in seen:
-                seen[k] = phi
-                fresh.append(phi)
-
-        prior = [f for level in levels for f in level]
-        for f in levels[d - 1]:
-            offer(Not(f))
-        for a in levels[d - 1]:
-            for b in prior:
-                offer(And(a, b))
-                offer(Or(a, b))
-                offer(Imp(a, b))
-                offer(Imp(b, a))
-        levels.append(fresh)
-    return [f for level in levels for f in level]
-
-
-def msf_leaves_over(vocab: tuple[str, ...],
-                    args: Optional[Iterable[Formula]] = None) -> list[Formula]:
-    if args is None:
-        args = [*canonical_formulas(vocab), FALSE]
-    out: list[Formula] = []
-    for phi in args:
-        out.append(Bel(phi))
-        out.append(Goal(phi))
-    return out
 
 
 def random_formula(rng: random.Random, vocab: tuple[str, ...],
@@ -370,7 +306,6 @@ def ref_tokens(text: str) -> list[RefToken]:
 
 
 _REF_PREC = {Iff: 1, Imp: 2, Or: 3, And: 4, Not: 5}
-_CONNECTIVES = {"!": Not, "&": And, "|": Or, "->": Imp, "<->": Iff}
 
 
 class RefStream:
@@ -395,8 +330,8 @@ class RefStream:
         return tok
 
 
-# Connectives by token; precedences are _PREC's, and -> and <-> associate
-# to the right.
+# Connectives by token; precedences are _REF_PREC's, and -> and <->
+# associate to the right.
 _CONNECTIVES = {"!": Not, "&": And, "|": Or, "->": Imp, "<->": Iff}
 
 

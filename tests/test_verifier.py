@@ -15,7 +15,7 @@ from goalkit.capabilities import (
     CapabilitySpec, ConditionalAction, EffectClause, GoalAction, insert,
     remove,
 )
-from goalkit.agent_program import Agent
+from goalkit.agent_program import Agent, PropertyDecl
 from goalkit.executor import StateGraph, reachable
 from goalkit.verifier import (
     Disj, EnsuresLeaf, HoareTriple, MalformedProof, MissingAxiom,
@@ -357,6 +357,18 @@ def test_check_ensures_declared_properties(shopping):
         assert "witness" in verdict.scope
 
 
+def test_check_ensures_builds_the_graph_it_is_not_given(shopping):
+    # bench/test_generators.py calls check_ensures without a graph
+    agent, _ = shopping
+    pairs = [(p.left, p.right) for p in agent.properties
+             if p.kind == "ensures"]
+    pairs.append((Bel(Atom("hpage_user")), Bel(Atom("in_cart_T"))))
+    verdicts = [check_ensures(phi, psi, agent) for phi, psi in pairs]
+    assert verdicts == [check_ensures(phi, psi, agent, reachable(agent))
+                        for phi, psi in pairs]
+    assert not verdicts[-1].holds and all(v.holds for v in verdicts[:-1])
+
+
 def test_check_ensures_negative(shopping):
     agent, graph = shopping
     verdict = check_ensures(Bel(Atom("hpage_user")), Bel(Atom("in_cart_T")),
@@ -403,17 +415,36 @@ def test_leadsto_single_leaf(shopping):
 
 
 def test_leadsto_malformed_nodes(shopping):
-    agent, graph = shopping
+    agent, _ = shopping
     props = [p for p in agent.properties if p.kind == "ensures"]
     a = EnsuresLeaf(props[0].left, props[0].right)
     b = EnsuresLeaf(props[1].left, props[1].right)
     with pytest.raises(MalformedProof, match="middle"):
-        check_leadsto(Trans(a, EnsuresLeaf(Bel(P), Bel(Q))), agent, graph)
+        Trans(a, EnsuresLeaf(Bel(P), Bel(Q)))
     with pytest.raises(MalformedProof, match="empty"):
-        check_leadsto(Disj(a.left, ()), agent, graph)
-    if a.right != b.right:
-        with pytest.raises(MalformedProof, match="disagree"):
-            check_leadsto(Disj(Or(a.left, b.left), (a, b)), agent, graph)
+        Disj(a.left, ())
+    assert a.right != b.right
+    with pytest.raises(MalformedProof, match="disagree"):
+        Disj(Or(a.left, b.left), (a, b))
+
+
+def test_inner_nodes_hold_their_own_conclusions():
+    x, y, z = (Bel(Atom(a)) for a in ("x", "y", "z"))
+    chain = Trans(EnsuresLeaf(x, y), Trans(EnsuresLeaf(y, z),
+                                           EnsuresLeaf(z, TRUE)))
+    assert (chain.left, chain.right) == (x, TRUE)
+    split = Disj(Or(x, y), (EnsuresLeaf(x, z), EnsuresLeaf(y, z)))
+    assert split.right == z
+    assert Trans(split, EnsuresLeaf(z, TRUE)).left == Or(x, y)
+
+
+def test_a_child_that_chains_but_is_no_proof_node_is_refused(shopping):
+    # a declaration has left and right formulas, so the node can be built
+    agent, graph = shopping
+    am_com = Bel(Atom("Am_com"))
+    proof = Trans(EnsuresLeaf(am_com, TRUE), PropertyDecl("ensures", TRUE, am_com))
+    with pytest.raises(MalformedProof, match="not a proof node"):
+        check_leadsto(proof, agent, graph)
 
 
 def test_leadsto_returns_the_first_failing_node(shopping):
@@ -450,7 +481,21 @@ def test_leadsto_disjunction_children_must_split_the_left_formula(shopping):
                            (Or(x, y), leaves),
                            (x, leaves[:2])):
         with pytest.raises(MalformedProof, match="do not split"):
-            check_leadsto(Disj(left, tuple(children)), agent, graph)
+            Disj(left, tuple(children))
+
+
+def test_a_wide_disjunction_is_split_without_recursion(shopping):
+    # 3,000 right-nested disjuncts, each with a vacuous leaf: the split
+    # used to take one frame per disjunct
+    agent, graph = shopping
+    parts = [Bel(Atom(f"x{i}")) for i in range(3000)]
+    left = parts[-1]
+    for phi in reversed(parts[:-1]):
+        left = Or(phi, left)
+    proof = Disj(left, tuple(EnsuresLeaf(phi, TRUE) for phi in parts))
+    assert proof.right is TRUE
+    assert check_leadsto(proof, agent, graph) == Verdict(True,
+                                                          scope="disjunction")
 
 
 def test_prove_leadsto_main_property(shopping):
