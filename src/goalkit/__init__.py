@@ -6,14 +6,12 @@ from .prop_logic import (
     consistent, entails, parse_formula, render, tautology,
 )
 from .mental_state import (
-    Bel, BoundsExceeded, Enabled, Goal, MentalState, MentalStateError,
-    apply_M, enumerate_states, eval_msf, goal_holds, make_state,
-    parse_msformula, validity_oracle,
+    Bel, BoundsExceeded, CapabilitySpec, ConditionalAction, EffectClause,
+    Enabled, Goal, GoalAction, MentalState, MentalStateError, Verdict,
+    apply_M, apply_T, enumerate_states, eval_msf, goal_holds, insert,
+    make_state, parse_msformula, remove, validity_oracle,
 )
-from .capabilities import (
-    CapabilitySpec, ConditionalAction, EffectClause,
-    GoalAction, apply_T, enabled_cap, enabled_cond, insert, remove,
-)
+from .capabilities import enabled_cap, enabled_cond
 from .agent_program import (
     Agent, AgentParseError, PropertyDecl, SHOPPING_SOURCE, parse_agent,
 )
@@ -23,7 +21,7 @@ from .executor import (
 )
 from .verifier import (
     Disj, EnsuresLeaf, HoareTriple, MalformedProof, MissingAxiom, Trans,
-    Verdict, check_ensures, check_hoare_basic, check_leadsto, check_unless,
+    check_ensures, check_hoare_basic, check_leadsto, check_unless,
     derive_hoare, prove_leadsto, render_report, verify_agent, wlp,
 )
 from .cli import main

@@ -15,9 +15,9 @@ from .prop_logic import (
     PUNCT, Formula, Record, consistent, entails, expected, lex, parse_tokens,
     render, token_start,
 )
-from .mental_state import MentalState, MentalStateError, msf_syntax
-from .capabilities import (
-    CapabilitySpec, ConditionalAction, EffectClause, GoalAction,
+from .mental_state import (
+    CapabilitySpec, ConditionalAction, EffectClause, GoalAction, MentalState,
+    MentalStateError, msf_syntax,
 )
 
 

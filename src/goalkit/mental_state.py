@@ -4,9 +4,9 @@ A mental state pairs a consistent belief base with a goal base.  The goal
 base is kept as a finite set of generator formulas; the agent has psi as a
 goal exactly when psi is consistent, not believed, and entailed by some
 single generator.  That realizes the closure condition on goal bases while
-keeping states finite.  Goal actions, belief capabilities, conditional
-actions and the mental-state transformer that applies each of them are
-defined here too: an ``enabled(...)`` leaf holds its action and asks it.
+keeping states finite.  The actions (``insert`` and ``remove`` build two)
+and the transformer ``apply_M`` are defined here too: an action is
+enabled exactly where ``apply_M`` is defined.
 """
 
 from __future__ import annotations
@@ -63,14 +63,6 @@ class GoalAction(Record):
     def __str__(self) -> str:
         return f"{self.kind}({render(self.argument)})"
 
-    def enabled_at(self, state: "MentalState") -> bool:
-        """drop is always enabled; adopt requires a satisfiable,
-        not-yet-believed argument.  Reads only ``state.beliefs``."""
-        if self.kind == "drop":
-            return True
-        return (not tautology(Not(self.argument))
-                and not state.believes(self.argument))
-
 
 class EffectClause(Record):
     __slots__ = __match_args__ = ("guard", "add", "delete")
@@ -82,10 +74,17 @@ class CapabilitySpec(Record):
     def __str__(self) -> str:
         return self.name
 
-    def enabled_at(self, state: "MentalState") -> bool:
-        """A belief capability is enabled exactly when its update is
-        defined.  Reads only ``state.beliefs``."""
-        return apply_T(self, state.beliefs) is not None
+
+def insert(phi: Formula) -> CapabilitySpec:
+    """The built-in capability that adds ``phi`` to the beliefs."""
+    return CapabilitySpec(f"ins({render(phi)})",
+                          (EffectClause(TRUE, (phi,), ()),))
+
+
+def remove(phi: Formula) -> CapabilitySpec:
+    """The built-in capability that removes the formula ``phi`` (by identity)."""
+    return CapabilitySpec(f"del({render(phi)})",
+                          (EffectClause(TRUE, (), (phi,)),))
 
 
 def apply_T(cap: CapabilitySpec,
@@ -218,14 +217,15 @@ def make_state(beliefs: Iterable[Formula], goals: Iterable[Formula]) -> MentalSt
 
 def apply_M(action: Statement,
             state: MentalState) -> Optional[MentalState]:
-    """The mental-state transformer; ``None`` when the action is not enabled.
+    """The mental-state transformer, ``None`` exactly where not enabled.
 
-    Belief updates prune every goal generator the new beliefs entail (the
-    blind-commitment strategy: a goal is dropped exactly when believed
-    achieved).  drop removes the generators entailing its argument; adopt
-    adds its argument as a new generator.  A conditional action
-    ``psi -> do(a)`` is ``a``'s transformer where ``psi`` holds, and
-    ``None`` elsewhere: the one transition of every action.
+    Belief updates are undefined where ``apply_T`` is, and prune every goal
+    generator the new beliefs entail (the blind-commitment strategy: a goal
+    is dropped exactly when believed achieved).  drop removes the
+    generators entailing its argument; adopt adds a satisfiable, unbelieved
+    argument as a new generator.  A conditional action ``psi -> do(a)`` is
+    ``a``'s transformer where ``psi`` holds, and ``None`` elsewhere: the one
+    transition of every action.
     """
     if isinstance(action, ConditionalAction):
         if not eval_msf(state, action.condition):
@@ -240,7 +240,7 @@ def apply_M(action: Statement,
                 else:
                     kept.append(g)
             return make_state(state.beliefs, kept)
-        if not action.enabled_at(state):
+        if tautology(Not(action.argument)) or state.believes(action.argument):
             return None
         return MentalState(state.beliefs, state.goals | {action.argument})
     updated = apply_T(action, state.beliefs)
@@ -287,7 +287,7 @@ def eval_msf(state: MentalState, phi: Formula) -> bool:
         case Goal(arg):
             return goal_holds(state, arg)
         case Enabled(target):
-            return target.enabled_at(state)
+            return apply_M(target, state) is not None
         case Const(value):
             return value
         case Not(operand):
@@ -319,16 +319,17 @@ class StateSet:
     the states where :func:`eval_msf` itself would reach it: the right side
     of ``&``, ``|`` and ``->`` is evaluated only where the left side leaves
     the result open.  Leaves are evaluated once per class of states, not
-    once per state: ``B`` and ``enabled`` leaves read only the belief base,
-    so each is evaluated with :func:`eval_msf` at the lowest state of each
-    belief class among those asked for, and its value is given to the whole
-    class; ``G(psi)`` is ``psi`` being consistent, ``B(psi)`` failing, and
-    :func:`generates` holding, which reads only the goal base and so is
-    decided once per goal class.  Other leaves are evaluated state by
-    state.  A truth value depends only on the formula and the state, so the
-    values computed are kept on the set between calls, for at most
-    ``CACHE_SIZE`` subformulas: a full memo is emptied and its values are
-    computed again when asked.
+    once per state: a ``B`` leaf reads only the belief base, and so does an
+    ``enabled`` leaf, since whether ``apply_M`` is defined for a basic
+    action reads only the beliefs; each is evaluated with :func:`eval_msf`
+    at the lowest state of each belief class among those asked for, and
+    its value is given to the whole class; ``G(psi)`` is ``psi`` being
+    consistent, ``B(psi)`` failing, and :func:`generates` holding, which
+    reads only the goal base and so is decided once per goal class.  Other
+    leaves are evaluated state by state.  A truth value depends only on the
+    formula and the state, so the values computed are kept on the set
+    between calls, for at most ``CACHE_SIZE`` subformulas: a full memo is
+    emptied and its values are computed again when asked.
 
     A set also holds, per action, its image set (:meth:`image`), for at
     most ``HELD_IMAGES`` actions.  :func:`held_set` holds one set per
@@ -447,10 +448,11 @@ class StateSet:
         state of this set is that state, other equal images of one action
         are one object, and equal belief or goal bases among all the images
         held on this set are one object.  If ``apply_M`` raises, no image
-        set is kept.  A basic action's update, and whether it is defined,
-        read only the beliefs, so its image set uses this set's belief
-        classes.  A condition may read the goals and step only one of two
-        states with equal beliefs, so a conditional action's does not.
+        set is kept.  Whether ``apply_M`` is defined for a basic action,
+        and the beliefs it gives, read only the beliefs, so its image set
+        uses this set's belief classes.  A condition may read the goals and
+        step only one of two states with equal beliefs, so a conditional
+        action's does not.
         """
         held = self._images.get(action)
         if held is not None:
@@ -648,6 +650,13 @@ def _state_space(voc: tuple[str, ...],
             for gens in combinations(usable, size):
                 out.append(MentalState(beliefs, frozenset(gens)))
     return tuple(out)
+
+
+def is_universe_base(phi: Formula, voc: tuple[str, ...]) -> bool:
+    """Whether ``phi`` is a non-empty belief base of the universe over
+    ``voc``: a canonical formula (:func:`_state_space`) over every atom."""
+    return (bool(voc) and atoms_of(phi) == frozenset(voc)
+            and formula_for_table(truth_table(phi, voc), voc) is phi)
 
 
 # The held state sets, least recently used first.

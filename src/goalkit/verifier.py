@@ -16,13 +16,13 @@ from functools import lru_cache
 from typing import Generator, Iterable, Iterator, Optional, Sequence, Union
 
 from .prop_logic import (
-    CACHE_SIZE, And, FALSE, Formula, Imp, Not, Or, Record, TRUE, atoms_of,
-    formula_for_table, map_leaves, render, tautology, truth_table,
+    CACHE_SIZE, And, FALSE, Formula, Imp, Not, Or, Record, TRUE, map_leaves,
+    render, tautology,
 )
 from .mental_state import (
     Bel, ConditionalAction, EffectClause, Enabled, Goal, GoalAction,
-    MentalState, Statement, Verdict, eval_msf, held_set, lowest_bit,
-    map_goal_leaves, msf_leaves, set_bits, validity_oracle,
+    MentalState, Statement, Verdict, eval_msf, held_set, is_universe_base,
+    lowest_bit, map_goal_leaves, msf_leaves, set_bits, validity_oracle,
 )
 from .agent_program import Agent, PropertyDecl
 from .executor import StateGraph, reachable
@@ -154,16 +154,14 @@ def wlp(statement: Statement, sigma: Formula) -> Formula:
 
 def _refuse_deleted_bases(statement: Statement, voc: tuple[str, ...]) -> None:
     """Raise :class:`MissingAxiom` if ``statement`` deletes a belief base of
-    the bounded universe over ``voc``.  A non-empty base is one canonical
-    formula, which mentions every atom of ``voc``."""
+    the bounded universe over ``voc`` (:func:`is_universe_base`)."""
     if isinstance(statement, ConditionalAction):
         statement = statement.action
     if isinstance(statement, GoalAction):
         return
     for clause in statement.clauses:
         for phi in clause.delete:
-            if voc and atoms_of(phi) == frozenset(voc) and formula_for_table(
-                    truth_table(phi, voc), voc) is phi:
+            if is_universe_base(phi, voc):
                 raise MissingAxiom(
                     f"no wlp axiom for capability {statement.name!r} over "
                     f"atoms {', '.join(voc)}: it deletes {render(phi)}, "

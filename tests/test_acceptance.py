@@ -20,13 +20,11 @@ from goalkit.prop_logic import (
     And, Atom, FALSE, Iff, Imp, Not, Or, TRUE, consistent, tautology,
 )
 from goalkit.mental_state import (
-    Bel, Enabled, Goal, MentalState, StateSet, canonical_formulas,
-    enumerate_states, eval_msf, goal_holds, validity_oracle,
+    Bel, CapabilitySpec, ConditionalAction, EffectClause, Enabled, Goal,
+    GoalAction, MentalState, StateSet, apply_T, canonical_formulas,
+    enumerate_states, eval_msf, goal_holds, insert, remove, validity_oracle,
 )
-from goalkit.capabilities import (
-    CapabilitySpec, ConditionalAction, EffectClause, GoalAction, apply_T,
-    enabled_cap, enabled_cond, insert, remove,
-)
+from goalkit.capabilities import enabled_cap, enabled_cond
 from goalkit.executor import (
     fair_picks, max_omission_streak, reachable, schedule, trace,
 )
@@ -38,8 +36,8 @@ from goalkit.verifier import (
 from helpers import (
     attempt, eval_temporal, fair_lasso, fair_lasso_from, graph_ensures,
     graph_unless, ground_shopping_fixture, micro_agent, random_formula,
-    random_formula_for_table, shortest_path, t_always, t_ensures, t_unless,
-    trap_lasso,
+    random_formula_for_table, reference_enabled, shortest_path, t_always,
+    t_ensures, t_unless, trap_lasso,
 )
 
 P, Q = Atom("p"), Atom("q")
@@ -234,7 +232,7 @@ def test_criterion_04_axiom_suites(universe):
             for a in basics:
                 b = ConditionalAction(cond, a)
                 assert enabled_cond(b, s) == (
-                    bool(eval_msf(s, cond)) and enabled_cap(a, s))
+                    bool(eval_msf(s, cond)) and reference_enabled(a, s))
 
     # a capability is enabled exactly where its update is defined
     two_clause = CapabilitySpec(

@@ -1,8 +1,7 @@
 import pytest
 
 from goalkit.prop_logic import Atom, render
-from goalkit.mental_state import Bel, Goal, eval_msf
-from goalkit.capabilities import CapabilitySpec, GoalAction
+from goalkit.mental_state import Bel, CapabilitySpec, Goal, GoalAction, eval_msf
 from goalkit.agent_program import AgentParseError, SHOPPING_SOURCE, parse_agent
 
 from helpers import ground_shopping_fixture, pretty_print

@@ -6,15 +6,13 @@ from goalkit.prop_logic import (
     formula_for_table, truth_table,
 )
 from goalkit.mental_state import (
-    Bel, Goal, MentalState, canonical_formulas, enumerate_states, eval_msf,
-    goal_holds, make_state,
+    Bel, CapabilitySpec, ConditionalAction, EffectClause, Goal, GoalAction,
+    MentalState, apply_M, apply_T, canonical_formulas, enumerate_states,
+    eval_msf, goal_holds, insert, make_state, remove,
 )
-from goalkit.capabilities import (
-    CapabilitySpec, ConditionalAction, EffectClause,
-    GoalAction, apply_M, apply_T, enabled_cap, enabled_cond, insert, remove,
-)
+from goalkit.capabilities import enabled_cap, enabled_cond
 
-from helpers import equivalent
+from helpers import attempt, equivalent, reference_enabled
 
 P, Q = Atom("p"), Atom("q")
 
@@ -124,11 +122,11 @@ def test_conditional_action_enabledness():
 def test_capability_is_enabled_where_its_update_is_defined():
     from goalkit.mental_state import Enabled, enumerate_states
     c = cap(EffectClause(P, (Q,), ()), EffectClause(Q, (Not(P),), ()))
-    assert c.enabled_at(state(beliefs=[P]))
-    assert not c.enabled_at(state())
+    assert enabled_cap(c, state(beliefs=[P]))
+    assert not enabled_cap(c, state())
     for s in enumerate_states(("p", "q"), 1):
         rule = apply_T(c, s.beliefs) is not None
-        assert c.enabled_at(s) == enabled_cap(c, s) == rule
+        assert reference_enabled(c, s) == enabled_cap(c, s) == rule
         assert eval_msf(s, Enabled(c)) == rule
 
 
@@ -143,7 +141,7 @@ def test_goal_persistence_for_non_drop_actions():
         if not goal_holds(s, phi):
             continue
         for a in actions:
-            target = apply_M(a, s) if enabled_cap(a, s) else s
+            target = attempt(a, s)
             assert target.believes(phi) or goal_holds(target, phi), (s, a)
 
 
@@ -153,14 +151,14 @@ def test_goal_action_is_one_class_everywhere():
 
 
 def test_goal_action_enabledness_is_one_rule():
-    """enabled_cap, the enabled(...) leaf and GoalAction.enabled_at agree."""
+    """enabled_cap, the enabled(...) leaf and the reference rule agree."""
     from goalkit.mental_state import Enabled, enumerate_states
     args = [P, Q, Not(P), And(P, Q), Or(P, Q), And(Q, Not(Q)), TRUE, FALSE]
     actions = [GoalAction(kind, arg) for kind in ("adopt", "drop")
                for arg in args]
     for s in enumerate_states(("p", "q"), 1):
         for action in actions:
-            rule = action.enabled_at(s)
+            rule = reference_enabled(action, s)
             assert enabled_cap(action, s) == rule
             assert eval_msf(s, Enabled(action)) == rule
             assert rule == (action.kind == "drop" or (

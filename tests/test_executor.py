@@ -5,10 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from goalkit.prop_logic import Atom, TRUE
-from goalkit.mental_state import Bel, Goal, MentalState, parse_msformula
-from goalkit.capabilities import (
-    CapabilitySpec, ConditionalAction, EffectClause, GoalAction, apply_M,
-    enabled_cond, insert,
+from goalkit.mental_state import (
+    Bel, CapabilitySpec, ConditionalAction, EffectClause, Goal, GoalAction,
+    MentalState, apply_M, eval_msf, insert, parse_msformula,
 )
 from goalkit.agent_program import Agent
 from goalkit.executor import (
@@ -17,8 +16,8 @@ from goalkit.executor import (
 )
 
 from helpers import (
-    ground_shopping_fixture, micro_agent, reference_forcing,
-    reference_omission_streak, window_fair,
+    ground_shopping_fixture, micro_agent, reference_enabled,
+    reference_forcing, reference_omission_streak, window_fair,
 )
 
 P, Q = Atom("p"), Atom("q")
@@ -64,7 +63,9 @@ def test_step_matches_the_condition_and_enabledness_reference():
         for s in reachable(agent).nodes:
             for b in agent.program:
                 st = step(s, b)
-                assert st.executed == enabled_cond(b, s), (agent, s, b)
+                assert st.executed == (
+                    eval_msf(s, b.condition)
+                    and reference_enabled(b.action, s)), (agent, s, b)
                 assert st.target == (apply_M(b.action, s) if st.executed
                                      else s), (agent, s, b)
                 attempts += 1

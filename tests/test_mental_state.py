@@ -6,12 +6,12 @@ from goalkit.prop_logic import (
     truth_table,
 )
 from goalkit.mental_state import (
-    MAX_ORACLE_GENERATORS, MAX_ORACLE_WORK, Bel, BoundsExceeded, Enabled,
-    Goal, MentalState, MentalStateError, canonical_formulas, enumerate_states,
-    eval_msf, goal_holds, make_state, msf_leaves, parse_msformula,
-    universe_size, validity_oracle,
+    MAX_ORACLE_GENERATORS, MAX_ORACLE_WORK, Bel, BoundsExceeded,
+    CapabilitySpec, EffectClause, Enabled, Goal, GoalAction, MentalState,
+    MentalStateError, canonical_formulas, enumerate_states, eval_msf,
+    goal_holds, make_state, msf_leaves, parse_msformula, universe_size,
+    validity_oracle,
 )
-from goalkit.capabilities import CapabilitySpec, EffectClause, GoalAction
 
 from helpers import equivalent
 

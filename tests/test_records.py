@@ -14,14 +14,14 @@ import pytest
 
 from goalkit.prop_logic import And, Atom, Const, Formula, Iff, Imp, Not, Or, TRUE
 from goalkit.mental_state import (
-    Bel, CapabilitySpec, EffectClause, Enabled, Goal, GoalAction, MentalState,
-    enumerate_states, held_set, validity_oracle,
+    Bel, CapabilitySpec, ConditionalAction, EffectClause, Enabled, Goal,
+    GoalAction, MentalState, Verdict, enumerate_states, held_set,
+    validity_oracle,
 )
-from goalkit.capabilities import ConditionalAction
 from goalkit.executor import Step
 from goalkit.agent_program import Agent, PropertyDecl
 from goalkit.verifier import (
-    Disj, EnsuresLeaf, HoareTriple, Trans, Verdict, Obligation,
+    Disj, EnsuresLeaf, HoareTriple, Trans, Obligation,
 )
 
 from helpers import LassoTrace, Until, t_ensures, t_eventually, t_unless

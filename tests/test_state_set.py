@@ -22,13 +22,10 @@ from goalkit.prop_logic import (
     CACHE_SIZE, And, Atom, FALSE, Iff, Imp, Not, Or, TRUE, render,
 )
 from goalkit.mental_state import (
-    Bel, BoundsExceeded, Enabled, Goal, MentalState, MentalStateError,
-    StateSet, canonical_formulas, enumerate_states, eval_msf,
+    Bel, BoundsExceeded, CapabilitySpec, ConditionalAction, EffectClause,
+    Enabled, Goal, GoalAction, MentalState, MentalStateError, StateSet,
+    apply_M, canonical_formulas, enumerate_states, eval_msf, insert, remove,
     set_bits, validity_oracle,
-)
-from goalkit.capabilities import (
-    CapabilitySpec, ConditionalAction, EffectClause,
-    GoalAction, apply_M, enabled_cap, insert, remove,
 )
 from goalkit.executor import reachable, step
 from goalkit.verifier import (
@@ -38,7 +35,7 @@ from goalkit.verifier import (
 
 from helpers import (
     attempt, ground_shopping_fixture, micro_agent, random_formula,
-    with_actions,
+    reference_enabled, with_actions,
 )
 
 P, Q = Atom("p"), Atom("q")
@@ -69,7 +66,7 @@ def hoare_by_state(triple, states):
     for s in states:
         if not eval_msf(s, triple.pre):
             continue
-        if enabled_cap(action, s):
+        if reference_enabled(action, s):
             if not eval_msf(apply_M(action, s), triple.post):
                 return Verdict(False, s, detail="post fails after execution")
         elif not eval_msf(s, triple.post):
@@ -120,7 +117,7 @@ def ensures_by_state(phi, psi, agent, graph):
             continue
         disabled = next((s for s in pending
                          if not (eval_msf(s, b.condition)
-                                 and enabled_cap(b.action, s))), None)
+                                 and reference_enabled(b.action, s))), None)
         if disabled is not None:
             reasons.append(f"{agent.action_label(i)}: not continuously enabled")
             continue
@@ -451,7 +448,7 @@ def test_held_images_match_attempt_on_the_universe(universe):
         images, executed = scope.image(action)
         assert scope.image(action) == (images, executed)
         assert executed == sum(1 << i for i, s in enumerate(universe)
-                               if enabled_cap(action, s))
+                               if reference_enabled(action, s))
         for s, t in zip(universe, images.states):
             want = attempt(action, s)
             assert t == want
@@ -477,7 +474,8 @@ def test_apply_M_never_raises_over_the_universe(universe):
     # action is not enabled.
     for action in CANONICAL_ACTIONS:
         for s in universe:
-            assert (apply_M(action, s) is None) == (not enabled_cap(action, s))
+            assert ((apply_M(action, s) is None)
+                    == (not reference_enabled(action, s)))
 
 
 def test_a_raising_post_leaf_leaves_no_value_in_the_held_image_set(universe):
@@ -806,20 +804,20 @@ def belief_classes(states, mask):
 
 
 def test_a_set_answers_each_leaf_once(universe, monkeypatch):
-    # enabled(...) reads only the belief base: a set asks it once per belief
-    # class among the states asked for, at the lowest of them, and never
-    # again for the same states.
+    # enabled(...) reads only the belief base: a set asks apply_M for it once
+    # per belief class among the states asked for, at the lowest of them,
+    # and never again for the same states.
     a, b = Enabled(CAP_A), Enabled(CAP_B)
     phi = Or(Bel(P), b)
     want = {f: mask_by_state(f, universe) for f in (a, b, phi)}
     assert want[a] != want[b]
     position = {s: i for i, s in enumerate(universe)}
     calls = []
-    enabled_at = CapabilitySpec.enabled_at
+    apply_M = mental_state.apply_M
 
     def counted(cap, state):
         calls.append((cap, position[state]))
-        return enabled_at(cap, state)
+        return apply_M(cap, state)
 
     def asked(cap):
         return [i for c, i in calls if c == cap]
@@ -830,7 +828,7 @@ def test_a_set_answers_each_leaf_once(universe, monkeypatch):
             firsts.setdefault(universe[i].beliefs, i)
         return sorted(firsts.values())
 
-    monkeypatch.setattr(CapabilitySpec, "enabled_at", counted)
+    monkeypatch.setattr(mental_state, "apply_M", counted)
     space = StateSet(universe)
     full = space.full
     believed = mask_by_state(Bel(P), universe)
@@ -988,8 +986,9 @@ def test_enabledness_depends_only_on_the_belief_base(universe):
     for target in ENABLED_TARGETS:
         for group in by_beliefs.values():
             assert len({g.goals for g in group}) > 1
-            assert len({target.enabled_at(s) for s in group}) == 1, target
-            values.add(target.enabled_at(group[0]))
+            enabled = {apply_M(target, s) is not None for s in group}
+            assert len(enabled) == 1, target
+            values |= enabled
     assert values == {True, False}
 
 

@@ -7,13 +7,9 @@ from goalkit.prop_logic import (
     And, Atom, FALSE, Iff, Imp, Not, Or, Record, TRUE, render, tautology,
 )
 from goalkit.mental_state import (
-    Bel, Enabled, Goal, MentalState, MentalStateError, Verdict,
-    canonical_formulas, enumerate_states, eval_msf, msf_leaves,
-    validity_oracle,
-)
-from goalkit.capabilities import (
-    CapabilitySpec, ConditionalAction, EffectClause, GoalAction, insert,
-    remove,
+    Bel, CapabilitySpec, ConditionalAction, EffectClause, Enabled, Goal,
+    GoalAction, MentalState, MentalStateError, Verdict, canonical_formulas,
+    enumerate_states, eval_msf, insert, msf_leaves, remove, validity_oracle,
 )
 from goalkit.agent_program import Agent, PropertyDecl
 from goalkit.executor import StateGraph, reachable

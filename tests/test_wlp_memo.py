@@ -16,9 +16,9 @@ import pytest
 
 from goalkit.prop_logic import CACHE_SIZE, And, Atom, Not, Or
 from goalkit.mental_state import (
-    Bel, ConditionalAction, Enabled, Goal, GoalAction, msf_leaves,
+    Bel, ConditionalAction, Enabled, Goal, GoalAction, insert, msf_leaves,
+    remove,
 )
-from goalkit.capabilities import insert, remove
 from goalkit.verifier import MissingAxiom, wlp
 
 from helpers import micro_agent, oracle_triple
